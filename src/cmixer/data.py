@@ -115,7 +115,6 @@ class MaskSpec:
     """Pixelwise Bernoulli masking: zero each pixel with probability ``rate``."""
 
     rate: float
-    fill: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
@@ -359,8 +358,6 @@ def random_mask(
     """
     keep = rng.random(image.shape[:-1]) >= spec.rate
     out = image * keep[..., None]
-    if spec.fill != 0.0:
-        out = out + np.logical_not(keep)[..., None] * spec.fill
     return out.astype(image.dtype)
 
 
@@ -381,30 +378,25 @@ def synth_dataset(
         raise ContractError("side must be at least 8")
     rng = rng if rng is not None else np.random.default_rng()
     yy, xx = np.mgrid[0:side, 0:side]
-    images, labels, tags = [], [], []
-    n_train = int(0.7 * n_per_class)
-    n_val = int(0.1 * n_per_class)
+    images = []
     for cls in range(num_classes):
         angle = 2.0 * np.pi * cls / num_classes
         cy = side / 2 + (side / 4) * np.sin(angle)
         cx = side / 2 + (side / 4) * np.cos(angle)
         sigma = side / 8.0
         blob = 180.0 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
-        for i in range(n_per_class):
-            img = blob + rng.normal(0.0, noise, size=(side, side)) + 30.0
-            images.append(np.clip(img, 0, 255).astype(np.uint8)[..., None])
-            labels.append(cls)
-            if i < n_train:
-                tags.append(int(Split.TRAIN_LABELED))
-            elif i < n_train + n_val:
-                tags.append(int(Split.VAL))
-            else:
-                tags.append(int(Split.TEST))
+        noisy = blob + rng.normal(0.0, noise, size=(n_per_class, side, side)) + 30.0
+        images.append(np.clip(noisy, 0, 255).astype(np.uint8)[..., None])
+    n_train = int(0.7 * n_per_class)
+    n_val = int(0.1 * n_per_class)
+    tags = np.full(n_per_class, int(Split.TEST), dtype=np.uint8)
+    tags[:n_train] = int(Split.TRAIN_LABELED)
+    tags[n_train:n_train + n_val] = int(Split.VAL)
     task = TaskKind.BINARY if num_classes == 2 else TaskKind.MULTICLASS
     return DatasetBundle(
-        np.stack(images),
-        np.array(labels, dtype=np.int64)[:, None],
-        np.array(tags, dtype=np.uint8),
+        np.concatenate(images),
+        np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)[:, None],
+        np.tile(tags, num_classes),
         task,
         num_classes,
     )

@@ -98,6 +98,20 @@ def _suite_entries():
     gamma = rng.standard_normal(4)
     beta = rng.standard_normal(4)
 
+    # weighted sums, so a swap of the two parts' gradients shows; their own
+    # generator, so the entries drawing from rng keep their inputs
+    extra = np.random.default_rng(43)
+
+    def weighted(out, w):
+        return engine.add(engine.mul(out.re, w[0]).sum(), engine.mul(out.im, w[1]).sum())
+
+    def complex_leaves(m, n, h_shape):
+        return {
+            "A": extra.standard_normal((m, n)), "B": extra.standard_normal((m, n)),
+            "hre": extra.standard_normal(h_shape), "him": extra.standard_normal(h_shape),
+            "bre": extra.standard_normal(m), "bim": extra.standard_normal(m),
+        }
+
     op("complex_affine", lambda: (
         lambda lv: (
             lambda out: engine.add(out.re.sum(), out.im.sum())
@@ -109,10 +123,9 @@ def _suite_entries():
             "bre": rng.standard_normal(3), "bim": rng.standard_normal(3),
         },
     ))
+    w_crelu = extra.standard_normal((2, 4, 4))
     op("crelu", lambda: (
-        lambda lv: (
-            lambda out: engine.add(out.re.sum(), out.im.sum())
-        )(crelu(ComplexTensor(lv["re"], lv["im"]))),
+        lambda lv: weighted(crelu(ComplexTensor(lv["re"], lv["im"])), w_crelu),
         {"re": rng.standard_normal((4, 4)) + 0.3, "im": rng.standard_normal((4, 4)) - 0.3},
     ))
     op("layernorm", lambda: (
@@ -120,6 +133,28 @@ def _suite_entries():
             engine.layernorm(lv["x"], lv["g"], lv["b"], axis=1), a44
         ).sum(),
         {"x": rng.standard_normal((4, 4)), "g": gamma.copy(), "b": beta.copy()},
+    ))
+    # the batched, biased and strided paths the model runs
+    w_batched = extra.standard_normal((2, 2, 5, 3))
+    op("complex_affine_batched", lambda: (
+        lambda lv: weighted(complex_affine(
+            lv["A"], lv["B"], ComplexTensor(lv["hre"], lv["him"]),
+            bias=ComplexTensor(lv["bre"], lv["bim"])), w_batched),
+        complex_leaves(5, 4, (2, 4, 3)),
+    ))
+    w_strided = extra.standard_normal((2, 2, 3, 5))
+    op("complex_affine_strided", lambda: (
+        lambda lv: weighted(complex_affine(
+            lv["A"], lv["B"],
+            ComplexTensor(lv["hre"].transpose((0, 2, 1)), lv["him"].transpose((0, 2, 1))),
+            bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-1), w_strided),
+        complex_leaves(5, 4, (2, 4, 3)),
+    ))
+    w_ln = extra.standard_normal((2, 3, 4))
+    op("layernorm_3d", lambda: (
+        lambda lv: engine.mul(engine.layernorm(lv["x"], lv["g"], lv["b"]), w_ln).sum(),
+        {"x": extra.standard_normal((2, 3, 4)), "g": extra.standard_normal(4),
+         "b": extra.standard_normal(4)},
     ))
     op("matmul", lambda: (
         lambda lv: engine.tanh(engine.matmul(lv["x"], lv["y"])).sum(),
@@ -216,16 +251,12 @@ def _forward_with(model, x, eps, leaves, head, toggles):
     cfg = model.config
     h = sample_incentive(Tensor(np.asarray(x)), leaves, eps)
     h = model_mod.patchify(h, cfg.patch)
-    h = model_mod._affine(h.swapaxes(-1, -2), leaves, "patch_embed", bias=True).swapaxes(-1, -2)
+    h = model_mod._affine(h, leaves, "patch_embed", bias=True, axis=-1)
     for i in range(cfg.num_layers):
         h = model_mod.mixer_block_forward(h, leaves, f"block{i}")
     pooled = h.mean(axis=1)
-    prefix, width = ("head", cfg.num_classes) if head == "classify" else ("ssl_head", 128)
-    col = pooled.reshape((x.shape[0], cfg.hidden, 1))
-    out = model_mod._affine(col, leaves, prefix, bias=True)
-    out = ComplexTensor(
-        out.re.reshape((x.shape[0], width)), out.im.reshape((x.shape[0], width))
-    )
+    prefix = "head" if head == "classify" else "ssl_head"
+    out = model_mod._affine(pooled, leaves, prefix, bias=True, axis=-1)
     return model_mod.pearson_project(out, use_real=toggles.p_r, use_imag=toggles.p_i)
 
 

@@ -73,15 +73,6 @@ class Toggles:
         if not (self.p_r or self.p_i):
             raise ContractError("projection must keep the real part, the imaginary part, or both")
 
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "ssl": self.ssl,
-            "rm": self.rm,
-            "il": self.il,
-            "p_r": self.p_r,
-            "p_i": self.p_i,
-        }
-
 
 @dataclass
 class CMixerConfig:
@@ -290,17 +281,6 @@ def sample_incentive(
     return out.reshape(eps.shape[1:]) if single else out
 
 
-def incentive_stats(
-    images: np.ndarray, params: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-image (mu, sigma) for a uint8-or-float batch, without a graph."""
-    x = np.asarray(images, dtype=np.float64).reshape(len(images), -1)
-    hidden = np.maximum(x @ params["incentive.hidden.weight"] + params["incentive.hidden.bias"], 0.0)
-    mu = np.tanh(hidden @ params["incentive.mu.weight"] + params["incentive.mu.bias"])
-    sigma = 0.5 * (1.0 + np.tanh(hidden @ params["incentive.sigma.weight"] + params["incentive.sigma.bias"]))
-    return mu.ravel(), sigma.ravel()
-
-
 def patchify(h: ComplexTensor, patch: int) -> ComplexTensor:
     """Cut (..., ch, H, W) into a row-major sequence of flattened patches.
 
@@ -355,11 +335,11 @@ def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor], prefix: str) -> C
 
 
 def _affine(x: ComplexTensor, p: dict[str, Tensor], prefix: str,
-            bias: bool = False) -> ComplexTensor:
+            bias: bool = False, axis: int = -2) -> ComplexTensor:
     b = None
     if bias:
         b = ComplexTensor(p[f"{prefix}.bias.re"], p[f"{prefix}.bias.im"])
-    return complex_affine(p[f"{prefix}.weight.re"], p[f"{prefix}.weight.im"], x, bias=b)
+    return complex_affine(p[f"{prefix}.weight.re"], p[f"{prefix}.weight.im"], x, bias=b, axis=axis)
 
 
 def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor], prefix: str) -> ComplexTensor:
@@ -373,10 +353,9 @@ def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor], prefix: str
     token = _affine(crelu(_affine(normed, params, f"{prefix}.token1")), params, f"{prefix}.token2")
     u = x + token
     normed2 = _complex_layernorm(u, params, f"{prefix}.ln2")
-    swapped = normed2.swapaxes(-1, -2)
-    mixed = _affine(crelu(_affine(swapped, params, f"{prefix}.channel1")), params, f"{prefix}.channel2")
-    y = u + mixed.swapaxes(-1, -2)
-    return y
+    mixed = _affine(crelu(_affine(normed2, params, f"{prefix}.channel1", axis=-1)),
+                    params, f"{prefix}.channel2", axis=-1)
+    return u + mixed
 
 
 def _open_unit(t: Tensor) -> Tensor:
@@ -480,21 +459,14 @@ class CMixerModel:
             h = ComplexTensor(Tensor(x), Tensor(np.zeros_like(x)))
 
         h = patchify(h, cfg.patch)
-        h = _affine(h.swapaxes(-1, -2), p, "patch_embed", bias=True).swapaxes(-1, -2)
+        h = _affine(h, p, "patch_embed", bias=True, axis=-1)
         for i in range(cfg.num_layers):
             h = mixer_block_forward(h, p, f"block{i}")
         pooled = h.mean(axis=1)  # over the patch sequence
-        if head == "classify":
-            prefix, width = "head", cfg.num_classes
-        elif head == "ssl":
-            prefix, width = "ssl_head", SSL_DIM
-        else:
+        if head not in ("classify", "ssl"):
             raise ContractError(f"unknown head {head!r}")
-        col = pooled.reshape((x.shape[0], cfg.hidden, 1))
-        out = _affine(col, p, prefix, bias=True)
-        out = ComplexTensor(
-            out.re.reshape((x.shape[0], width)), out.im.reshape((x.shape[0], width))
-        )
+        prefix = "head" if head == "classify" else "ssl_head"
+        out = _affine(pooled, p, prefix, bias=True, axis=-1)
         return pearson_project(out, use_real=toggles.p_r, use_imag=toggles.p_i)
 
     def scores(

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from cmixer.engine import (
     topo_order,
 )
 from cmixer.errors import ContractError, DimensionError, DomainError, NumericError
+from cmixer.gradcheck import run_suite
 
 
 def ct(re, im):
@@ -77,6 +80,60 @@ class TestComplexAffine:
         want = (A + 1j * B) @ (h.re.data[0] + 1j * h.im.data[0])
         np.testing.assert_allclose(out.re.data[0] + 1j * out.im.data[0], want, atol=1e-12)
 
+    @pytest.mark.parametrize("axis", [-2, -1])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_batched_matches_complex_product(self, axis, strided):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((5, 4))
+        B = rng.standard_normal((5, 4))
+        bre, bim = rng.standard_normal(5), rng.standard_normal(5)
+        shape = (3, 2, 4, 6) if axis == -2 else (3, 2, 6, 4)
+        if strided:  # same shapes, built as swapped views of other arrays
+            re = rng.standard_normal(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+            im = rng.standard_normal(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+            assert not re.flags.c_contiguous
+        else:
+            re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        got = complex_affine(A, B, ct(re, im), bias=ct(bre, bim), axis=axis)
+        W, z, b = A + 1j * B, re + 1j * im, bre + 1j * bim
+        want = W @ z + b[:, None] if axis == -2 else z @ W.T + b
+        assert got.shape == want.shape
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got.re.data + 1j * got.im.data - want).max() / scale < 1e-12
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_one_used_part_still_backpropagates(self, part):
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((2, 3, 2))
+
+        def f(lv):
+            out = complex_affine(lv["A"], lv["B"], ComplexTensor(lv["hre"], lv["him"]))
+            return engine.mul(getattr(out, part), w).sum()
+
+        leaves = {"A": rng.standard_normal((3, 4)), "B": rng.standard_normal((3, 4)),
+                  "hre": rng.standard_normal((2, 4, 2)), "him": rng.standard_normal((2, 4, 2))}
+        assert grad_check(f, leaves) < 1e-6
+
+    def test_graph_is_freed_without_the_cycle_collector(self):
+        # a reference cycle would keep every batch's graph alive until gc runs
+        rng = np.random.default_rng(15)
+        A, B = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        x = rng.standard_normal((2, 4, 5))
+        gc.collect()
+        gc.disable()
+        try:
+            out = crelu(complex_affine(A, B, ct(x, x)))
+            out = layernorm(out.im, np.ones(5), np.zeros(5))
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_nonfinite_output_raises_naming_op(self):
+        big = np.full((2, 2), 1e308)
+        with pytest.raises(NumericError, match="complex_affine"), np.errstate(over="ignore"):
+            complex_affine(big, big, ct(np.full((2, 1), 10.0), np.zeros((2, 1))))
+
 
 class TestCrelu:
     def test_examples(self):
@@ -112,6 +169,29 @@ class TestLayerNorm:
         np.testing.assert_allclose(expected, [-1.0, 3.0], atol=1e-3)
         out = layernorm(Tensor(x), np.full(2, 2.0), np.full(2, 1.0), eps=1e-5)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_matches_numpy_closed_form(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 3, 5))
+        x[1, 2] = 4.0  # a zero-variance slice
+        gamma, beta = rng.standard_normal(5), rng.standard_normal(5)
+        out = layernorm(Tensor(x), gamma, beta)
+        mu = x.mean(axis=-1, keepdims=True)
+        want = (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * gamma + beta
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[1, 2], beta, rtol=0, atol=1e-12)
+
+    def test_inner_axis_gradients(self):
+        rng = np.random.default_rng(14)
+        w = rng.standard_normal((2, 4, 3))
+        leaves = {"x": rng.standard_normal((2, 4, 3)), "g": rng.standard_normal(4),
+                  "b": rng.standard_normal(4)}
+        f = lambda lv: engine.mul(layernorm(lv["x"], lv["g"], lv["b"], axis=1), w).sum()
+        assert grad_check(f, leaves) < 1e-6
+
+    def test_nonfinite_output_raises_naming_op(self):
+        with pytest.raises(NumericError, match="layernorm"), np.errstate(over="ignore"):
+            layernorm(Tensor([0.0, 1.0]), np.full(2, 1e308), np.full(2, 1e308))
 
     def test_zero_length_axis_raises(self):
         with pytest.raises(DimensionError):
@@ -265,7 +345,7 @@ class TestGradCheck:
             ("add", lambda lv: engine.add(lv["a"], lv["b"]).sum()),
             ("mul", lambda lv: engine.mul(lv["a"], lv["b"]).sum()),
             ("sub", lambda lv: engine.sub(lv["a"], lv["b"]).sum()),
-            ("matmul", lambda lv: engine.matmul(lv["a"], lv["b"].swapaxes(0, 1)).sum()),
+            ("matmul", lambda lv: engine.matmul(lv["a"], lv["b"].transpose((1, 0))).sum()),
             ("tanh", lambda lv: engine.tanh(lv["a"]).sum()),
             ("exp", lambda lv: engine.exp(lv["a"]).sum()),
             ("softplus", lambda lv: engine.softplus(engine.mul(lv["a"], lv["b"])).sum()),
@@ -313,3 +393,7 @@ class TestGradCheck:
         )
         assert report.checked == 10
         assert report.max_rel_error < 1e-6
+
+    def test_corrupted_fused_backward_fails_naming_op(self):
+        result = run_suite(corrupt_op="complex_affine_strided")
+        assert [r.name for r in result.results if not r.passed] == ["complex_affine_strided"]

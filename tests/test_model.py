@@ -3,6 +3,7 @@ import pytest
 
 from cmixer import engine
 from cmixer.engine import ComplexTensor, Tape, Tensor
+from cmixer.data import TaskKind
 from cmixer.errors import ContractError, DimensionError
 from cmixer.model import (
     CMixerConfig,
@@ -19,6 +20,7 @@ from cmixer.model import (
     save_checkpoint,
     unpatchify,
 )
+from cmixer.train import loss_for_task
 
 
 def tiny_config(**kw):
@@ -314,6 +316,18 @@ class TestForward:
         with pytest.raises(DimensionError):
             model.scores(np.zeros((2, 1, 8, 8)), rng=np.random.default_rng(0))
 
+
+    def test_training_step_node_count(self):
+        """One training step of the fit-tiny benchmark model builds a fixed
+        graph; the count is pinned so that un-fusing an op shows."""
+        config = CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.random((32, 1, 8, 8))
+        tape = Tape()
+        out = model.forward(x, eps=rng.standard_normal(x.shape), tape=tape)
+        loss = loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2)
+        assert len(engine.topo_order(loss)) == 133
 
 class TestParamCount:
     def test_reference_config_budget(self):
