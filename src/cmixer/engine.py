@@ -12,6 +12,15 @@ A ``Tape`` is the registry of trainable leaves for one training step.
 ``Tape.backward(loss)`` walks the graph once, in reverse topological
 order, and returns one gradient array per registered leaf.
 
+Inside ``with no_grad():`` every op computes and validates its output
+exactly as outside it, but the returned ``Tensor`` keeps no parents and
+no backprop closure, so each intermediate is freed as soon as the caller
+drops it. The switch lives in ``Tensor.__init__`` alone: there is no
+second version of any op, and the values are bitwise the same. A leaf
+cannot be registered on a ``Tape`` there, since it would silently get a
+zero gradient. Outside ``no_grad`` every op builds the graph, with or
+without a tape.
+
 Conventions baked into this module:
 
 * every op validates each output once for NaN/Inf and raises ``NumericError``
@@ -26,6 +35,7 @@ Conventions baked into this module:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -37,6 +47,7 @@ __all__ = [
     "Tensor",
     "ComplexTensor",
     "Tape",
+    "no_grad",
     "constant",
     "add",
     "sub",
@@ -67,6 +78,20 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside return parentless tensors; nestable, restored on exit."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 class Tensor:
     """A node in the computation graph holding a float64 array.
 
@@ -87,6 +112,8 @@ class Tensor:
     ):
         arr = np.asarray(data, dtype=np.float64)
         _ensure_finite(arr, _op)
+        if not _grad_enabled:
+            _parents, _backprop = (), None
         self.data = arr
         self.grad: np.ndarray | None = None
         self._parents = _parents
@@ -579,6 +606,8 @@ class Tape:
         self._leaves: dict[str, Tensor] = {}
 
     def leaf(self, name: str, array) -> Tensor:
+        if not _grad_enabled:
+            raise ContractError(f"leaf {name!r} registered inside no_grad would get no gradient")
         if name in self._leaves:
             raise ContractError(f"leaf {name!r} registered twice")
         t = Tensor(array, _op=f"leaf:{name}")

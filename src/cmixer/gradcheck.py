@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine
 from .engine import ComplexTensor, Tensor, complex_affine, crelu, grad_check_report
-from .model import CMixerConfig, CMixerModel, Toggles, init_params, sample_incentive
+from .model import CMixerConfig, CMixerModel, init_params, sample_incentive
 from .train import bce_with_logits, cross_entropy, ssl_loss
 
 __all__ = ["OpResult", "SuiteResult", "run_suite", "TOLERANCE"]
@@ -216,9 +216,7 @@ def _suite_entries():
     def model_loss_builder(loss_kind):
         def build():
             def f(lv):
-                tape_params = lv
-                toggles = Toggles()
-                out = _forward_with(model, x, eps_model, tape_params, "classify", toggles)
+                out = model.forward(x, eps=eps_model, params=lv)
                 if loss_kind == "ce":
                     return cross_entropy(out, labels)
                 return bce_with_logits(out, onehot)
@@ -234,7 +232,7 @@ def _suite_entries():
 
     def ssl_builder():
         def f(lv):
-            out = _forward_with(model, x, eps_model, lv, "ssl", Toggles())
+            out = model.forward(x, eps=eps_model, head="ssl", params=lv)
             return ssl_loss(out, target_scores, temperature=0.5)
 
         return f, model.copy_params()
@@ -242,22 +240,6 @@ def _suite_entries():
     op("model_ssl_loss", ssl_builder, sample=_FULL_MODEL_SAMPLE)
 
     return entries
-
-
-def _forward_with(model, x, eps, leaves, head, toggles):
-    """Forward pass wiring externally provided leaf tensors as parameters."""
-    from . import model as model_mod
-
-    cfg = model.config
-    h = sample_incentive(Tensor(np.asarray(x)), leaves, eps)
-    h = model_mod.patchify(h, cfg.patch)
-    h = model_mod._affine(h, leaves, "patch_embed", bias=True, axis=-1)
-    for i in range(cfg.num_layers):
-        h = model_mod.mixer_block_forward(h, leaves, f"block{i}")
-    pooled = h.mean(axis=1)
-    prefix = "head" if head == "classify" else "ssl_head"
-    out = model_mod._affine(pooled, leaves, prefix, bias=True, axis=-1)
-    return model_mod.pearson_project(out, use_real=toggles.p_r, use_imag=toggles.p_i)
 
 
 def run_suite(corrupt_op: str | None = None) -> SuiteResult:

@@ -60,14 +60,13 @@ def accuracy(pred_labels, true_labels) -> float:
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged; exact in float64 (values are halves)."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
+    ordered = values[order]
+    n = len(ordered)
+    # tie group k spans sorted positions i..j and ranks (i + 1 + j + 1) / 2
+    i = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    j = np.append(i[1:], n) - 1
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((i + 1 + j + 1) / 2.0, j - i + 1)
     return ranks
 
 

@@ -392,7 +392,7 @@ class CMixerModel:
 
     Parameters live in ``self.params`` as plain float64 arrays; a
     forward pass optionally registers them on a ``Tape`` to make them
-    trainable leaves for that step.
+    trainable leaves for that step. ``scores`` is the graph-free pass.
     """
 
     def __init__(
@@ -426,15 +426,17 @@ class CMixerModel:
         head: str = "classify",
         toggles: Toggles | None = None,
         tape: Tape | None = None,
-        params: dict[str, np.ndarray] | None = None,
+        params: dict[str, np.ndarray | Tensor] | None = None,
     ) -> Tensor:
         """Score a float batch of shape (batch, ch, H, W).
 
         ``eps`` injects the noise sample (tests freeze it); otherwise it
-        is drawn from ``rng``. With ``tape`` given, parameters become
-        registered leaves so the step is differentiable; ``params``
-        substitutes a foreign buffer set (an EMA shadow) evaluated
-        without gradients.
+        is drawn from ``rng``. ``params`` substitutes a foreign buffer set
+        for ``self.params`` (an EMA shadow, or leaf tensors a caller made).
+        With ``tape`` given, every buffer is registered on it as a leaf,
+        so ``params`` must then hold arrays; without one, arrays become
+        constants and tensors are used as they are. Either way the graph
+        is built unless the call runs inside ``engine.no_grad``.
         """
         toggles = toggles if toggles is not None else Toggles()
         cfg = self.config
@@ -445,7 +447,7 @@ class CMixerModel:
             )
         raw = params if params is not None else self.params
         if tape is None:
-            p = {k: Tensor(v) for k, v in raw.items()}
+            p = {k: engine.constant(v) for k, v in raw.items()}
         else:
             p = {k: tape.leaf(k, v) for k, v in raw.items()}
 
@@ -479,10 +481,16 @@ class CMixerModel:
         head: str = "classify",
         params: dict[str, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Forward pass returning a plain array (no gradient tracking)."""
-        return self.forward(
-            images, eps=eps, rng=rng, head=head, toggles=toggles, params=params
-        ).data
+        """``forward`` under ``engine.no_grad``, returned as a plain array.
+
+        No graph is built: each intermediate is freed as soon as the
+        forward drops it. The values are bitwise those of ``forward`` for
+        the same ``eps``.
+        """
+        with engine.no_grad():
+            return self.forward(
+                images, eps=eps, rng=rng, head=head, toggles=toggles, params=params
+            ).data
 
 
 def save_checkpoint(path, model: CMixerModel, params: dict[str, np.ndarray] | None = None) -> None:

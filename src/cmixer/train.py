@@ -338,9 +338,9 @@ def pretrain(
 
     Per step: the anchor view (masked image) goes through the live
     model, the target view (masked augmented image) through the EMA
-    shadow with stop-gradient; AdamW with linear warmup and linear decay
-    minimizes the view cross-entropy and the shadow tracks the live
-    weights after every step. With ``ssl`` off this is a no-op; with
+    shadow under ``model.scores``, which builds no graph; AdamW with
+    linear warmup and linear decay minimizes the view cross-entropy and
+    the shadow tracks the live weights after every step. With ``ssl`` off this is a no-op; with
     ``rm`` off the masking stage is skipped.
     """
     ema = EmaState.init(model.params, config.ema_decay)
@@ -381,7 +381,7 @@ def pretrain(
             out_anchor = model.forward(
                 anchor, eps=eps_anchor, head="ssl", toggles=config.toggles, tape=tape
             )
-            out_target = model.forward(
+            out_target = model.scores(
                 target, eps=eps_target, head="ssl", toggles=config.toggles,
                 params=ema.shadow,
             )

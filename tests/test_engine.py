@@ -304,6 +304,46 @@ class TestBackward:
         np.testing.assert_allclose(grads["x"], [2.0])
 
 
+class TestNoGrad:
+    def test_ops_keep_no_graph_and_same_values(self):
+        x = np.random.default_rng(0).standard_normal((3, 4))
+        h = ct(x, x[::-1].copy())
+        taped = engine.layernorm(crelu(complex_affine(x[:2, :3], x[1:, 1:], h)).re,
+                                 np.ones(4), np.zeros(4))
+        with engine.no_grad():
+            bare = engine.layernorm(crelu(complex_affine(x[:2, :3], x[1:, 1:], h)).re,
+                                    np.ones(4), np.zeros(4))
+        assert len(topo_order(taped)) > 1
+        assert bare._parents == () and bare._backprop is None
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_ops_still_validate(self):
+        with engine.no_grad(), pytest.raises(NumericError, match="exp"):
+            engine.exp(np.array([1e308]))
+
+    def test_leaf_inside_raises(self):
+        tape = Tape()
+        with engine.no_grad(), pytest.raises(ContractError, match="no_grad"):
+            tape.leaf("x", np.ones(2))
+        tape.leaf("x", np.ones(2))  # fine once the block is left
+
+    def test_nested_blocks_restore_outer_state(self):
+        with engine.no_grad():
+            with engine.no_grad():
+                assert engine.mul(np.ones(2), 2.0)._backprop is None
+            assert engine.mul(np.ones(2), 2.0)._backprop is None
+        assert engine.mul(np.ones(2), 2.0)._backprop is not None
+
+    def test_state_restored_after_exception(self):
+        with pytest.raises(DomainError):
+            with engine.no_grad():
+                engine.log(np.zeros(2))
+        tape = Tape()
+        x = tape.leaf("x", np.array([1.0, 2.0]))
+        grads = tape.backward(engine.mul(x, x).sum())
+        np.testing.assert_array_equal(grads["x"], [2.0, 4.0])
+
+
 class TestGradCheck:
     def test_tanh_closed_form(self):
         rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cmixer.data import Split, TaskKind, synth_dataset
 from cmixer.errors import ContractError, UndefinedMetricError
 from cmixer.metrics import (
+    _midranks,
     accuracy,
     auc_binary,
     auc_pairwise,
@@ -94,6 +95,44 @@ class TestAucBinary:
         assert auc_binary(3.0 * scores + 7.0, labels) == pytest.approx(base)
         assert auc_binary(np.tanh(scores), labels) == pytest.approx(base)
         assert auc_binary(np.exp(scores), labels) == pytest.approx(base)
+
+
+def midranks_loop(values):
+    """The per-tie-group loop that ``_midranks`` replaced, kept as its reference."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("values", [
+        np.array([0.25]),
+        np.full(9, 0.5),
+        np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+        np.array([3.0, 1.0, 2.0]),
+        np.random.default_rng(0).integers(0, 3, 500) / 2.0,
+        np.random.default_rng(1).integers(-2, 3, 4096) * 0.0,
+        np.random.default_rng(2).standard_normal(4096),
+    ], ids=["length1", "all_ties", "signed_zeros", "distinct", "heavy_ties",
+            "zeros_of_both_signs", "no_ties"])
+    def test_bitwise_equal_to_loop(self, values):
+        ranks = _midranks(values)
+        assert ranks.dtype == np.float64
+        assert ranks.tobytes() == midranks_loop(values).tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25)
+    def test_random_ties_bitwise_equal_to_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, int(rng.integers(1, 8)), int(rng.integers(1, 80))) / 4.0
+        assert _midranks(values).tobytes() == midranks_loop(values).tobytes()
 
 
 class TestAucTask:

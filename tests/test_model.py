@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,88 @@ class TestForward:
         out = model.forward(x, eps=rng.standard_normal(x.shape), tape=tape)
         loss = loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2)
         assert len(engine.topo_order(loss)) == 133
+
+
+def fit_tiny_config():
+    return CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
+
+
+def breast_config():
+    """The BreastMNIST-size model of acceptance criterion 10."""
+    return CMixerConfig(
+        num_layers=2, hidden=32, seq=49, patch=4, token_hidden=98,
+        channel_hidden=64, num_classes=2, in_channels=1, image_side=28,
+    )
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("make_config, kwargs", [
+        (fit_tiny_config, {}),
+        (breast_config, {}),
+        (fit_tiny_config, {"head": "ssl", "foreign": True}),
+        (fit_tiny_config, {"toggles": Toggles(il=False)}),
+        (breast_config, {"toggles": Toggles(p_i=False)}),
+    ], ids=["fit_tiny", "breast", "ssl_foreign_params", "il_off", "p_r_only"])
+    def test_scores_bitwise_equal_to_graph_forward(self, make_config, kwargs):
+        config = make_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        kwargs = dict(kwargs)
+        if kwargs.pop("foreign", False):
+            kwargs["params"] = init_params(config, np.random.default_rng(9))
+        rng = np.random.default_rng(1)
+        x = rng.random((5, config.in_channels, config.image_side, config.image_side))
+        eps = rng.standard_normal(x.shape)
+        graph = model.forward(x, eps=eps, **kwargs)
+        assert len(engine.topo_order(graph)) > 1
+        scores = model.scores(x, eps=eps, **kwargs)
+        assert scores.tobytes() == graph.data.tobytes()
+
+    def test_forward_inside_no_grad_is_one_node(self):
+        config = fit_tiny_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        x = np.random.default_rng(2).random((4, 1, 8, 8))
+        with engine.no_grad():
+            out = model.forward(x, rng=np.random.default_rng(3))
+        assert len(engine.topo_order(out)) == 1
+
+    def test_forward_takes_leaf_tensors(self):
+        config = fit_tiny_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(4)
+        x = rng.random((3, 1, 8, 8))
+        eps = rng.standard_normal(x.shape)
+        tape = Tape()
+        out = model.forward(x, eps=eps, tape=tape)
+        grads = tape.backward(engine.mul(out, out).sum())
+        outer = Tape()
+        leaves = {k: outer.leaf(k, v) for k, v in model.params.items()}
+        out2 = model.forward(x, eps=eps, params=leaves)
+        grads2 = outer.backward(engine.mul(out2, out2).sum())
+        assert out2.data.tobytes() == out.data.tobytes()
+        for name, g in grads.items():
+            assert grads2[name].tobytes() == g.tobytes(), name
+
+    def test_scoring_peak_memory_below_half_of_graph_forward(self):
+        """Memory scales with activations: a graph-free pass frees each
+        intermediate, where a graph keeps them all until it is dropped."""
+        config = breast_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        x = rng.random((64, 1, 28, 28))
+        eps = rng.standard_normal(x.shape)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        graph_peak = peak(lambda: model.forward(x, eps=eps))
+        scores_peak = peak(lambda: model.scores(x, eps=eps))
+        assert scores_peak < 0.5 * graph_peak, (scores_peak, graph_peak)
+
 
 class TestParamCount:
     def test_reference_config_budget(self):
