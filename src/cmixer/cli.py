@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine
 from .data import Split, TaskKind, corrupt_labels, load_npz, make_semi, write_npz
 from .errors import CMixerError, ConfigError, FormatError
 from .gradcheck import run_suite
@@ -30,6 +31,7 @@ from .model import (
     CMixerConfig,
     CMixerModel,
     Toggles,
+    incentive_mu_sigma,
     load_checkpoint,
     save_checkpoint,
 )
@@ -364,17 +366,6 @@ def cmd_gradcheck(settings: dict, corrupt: str | None = None) -> int:
     return 0
 
 
-def _incentive_stats(
-    images: np.ndarray, params: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-image (mu, sigma) for a uint8-or-float batch, without a graph."""
-    x = np.asarray(images, dtype=np.float64).reshape(len(images), -1)
-    hidden = np.maximum(x @ params["incentive.hidden.weight"] + params["incentive.hidden.bias"], 0.0)
-    mu = np.tanh(hidden @ params["incentive.mu.weight"] + params["incentive.mu.bias"])
-    sigma = 0.5 * (1.0 + np.tanh(hidden @ params["incentive.sigma.weight"] + params["incentive.sigma.bias"]))
-    return mu.ravel(), sigma.ravel()
-
-
 def cmd_noise_stats(settings: dict) -> int:
     checkpoint = settings.get("checkpoint")
     if not checkpoint:
@@ -389,7 +380,9 @@ def cmd_noise_stats(settings: dict) -> int:
         idx = np.arange(n)
     images = bundle.images[idx].astype(np.float64) / 255.0
     flat_images = np.transpose(images, (0, 3, 1, 2))
-    mu, sigma = _incentive_stats(flat_images, model.params)
+    with engine.no_grad():
+        mu, sigma = incentive_mu_sigma(flat_images, model.params)
+    mu, sigma = mu.data.ravel(), sigma.data.ravel()
     rng = np.random.default_rng(settings["seed"])
     out = OutputDir(settings)
     try:

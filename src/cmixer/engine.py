@@ -2,11 +2,13 @@
 
 Everything is float64. A ``Tensor`` is one node of a computation graph:
 it holds the forward value, references to its parents, and a closure
-that pushes an incoming gradient into them. Complex values are carried
-as pairs of real tensors (``ComplexTensor``), so differentiation is
-plain real-valued reverse mode over the (re, im) buffers; no Wirtinger
-calculus is involved because every operation in the network is already
-written in separated real/imaginary form.
+that pushes an incoming gradient into them. A complex value of logical
+shape ``(..., n)`` is one real tensor ``z`` of shape ``(..., 2, n)``
+(``ComplexTensor``): index 0 on the pair axis is the real part, index 1
+the imaginary part. Differentiation is plain real-valued reverse mode
+over that buffer; no Wirtinger calculus is involved because every
+operation in the network is already written in separated real/imaginary
+form.
 
 A ``Tape`` is the registry of trainable leaves for one training step.
 ``Tape.backward(loss)`` walks the graph once, in reverse topological
@@ -23,7 +25,11 @@ without a tape.
 
 Conventions baked into this module:
 
-* every op validates each output once for NaN/Inf and raises ``NumericError``
+* every op validates its output once for NaN/Inf and raises ``NumericError``
+* a complex op is one node over ``z``: ``complex_affine``, ``crelu``, ``layernorm``
+  over the last axis, the residual add and the mean each build exactly one node;
+  only packing two real tensors (``ComplexTensor(re, im)``) and reading a part
+  (``.re``/``.im``) add a node of their own
 * ``complex_affine``, ``layernorm`` and ``crelu`` are fused ops with hand-written
   backward passes; ``complex_affine`` is one block-form GEMM, which beat Gauss's
   3-multiply form on the model's shapes (its extra elementwise passes cost more)
@@ -393,7 +399,16 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([a.shape[ax] for ax in axes]))
     if count == 0:
         raise DimensionError("mean over an empty axis")
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    scale = 1.0 / count
+    out_data = np.sum(a.data, axis=axes, keepdims=keepdims) * scale
+
+    def backprop(g):
+        g = g * scale
+        if axes is not None and not keepdims:
+            g = np.expand_dims(g, axes)
+        a._accumulate(np.broadcast_to(g, a.shape))
+
+    return Tensor(out_data, (a,), backprop, "mean")
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -414,10 +429,13 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 def layernorm(x, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis``, then scale and shift.
 
-    ``gamma`` and ``beta`` must be vectors matching the normalized axis.
-    The ``eps`` guard keeps a zero-variance slice finite (it collapses
-    to ``beta``). One node: the backward is the closed form
-    ``inv * (g' - mean(g') - xhat * mean(g' * xhat))`` with ``g' = g * gamma``.
+    ``gamma`` and ``beta`` share one shape: that of the ``gamma.ndim`` axes
+    of ``x`` ending at ``axis``, so a vector matches the normalized axis
+    and a ``(2, n)`` pair gives each part of a packed complex tensor its
+    own gain and shift. The ``eps`` guard keeps a zero-variance slice
+    finite (it collapses to ``beta``). One node: the backward is the
+    closed form ``inv * (g' - mean(g') - xhat * mean(g' * xhat))`` with
+    ``g' = g * gamma``.
     """
     x, gamma, beta = constant(x), constant(gamma), constant(beta)
     if eps <= 0:
@@ -426,12 +444,14 @@ def layernorm(x, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:
     n = x.shape[ax]
     if n == 0:
         raise DimensionError("layernorm: zero-length axis")
+    k = max(gamma.ndim, 1)
+    covered = x.shape[max(ax + 1 - k, 0):ax + 1]
     for name, t in (("gamma", gamma), ("beta", beta)):
-        if t.shape != (n,):
+        if t.shape != covered:
             raise DimensionError(
-                f"layernorm: {name} has shape {t.shape}, expected ({n},)"
+                f"layernorm: {name} has shape {t.shape}, expected {covered}"
             )
-    others = tuple(i for i in range(x.ndim) if i != ax)
+    others = tuple(i for i in range(x.ndim) if not ax - k < i <= ax)
     scale = np.expand_dims(gamma.data, others)
     mu = np.sum(x.data, axis=ax, keepdims=True) * (1.0 / n)
     out_data = x.data - mu
@@ -451,94 +471,103 @@ def layernorm(x, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:
     return Tensor(out_data, (x, gamma, beta), backprop, "layernorm")
 
 
-@dataclass
 class ComplexTensor:
-    """A complex array carried as two real tensors of identical shape."""
+    """A complex array of logical shape ``(..., n)``, held as one real tensor.
 
-    re: Tensor
-    im: Tensor
+    ``z`` has shape ``(..., 2, n)``: ``z[..., 0, :]`` is the real part and
+    ``z[..., 1, :]`` the imaginary part. ``ComplexTensor(re, im)`` packs
+    two real tensors of identical shape into a new ``z`` node;
+    ``ComplexTensor.packed(z)`` wraps an existing one. ``.re`` and ``.im``
+    are slice nodes, so a gradient through one part reaches only that
+    part of ``z``.
+    """
 
-    def __post_init__(self):
-        self.re = constant(self.re)
-        self.im = constant(self.im)
-        if self.re.shape != self.im.shape:
-            raise DimensionError(
-                f"complex tensor: re {self.re.shape} != im {self.im.shape}"
-            )
+    __slots__ = ("z",)
+
+    def __init__(self, re, im):
+        re, im = constant(re), constant(im)
+        if re.shape != im.shape:
+            raise DimensionError(f"complex tensor: re {re.shape} != im {im.shape}")
+        if re.ndim == 0:
+            raise DimensionError("complex tensor: parts must have at least one axis")
+
+        def backprop(g):
+            re._accumulate(g[..., 0, :])
+            im._accumulate(g[..., 1, :])
+
+        self.z = Tensor(np.stack((re.data, im.data), axis=-2), (re, im), backprop, "complex")
+
+    @classmethod
+    def packed(cls, z: Tensor) -> "ComplexTensor":
+        """Wrap a ``(..., 2, n)`` tensor without copying it."""
+        if z.ndim < 2 or z.shape[-2] != 2:
+            raise DimensionError(f"packed complex tensor needs shape (..., 2, n), got {z.shape}")
+        out = cls.__new__(cls)
+        out.z = z
+        return out
 
     @property
     def shape(self) -> tuple:
-        return self.re.shape
+        return self.z.shape[:-2] + self.z.shape[-1:]
 
-    def reshape(self, shape) -> "ComplexTensor":
-        return ComplexTensor(reshape(self.re, shape), reshape(self.im, shape))
+    @property
+    def re(self) -> Tensor:
+        return self._part(0)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "ComplexTensor":
-        return ComplexTensor(
-            tmean(self.re, axis, keepdims), tmean(self.im, axis, keepdims)
-        )
+    @property
+    def im(self) -> Tensor:
+        return self._part(1)
+
+    def _part(self, i: int) -> Tensor:
+        z = self.z
+
+        def backprop(g):
+            if z.grad is None:
+                z.grad = np.zeros_like(z.data)
+            z.grad[..., i, :] += g
+
+        return Tensor(z.data[..., i, :], (z,), backprop, "re" if i == 0 else "im")
+
+    def mean(self, axis: int) -> "ComplexTensor":
+        """Mean over one logical axis."""
+        ax = axis % len(self.shape)
+        return ComplexTensor.packed(tmean(self.z, ax if ax < self.z.ndim - 2 else -1))
 
     def __add__(self, other: "ComplexTensor") -> "ComplexTensor":
-        return ComplexTensor(add(self.re, other.re), add(self.im, other.im))
-
-
-def _complex_op(re, im, parents: tuple, backward, op: str) -> ComplexTensor:
-    """Both output parts of a complex op; ``backward(g_re, g_im)`` runs once.
-
-    The imaginary part is a child of the op's node, so it is visited first and
-    hands its gradient over; nothing refers back to it, so refcounting frees it.
-    """
-    held: list[np.ndarray] = []
-
-    def backprop(g_re):
-        backward(g_re, held.pop() if held else np.zeros_like(im))
-
-    node = Tensor(re, parents, backprop, op)
-
-    def hand_over(g_im):
-        held.append(g_im)
-        if node.grad is None:
-            node.grad = np.zeros_like(re)
-
-    return ComplexTensor(node, Tensor(im, (node,), hand_over, op))
+        return ComplexTensor.packed(add(self.z, other.z))
 
 
 def crelu(h: ComplexTensor) -> ComplexTensor:
-    """ReLU applied independently to the real and imaginary parts."""
-    re, im = h.re, h.im
-
-    def backward(g_re, g_im):
-        # derivative at the kink (input exactly 0) is defined as 0
-        re._accumulate(g_re * (re.data > 0.0))
-        im._accumulate(g_im * (im.data > 0.0))
-
-    return _complex_op(np.maximum(re.data, 0.0), np.maximum(im.data, 0.0),
-                       (re, im), backward, "crelu")
-
-
-def _rows(re: np.ndarray, im: np.ndarray, axis: int) -> np.ndarray:
-    """Rows ``[re | im]``: ``axis`` moved last, every other axis folded into rows."""
-    re, im = np.moveaxis(re, axis, -1), np.moveaxis(im, axis, -1)
-    n = re.shape[-1]
-    out = np.empty(re.shape[:-1] + (2 * n,))  # C order, so the reshape is a view
-    out[..., :n] = re
-    out[..., n:] = im
-    return out.reshape(-1, 2 * n)
+    """ReLU applied independently to the real and imaginary parts: one ``relu`` over ``z``."""
+    return ComplexTensor.packed(relu(h.z))
 
 
 def _real_form(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``[[A, -B], [B, A]]``, the real form of ``A + iB``; rebuilt, not kept in the graph."""
-    return np.block([[A, -B], [B, A]])
+    m, n = A.shape
+    w = np.empty((2 * m, 2 * n))
+    w[:m, :n] = A
+    np.negative(B, out=w[:m, n:])
+    w[m:, :n] = B
+    w[m:, n:] = A
+    return w
 
 
 def complex_affine(
     A, B, h: ComplexTensor, bias: ComplexTensor | None = None, axis: int = -2
 ) -> ComplexTensor:
-    """Apply the complex weight ``A + iB`` (m, n) along ``axis`` of ``h``.
+    """Apply the complex weight ``A + iB`` (m, n) along logical ``axis`` of ``h``.
 
     Each length-n slice ``a + ib`` becomes ``(Aa - Bb) + i(Ba + Ab)`` plus the
-    optional (m,) bias; ``axis=-2`` is ``(A + iB) @ h``. Every other axis folds
-    into the rows of one real GEMM with the block form ``[[A, -B], [B, A]]``.
+    optional (m,) bias; ``axis=-2`` is ``(A + iB) @ h``. The op is one real
+    GEMM of rows ``[a | b]`` against the block form ``[[A, -B], [B, A]]``.
+    On the last axis those rows are ``h.z`` reshaped to ``(-1, 2n)``, and the
+    output is the product reshaped back, with no copy either way. On any
+    other axis the rows are one transposed copy of ``h.z`` (none if ``h.z``
+    already is such a view), and the output is a transposed view of the
+    product in the packed shape. One node; its backward mirrors
+    the forward and recomputes the rows and the block form instead of
+    keeping them in the graph.
     """
     A, B = constant(A), constant(B)
     if A.shape != B.shape:
@@ -546,37 +575,44 @@ def complex_affine(
     if A.ndim != 2:
         raise DimensionError("complex_affine: weights must be matrices")
     m, n = A.shape
-    re, im = h.re, h.im
-    if re.ndim < 2 or re.shape[axis] != n:
+    z = h.z
+    rank = z.ndim - 1
+    if rank < 2 or h.shape[axis] != n:
         raise DimensionError(f"complex_affine: weight {A.shape} vs axis {axis} of input {h.shape}")
-    ax = axis % re.ndim
-    lead = re.shape[:ax] + re.shape[ax + 1:]
-    out = _rows(re.data, im.data, ax) @ _real_form(A.data, B.data).T
-    parents = (A, B, re, im)
+    # rows [a | b]: every other axis of z first, then the pair axis, then the
+    # mixed one; on the last axis this is z's own order
+    mixed = axis % rank if axis % rank < rank - 1 else rank
+    perm = tuple(i for i in range(z.ndim) if i not in (mixed, rank - 1)) + (rank - 1, mixed)
+    inverse = tuple(np.argsort(perm))
+    t_shape = tuple(z.shape[i] for i in perm[:-1]) + (m,)
+
+    def rows(arr: np.ndarray, width: int) -> np.ndarray:
+        return np.ascontiguousarray(arr.transpose(perm)).reshape(-1, width)
+
+    out = rows(z.data, 2 * n) @ _real_form(A.data, B.data).T
+    parents = (A, B, z)
     if bias is not None:
         if bias.shape != (m,):
             raise DimensionError(
                 f"complex_affine: bias has shape {bias.shape}, expected ({m},)"
             )
-        out += np.concatenate((bias.re.data, bias.im.data))
-        parents += (bias.re, bias.im)
-    out = out.reshape(lead + (2 * m,))
+        out += bias.z.data.reshape(2 * m)
+        parents += (bias.z,)
+    # off the last axis the output stays a transposed view, so the next
+    # token-axis op on it (after an elementwise op) reads its rows with no copy
+    out = out.reshape(t_shape).transpose(inverse)
 
-    def backward(g_re, g_im):
-        g = _rows(g_re, g_im, ax)
-        gw = _rows(re.data, im.data, ax).T @ g
+    def backprop(g):
+        g = rows(g, 2 * m)
+        gw = rows(z.data, 2 * n).T @ g
         A._accumulate(gw[:n, :m].T + gw[n:, m:].T)
         B._accumulate(gw[:n, m:].T - gw[n:, :m].T)
-        gh = (g @ _real_form(A.data, B.data)).reshape(lead + (2 * n,))
-        re._accumulate(np.moveaxis(gh[..., :n], -1, ax))
-        im._accumulate(np.moveaxis(gh[..., n:], -1, ax))
+        gh = g @ _real_form(A.data, B.data)
+        z._accumulate(gh.reshape(t_shape[:-1] + (n,)).transpose(inverse))
         if bias is not None:
-            gb = g.sum(axis=0)
-            bias.re._accumulate(gb[:m])
-            bias.im._accumulate(gb[m:])
+            bias.z._accumulate(g.sum(axis=0).reshape(2, m))
 
-    return _complex_op(np.moveaxis(out[..., :m], -1, ax), np.moveaxis(out[..., m:], -1, ax),
-                       parents, backward, "complex_affine")
+    return ComplexTensor.packed(Tensor(out, parents, backprop, "complex_affine"))
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -646,9 +682,9 @@ class GradCheckReport:
 
 
 def _eval_value(f, arrays: dict[str, np.ndarray]) -> float:
-    tape = Tape()
-    leaves = {k: tape.leaf(k, v) for k, v in arrays.items()}
-    out = f(leaves)
+    # a probe only reads the loss, so it builds no graph
+    with no_grad():
+        out = f({k: Tensor(v) for k, v in arrays.items()})
     if out.size != 1:
         raise ContractError("grad_check: f must return a scalar")
     return float(out.data.reshape(()))

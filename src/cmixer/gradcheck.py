@@ -150,6 +150,18 @@ def _suite_entries():
             bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-1), w_strided),
         complex_leaves(5, 4, (2, 4, 3)),
     ))
+    # token mixing on a packed 3-D batch, the model's axis=-2 path with no
+    # packing node in front; its own generator keeps the other inputs as they were
+    tok = np.random.default_rng(44)
+    w_token = tok.standard_normal((2, 4, 2, 3))
+    op("complex_affine_token", lambda: (
+        lambda lv: engine.mul(complex_affine(
+            lv["A"], lv["B"], ComplexTensor.packed(lv["z"]),
+            bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-2).z, w_token).sum(),
+        {"A": tok.standard_normal((4, 5)), "B": tok.standard_normal((4, 5)),
+         "z": tok.standard_normal((2, 5, 2, 3)),
+         "bre": tok.standard_normal(4), "bim": tok.standard_normal(4)},
+    ))
     w_ln = extra.standard_normal((2, 3, 4))
     op("layernorm_3d", lambda: (
         lambda lv: engine.mul(engine.layernorm(lv["x"], lv["g"], lv["b"]), w_ln).sum(),

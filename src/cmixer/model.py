@@ -1,7 +1,8 @@
 """The complex mixer network and its learned-noise input stage.
 
-The classifier runs entirely on complex features carried as (re, im)
-tensor pairs:
+The classifier runs entirely on complex features, each a packed
+``engine.ComplexTensor`` whose ``(..., 2, n)`` buffer holds the real and
+the imaginary part side by side, so every complex step is one engine op:
 
 1. a small real MLP reads the flattened image and emits two scalars,
    mapped to ``mu = tanh(.)`` and ``sigma = 0.5*(1 + tanh(.))``;
@@ -12,7 +13,8 @@ tensor pairs:
 3. the complex image is cut into non-overlapping patches, linearly
    embedded, and passed through mixer blocks that alternate mixing
    across the patch sequence and across channels, with CReLU
-   activations and per-part layer norms;
+   activations and per-part layer norms (one ``engine.layernorm`` over
+   the packed buffer, with the two parts' gains and shifts packed too);
 4. a bounded real score comes out of ``tanh(re + im)`` applied to the
    head output, so every logit lives in (-1, 1).
 
@@ -37,6 +39,7 @@ __all__ = [
     "CMixerConfig",
     "Toggles",
     "CMixerModel",
+    "incentive_mu_sigma",
     "sample_incentive",
     "patchify",
     "unpatchify",
@@ -233,6 +236,35 @@ def param_count(config: CMixerConfig) -> int:
     return int(sum(np.prod(s) for s in param_shapes(config).values()))
 
 
+def incentive_mu_sigma(
+    images: Tensor | np.ndarray, params: dict[str, Tensor | np.ndarray]
+) -> tuple[Tensor, Tensor]:
+    """The incentive MLP: per-image ``mu = tanh(.)`` and ``sigma = 0.5*(1 + tanh(.))``.
+
+    ``images`` is a (batch, ...) stack; each image is read flattened.
+    Both outputs have shape (batch, 1).
+    """
+    images = engine.constant(images)
+    b = images.shape[0]
+    flat = images.reshape((b, images.size // b))
+    hidden = engine.relu(
+        engine.matmul(flat, params["incentive.hidden.weight"])
+        + params["incentive.hidden.bias"]
+    )
+    mu = engine.tanh(
+        engine.matmul(hidden, params["incentive.mu.weight"]) + params["incentive.mu.bias"]
+    )
+    sigma = engine.mul(
+        engine.tanh(
+            engine.matmul(hidden, params["incentive.sigma.weight"])
+            + params["incentive.sigma.bias"]
+        )
+        + 1.0,
+        0.5,
+    )
+    return mu, sigma
+
+
 def sample_incentive(
     image: Tensor | np.ndarray,
     params: dict[str, Tensor],
@@ -258,27 +290,12 @@ def sample_incentive(
     if eps.shape != image.shape:
         raise DimensionError(f"epsilon shape {eps.shape} != image shape {image.shape}")
     b = image.shape[0]
-    flat = image.reshape((b, image.size // b))
-    hidden = engine.relu(
-        engine.matmul(flat, params["incentive.hidden.weight"])
-        + params["incentive.hidden.bias"]
-    )
-    mu = engine.tanh(
-        engine.matmul(hidden, params["incentive.mu.weight"]) + params["incentive.mu.bias"]
-    )
-    sigma = engine.mul(
-        engine.tanh(
-            engine.matmul(hidden, params["incentive.sigma.weight"])
-            + params["incentive.sigma.bias"]
-        )
-        + 1.0,
-        0.5,
-    )
+    mu, sigma = incentive_mu_sigma(image, params)
     mu4 = mu.reshape((b, 1, 1, 1))
     sigma4 = sigma.reshape((b, 1, 1, 1))
     imag = mu4 + sigma4 * Tensor(eps)
     out = ComplexTensor(image, imag)
-    return out.reshape(eps.shape[1:]) if single else out
+    return ComplexTensor.packed(out.z.reshape(out.z.shape[1:])) if single else out
 
 
 def patchify(h: ComplexTensor, patch: int) -> ComplexTensor:
@@ -288,50 +305,43 @@ def patchify(h: ComplexTensor, patch: int) -> ComplexTensor:
     one patch flattened in (ch, P, P) order. Invertible by
     ``unpatchify``.
     """
-
-    def one(t: Tensor) -> Tensor:
-        single = t.ndim == 3
-        if single:
-            t = t.reshape((1, *t.shape))
-        if t.ndim != 4:
-            raise DimensionError(f"expected (batch, ch, H, W), got {t.shape}")
-        b, ch, hgt, wid = t.shape
-        if hgt % patch or wid % patch:
-            raise DimensionError(f"image {hgt}x{wid} not divisible by patch {patch}")
-        hp, wp = hgt // patch, wid // patch
-        t = t.reshape((b, ch, hp, patch, wp, patch))
-        t = t.transpose((0, 2, 4, 1, 3, 5))
-        t = t.reshape((b, hp * wp, ch * patch * patch))
-        return t.reshape((hp * wp, ch * patch * patch)) if single else t
-
-    return ComplexTensor(one(h.re), one(h.im))
+    z = h.z  # (batch, ch, H, 2, W)
+    single = z.ndim == 4
+    if single:
+        z = z.reshape((1, *z.shape))
+    if z.ndim != 5:
+        raise DimensionError(f"expected (batch, ch, H, W), got {h.shape}")
+    b, ch, hgt, _, wid = z.shape
+    if hgt % patch or wid % patch:
+        raise DimensionError(f"image {hgt}x{wid} not divisible by patch {patch}")
+    hp, wp = hgt // patch, wid // patch
+    z = z.reshape((b, ch, hp, patch, 2, wp, patch))
+    z = z.transpose((0, 2, 5, 4, 1, 3, 6))
+    z = z.reshape((b, hp * wp, 2, ch * patch * patch))
+    return ComplexTensor.packed(z.reshape(z.shape[1:]) if single else z)
 
 
 def unpatchify(h: ComplexTensor, patch: int, ch: int, height: int, width: int) -> ComplexTensor:
     """Inverse of ``patchify`` for the stated original dimensions."""
-
-    def one(t: Tensor) -> Tensor:
-        single = t.ndim == 2
-        if single:
-            t = t.reshape((1, *t.shape))
-        b = t.shape[0]
-        hp, wp = height // patch, width // patch
-        if t.shape[1] != hp * wp or t.shape[2] != ch * patch * patch:
-            raise DimensionError(f"patch sequence {t.shape} does not match target image")
-        t = t.reshape((b, hp, wp, ch, patch, patch))
-        t = t.transpose((0, 3, 1, 4, 2, 5))
-        t = t.reshape((b, ch, height, width))
-        return t.reshape((ch, height, width)) if single else t
-
-    return ComplexTensor(one(h.re), one(h.im))
+    z = h.z  # (batch, S, 2, ch*P*P)
+    single = z.ndim == 3
+    if single:
+        z = z.reshape((1, *z.shape))
+    b = z.shape[0]
+    hp, wp = height // patch, width // patch
+    if z.shape[1] != hp * wp or z.shape[3] != ch * patch * patch:
+        raise DimensionError(f"patch sequence {h.shape} does not match target image")
+    z = z.reshape((b, hp, wp, 2, ch, patch, patch))
+    z = z.transpose((0, 4, 1, 5, 3, 2, 6))
+    z = z.reshape((b, ch, height, 2, width))
+    return ComplexTensor.packed(z.reshape(z.shape[1:]) if single else z)
 
 
 def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor], prefix: str) -> ComplexTensor:
     # re and im are normalized independently, each with its own gain/shift
-    return ComplexTensor(
-        engine.layernorm(x.re, p[f"{prefix}.gamma.re"], p[f"{prefix}.beta.re"], axis=-1),
-        engine.layernorm(x.im, p[f"{prefix}.gamma.im"], p[f"{prefix}.beta.im"], axis=-1),
-    )
+    gamma = ComplexTensor(p[f"{prefix}.gamma.re"], p[f"{prefix}.gamma.im"])
+    beta = ComplexTensor(p[f"{prefix}.beta.re"], p[f"{prefix}.beta.im"])
+    return ComplexTensor.packed(engine.layernorm(x.z, gamma.z, beta.z, axis=-1))
 
 
 def _affine(x: ComplexTensor, p: dict[str, Tensor], prefix: str,
@@ -349,13 +359,17 @@ def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor], prefix: str
     mixing across the channels of each patch; both sit behind skip
     connections, so a zero-weight block is the identity.
     """
-    normed = _complex_layernorm(x, params, f"{prefix}.ln1")
-    token = _affine(crelu(_affine(normed, params, f"{prefix}.token1")), params, f"{prefix}.token2")
-    u = x + token
-    normed2 = _complex_layernorm(u, params, f"{prefix}.ln2")
-    mixed = _affine(crelu(_affine(normed2, params, f"{prefix}.channel1", axis=-1)),
-                    params, f"{prefix}.channel2", axis=-1)
-    return u + mixed
+    # no intermediate is bound to a name, so without a graph each one is
+    # freed as soon as the next op has read it
+    u = x + _affine(
+        crelu(_affine(_complex_layernorm(x, params, f"{prefix}.ln1"), params, f"{prefix}.token1")),
+        params, f"{prefix}.token2",
+    )
+    return u + _affine(
+        crelu(_affine(_complex_layernorm(u, params, f"{prefix}.ln2"), params,
+                      f"{prefix}.channel1", axis=-1)),
+        params, f"{prefix}.channel2", axis=-1,
+    )
 
 
 def _open_unit(t: Tensor) -> Tensor:
@@ -379,7 +393,7 @@ def pearson_project(y: ComplexTensor, use_real: bool = True, use_imag: bool = Tr
     one part. Output is strictly inside (-1, 1).
     """
     if use_real and use_imag:
-        return _open_unit(engine.tanh(y.re + y.im))
+        return _open_unit(engine.tanh(y.z.sum(axis=-2)))  # re + im, one op
     if use_real:
         return _open_unit(engine.tanh(y.re))
     if use_imag:

@@ -80,14 +80,16 @@ class TestComplexAffine:
         want = (A + 1j * B) @ (h.re.data[0] + 1j * h.im.data[0])
         np.testing.assert_allclose(out.re.data[0] + 1j * out.im.data[0], want, atol=1e-12)
 
-    @pytest.mark.parametrize("axis", [-2, -1])
+    @pytest.mark.parametrize("axis", [-3, -2, -1])
     @pytest.mark.parametrize("strided", [False, True])
     def test_batched_matches_complex_product(self, axis, strided):
         rng = np.random.default_rng(10)
         A = rng.standard_normal((5, 4))
         B = rng.standard_normal((5, 4))
         bre, bim = rng.standard_normal(5), rng.standard_normal(5)
-        shape = (3, 2, 4, 6) if axis == -2 else (3, 2, 6, 4)
+        shape = [3, 2, 6, 6]
+        shape[axis] = 4
+        shape = tuple(shape)
         if strided:  # same shapes, built as swapped views of other arrays
             re = rng.standard_normal(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
             im = rng.standard_normal(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
@@ -96,7 +98,7 @@ class TestComplexAffine:
             re, im = rng.standard_normal(shape), rng.standard_normal(shape)
         got = complex_affine(A, B, ct(re, im), bias=ct(bre, bim), axis=axis)
         W, z, b = A + 1j * B, re + 1j * im, bre + 1j * bim
-        want = W @ z + b[:, None] if axis == -2 else z @ W.T + b
+        want = np.moveaxis(np.moveaxis(z, axis, -1) @ W.T + b, -1, axis)
         assert got.shape == want.shape
         scale = max(1.0, np.abs(want).max())
         assert np.abs(got.re.data + 1j * got.im.data - want).max() / scale < 1e-12
@@ -112,6 +114,21 @@ class TestComplexAffine:
 
         leaves = {"A": rng.standard_normal((3, 4)), "B": rng.standard_normal((3, 4)),
                   "hre": rng.standard_normal((2, 4, 2)), "him": rng.standard_normal((2, 4, 2))}
+        assert grad_check(f, leaves) < 1e-6
+
+    def test_leading_axis_gradients(self):
+        # axis 0 of a 3-D input: the rows come from a permutation that is not its own inverse
+        rng = np.random.default_rng(19)
+        w = rng.standard_normal((3, 3, 2, 2))
+
+        def f(lv):
+            out = complex_affine(lv["A"], lv["B"], ComplexTensor.packed(lv["z"]),
+                                 bias=ComplexTensor(lv["bre"], lv["bim"]), axis=0)
+            return engine.mul(out.z, w).sum()
+
+        leaves = {"A": rng.standard_normal((3, 4)), "B": rng.standard_normal((3, 4)),
+                  "z": rng.standard_normal((4, 3, 2, 2)),
+                  "bre": rng.standard_normal(3), "bim": rng.standard_normal(3)}
         assert grad_check(f, leaves) < 1e-6
 
     def test_graph_is_freed_without_the_cycle_collector(self):
@@ -133,6 +150,62 @@ class TestComplexAffine:
         big = np.full((2, 2), 1e308)
         with pytest.raises(NumericError, match="complex_affine"), np.errstate(over="ignore"):
             complex_affine(big, big, ct(np.full((2, 1), 10.0), np.zeros((2, 1))))
+
+
+class TestComplexTensor:
+    def test_parts_round_trip_bitwise(self):
+        rng = np.random.default_rng(16)
+        re, im = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 5))
+        h = ct(re, im)
+        assert h.shape == (3, 4, 5) and h.z.shape == (3, 4, 2, 5)
+        assert h.re.data.tobytes() == re.tobytes()
+        assert h.im.data.tobytes() == im.tobytes()
+
+    def test_gradient_through_one_part_lands_only_there(self):
+        rng = np.random.default_rng(17)
+        w = rng.standard_normal((2, 3))
+        tape = Tape()
+        re, im = tape.leaf("re", rng.standard_normal((2, 3))), tape.leaf("im", np.ones((2, 3)))
+        grads = tape.backward(engine.mul(ComplexTensor(re, im).re, w).sum())
+        np.testing.assert_array_equal(grads["re"], w)
+        np.testing.assert_array_equal(grads["im"], np.zeros((2, 3)))
+        tape = Tape()
+        z = tape.leaf("z", rng.standard_normal((2, 2, 3)))
+        grads = tape.backward(engine.mul(ComplexTensor.packed(z).im, w).sum())
+        np.testing.assert_array_equal(grads["z"][:, 0], np.zeros((2, 3)))
+        np.testing.assert_array_equal(grads["z"][:, 1], w)
+
+    def test_packed_needs_a_pair_axis(self):
+        with pytest.raises(DimensionError):
+            ComplexTensor.packed(Tensor(np.zeros((2, 3, 4))))
+        with pytest.raises(DimensionError):
+            ComplexTensor(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("op", ["affine_token", "affine_channel", "crelu", "add", "mean",
+                                    "layernorm"])
+    def test_complex_op_builds_one_node(self, op):
+        rng = np.random.default_rng(18)
+        h = ComplexTensor.packed(Tensor(rng.standard_normal((2, 4, 2, 3))))
+        inputs = [h.z]
+        if op.startswith("affine"):
+            n = 4 if op == "affine_token" else 3
+            A, B = Tensor(rng.standard_normal((5, n))), Tensor(rng.standard_normal((5, n)))
+            bias = ComplexTensor.packed(Tensor(rng.standard_normal((2, 5))))
+            out = complex_affine(A, B, h, bias=bias, axis=-2 if op == "affine_token" else -1)
+            inputs += [A, B, bias.z]
+        elif op == "crelu":
+            out = crelu(h)
+        elif op == "add":
+            out = h + h
+        elif op == "mean":
+            out = h.mean(axis=1)
+        else:
+            g, b = Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3)))
+            out = ComplexTensor.packed(layernorm(h.z, g, b))
+            inputs += [g, b]
+        nodes = topo_order(out.z)
+        assert len(nodes) == 1 + len({id(t) for t in inputs})
+        assert {id(p) for p in out.z._parents} == {id(t) for t in inputs}
 
 
 class TestCrelu:

@@ -329,7 +329,7 @@ class TestForward:
         tape = Tape()
         out = model.forward(x, eps=rng.standard_normal(x.shape), tape=tape)
         loss = loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2)
-        assert len(engine.topo_order(loss)) == 133
+        assert len(engine.topo_order(loss)) == 112
 
 
 def fit_tiny_config():
@@ -411,6 +411,72 @@ class TestNoGrad:
         graph_peak = peak(lambda: model.forward(x, eps=eps))
         scores_peak = peak(lambda: model.scores(x, eps=eps))
         assert scores_peak < 0.5 * graph_peak, (scores_peak, graph_peak)
+
+
+def reference_scores(model, x, eps, head="classify", toggles=Toggles()):
+    """The whole forward in plain complex128 numpy: ``(A+iB) @ h`` mixing,
+    per-part layer norm, CReLU and ``tanh`` of the kept parts."""
+    p, cfg = model.params, model.config
+
+    def weight(name):
+        return p[f"{name}.weight.re"] + 1j * p[f"{name}.weight.im"]
+
+    def bias(name):
+        return p[f"{name}.bias.re"] + 1j * p[f"{name}.bias.im"]
+
+    def norm(v, gamma, beta):
+        mu = v.mean(axis=-1, keepdims=True)
+        return (v - mu) / np.sqrt(v.var(axis=-1, keepdims=True) + 1e-5) * gamma + beta
+
+    def layernorm(h, name):
+        return (norm(h.real, p[f"{name}.gamma.re"], p[f"{name}.beta.re"])
+                + 1j * norm(h.imag, p[f"{name}.gamma.im"], p[f"{name}.beta.im"]))
+
+    def crelu(h):
+        return np.maximum(h.real, 0.0) + 1j * np.maximum(h.imag, 0.0)
+
+    b, ch, side, P = x.shape[0], cfg.in_channels, cfg.image_side, cfg.patch
+    if toggles.il:
+        hidden = np.maximum(x.reshape(b, -1) @ p["incentive.hidden.weight"]
+                            + p["incentive.hidden.bias"], 0.0)
+        mu = np.tanh(hidden @ p["incentive.mu.weight"] + p["incentive.mu.bias"])
+        sigma = 0.5 * (1.0 + np.tanh(hidden @ p["incentive.sigma.weight"]
+                                     + p["incentive.sigma.bias"]))
+        h = x + 1j * (mu[:, :, None, None] + sigma[:, :, None, None] * eps)
+    else:
+        h = x + 0j
+    hp = side // P
+    h = h.reshape(b, ch, hp, P, hp, P).transpose(0, 2, 4, 1, 3, 5).reshape(b, hp * hp, -1)
+    h = h @ weight("patch_embed").T + bias("patch_embed")
+    for i in range(cfg.num_layers):
+        blk = f"block{i}"
+        h = h + weight(f"{blk}.token2") @ crelu(weight(f"{blk}.token1") @ layernorm(h, f"{blk}.ln1"))
+        h = h + crelu(layernorm(h, f"{blk}.ln2") @ weight(f"{blk}.channel1").T) @ weight(f"{blk}.channel2").T
+    prefix = "head" if head == "classify" else "ssl_head"
+    y = h.mean(axis=1) @ weight(prefix).T + bias(prefix)
+    return np.tanh(toggles.p_r * y.real + toggles.p_i * y.imag)
+
+
+class TestComplexReference:
+    @pytest.mark.parametrize("make_config", [fit_tiny_config, breast_config],
+                             ids=["fit_tiny", "breast"])
+    @pytest.mark.parametrize("head", ["classify", "ssl"])
+    @pytest.mark.parametrize("toggles", [Toggles(), Toggles(p_i=False), Toggles(il=False)],
+                             ids=["full", "p_r_only", "il_off"])
+    def test_scores_match_complex128_numpy(self, make_config, head, toggles):
+        config = make_config()
+        # every buffer perturbed, so biases, gains and the noise heads all count
+        params = init_params(config, np.random.default_rng(0))
+        jitter = np.random.default_rng(1)
+        params = {k: v + 0.1 * jitter.standard_normal(v.shape) for k, v in params.items()}
+        model = CMixerModel(config, params=params)
+        rng = np.random.default_rng(2)
+        x = rng.random((6, config.in_channels, config.image_side, config.image_side))
+        eps = rng.standard_normal(x.shape)
+        got = model.scores(x, eps=eps, head=head, toggles=toggles)
+        want = reference_scores(model, x, eps, head=head, toggles=toggles)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestParamCount:
