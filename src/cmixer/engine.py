@@ -12,7 +12,12 @@ form.
 
 A ``Tape`` is the registry of trainable leaves for one training step.
 ``Tape.backward(loss)`` walks the graph once, in reverse topological
-order, and returns one gradient array per registered leaf.
+order, and returns one gradient array per registered leaf. The walk
+consumes the graph: each node drops its closure, its parents and its
+interior gradient as soon as its closure has run, so memory falls as the
+walk proceeds instead of holding the whole graph until it returns. A
+graph can be walked once, and a tape used once; a second walk raises
+``ContractError``.
 
 Inside ``with no_grad():`` every op computes and validates its output
 exactly as outside it, but the returned ``Tensor`` keeps no parents and
@@ -32,7 +37,10 @@ Conventions baked into this module:
   (``.re``/``.im``) add a node of their own
 * ``complex_affine``, ``layernorm`` and ``crelu`` are fused ops with hand-written
   backward passes; ``complex_affine`` is one block-form GEMM, which beat Gauss's
-  3-multiply form on the model's shapes (its extra elementwise passes cost more)
+  3-multiply form on the model's shapes (its extra elementwise passes cost more).
+  With ``crelu=True`` it also applies the CReLU in place on its output and takes
+  the ReLU mask off that output, so a CReLU after an affine stores no
+  pre-activation and adds no node
 * the derivative of ReLU at exactly 0 is taken to be 0
 * ``grad_check`` excludes entries whose central difference straddles a
   kink (detected by disagreeing one-sided differences) instead of
@@ -102,7 +110,8 @@ class Tensor:
     """A node in the computation graph holding a float64 array.
 
     ``grad`` is populated by ``Tape.backward`` and is always an array of
-    the same shape as ``data``. Tensors with no parents act as leaves or
+    the same shape as ``data``; once the walk is done, only the registered
+    leaves and the loss keep theirs. Tensors with no parents act as leaves or
     constants; whether the gradient is reported depends on tape
     registration, not on the node itself.
     """
@@ -554,7 +563,8 @@ def _real_form(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def complex_affine(
-    A, B, h: ComplexTensor, bias: ComplexTensor | None = None, axis: int = -2
+    A, B, h: ComplexTensor, bias: ComplexTensor | None = None, axis: int = -2,
+    crelu: bool = False,
 ) -> ComplexTensor:
     """Apply the complex weight ``A + iB`` (m, n) along logical ``axis`` of ``h``.
 
@@ -568,6 +578,11 @@ def complex_affine(
     product in the packed shape. One node; its backward mirrors
     the forward and recomputes the rows and the block form instead of
     keeping them in the graph.
+
+    With ``crelu`` the op also applies ``crelu``, in place on the product,
+    with bitwise the values of ``crelu(complex_affine(...))``. The backward
+    reads the ReLU mask off the output (``out > 0`` exactly where the
+    pre-activation is), so the pre-activation is never stored.
     """
     A, B = constant(A), constant(B)
     if A.shape != B.shape:
@@ -598,12 +613,18 @@ def complex_affine(
             )
         out += bias.z.data.reshape(2 * m)
         parents += (bias.z,)
+    if crelu:
+        np.maximum(out, 0.0, out=out)
+    product = out
     # off the last axis the output stays a transposed view, so the next
     # token-axis op on it (after an elementwise op) reads its rows with no copy
     out = out.reshape(t_shape).transpose(inverse)
 
     def backprop(g):
         g = rows(g, 2 * m)
+        if crelu:
+            # the derivative at the kink (pre-activation exactly 0) is 0
+            g = np.where(product > 0.0, g, 0.0)
         gw = rows(z.data, 2 * n).T @ g
         A._accumulate(gw[:n, :m].T + gw[n:, m:].T)
         B._accumulate(gw[:n, m:].T - gw[n:, :m].T)
@@ -635,11 +656,17 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _walked(g: np.ndarray) -> None:
+    """Stands in for the closure of a node that a backward walk has consumed."""
+    raise ContractError("backward reached a node of a graph that was already walked")
+
+
 class Tape:
     """Registry of trainable leaves for one differentiation pass."""
 
     def __init__(self):
         self._leaves: dict[str, Tensor] = {}
+        self._used = False
 
     def leaf(self, name: str, array) -> Tensor:
         if not _grad_enabled:
@@ -655,16 +682,33 @@ class Tape:
 
         Returns one gradient array per leaf, shape-matching it; leaves
         the loss does not depend on get zeros.
+
+        The walk consumes the graph: once a node's closure has run, the
+        node drops its closure, its parents and (unless it is a registered
+        leaf or the loss) its gradient, so each activation and interior
+        gradient is freed as soon as nothing above it needs it. Node
+        values stay readable. A graph can therefore be walked once, and a
+        tape used once: a second walk raises ``ContractError``.
         """
         if loss.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+        if self._used:
+            raise ContractError("this tape has already run backward; build a new graph and tape")
         order = topo_order(loss)
+        if any(node._backprop is _walked for node in order):
+            raise ContractError("this graph was already consumed by a backward walk")
+        self._used = True
+        keep = {id(t) for t in self._leaves.values()} | {id(loss)}
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(order):
-            if node._backprop is None or node.grad is None:
-                continue
-            _ensure_finite(node.grad, f"backward:{node._op}")
-            node._backprop(node.grad)
+        while order:
+            node = order.pop()  # children before parents
+            if node._backprop is not None:
+                if node.grad is not None:
+                    _ensure_finite(node.grad, f"backward:{node._op}")
+                    node._backprop(node.grad)
+                node._backprop, node._parents = _walked, ()
+            if id(node) not in keep:
+                node.grad = None
         return {
             name: (t.grad if t.grad is not None else np.zeros_like(t.data))
             for name, t in self._leaves.items()

@@ -162,6 +162,30 @@ def _suite_entries():
          "z": tok.standard_normal((2, 5, 2, 3)),
          "bre": tok.standard_normal(4), "bim": tok.standard_normal(4)},
     ))
+    # the affine with its CReLU fused in, as token1 and channel1 run it: the
+    # last axis with a bias, and the token axis of a packed 3-D batch; each
+    # has its own generator
+    fused = np.random.default_rng(45)
+    w_fused = fused.standard_normal((2, 2, 5, 3))
+    op("complex_affine_crelu", lambda: (
+        lambda lv: weighted(complex_affine(
+            lv["A"], lv["B"], ComplexTensor(lv["hre"], lv["him"]),
+            bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-1, crelu=True), w_fused),
+        {"A": fused.standard_normal((3, 4)), "B": fused.standard_normal((3, 4)),
+         "hre": fused.standard_normal((2, 5, 4)), "him": fused.standard_normal((2, 5, 4)),
+         "bre": fused.standard_normal(3), "bim": fused.standard_normal(3)},
+    ))
+    fused_tok = np.random.default_rng(46)
+    w_fused_tok = fused_tok.standard_normal((2, 4, 2, 3))
+    op("complex_affine_crelu_token", lambda: (
+        lambda lv: engine.mul(complex_affine(
+            lv["A"], lv["B"], ComplexTensor.packed(lv["z"]),
+            bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-2, crelu=True).z,
+            w_fused_tok).sum(),
+        {"A": fused_tok.standard_normal((4, 5)), "B": fused_tok.standard_normal((4, 5)),
+         "z": fused_tok.standard_normal((2, 5, 2, 3)),
+         "bre": fused_tok.standard_normal(4), "bim": fused_tok.standard_normal(4)},
+    ))
     w_ln = extra.standard_normal((2, 3, 4))
     op("layernorm_3d", lambda: (
         lambda lv: engine.mul(engine.layernorm(lv["x"], lv["g"], lv["b"]), w_ln).sum(),

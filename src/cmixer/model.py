@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import ComplexTensor, Tape, Tensor, complex_affine, crelu
+from .engine import ComplexTensor, Tape, Tensor, complex_affine
 from .errors import ContractError, DimensionError, FormatError
 from .npzio import read_arrays, write_arrays
 
@@ -345,11 +345,12 @@ def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor], prefix: str) -> C
 
 
 def _affine(x: ComplexTensor, p: dict[str, Tensor], prefix: str,
-            bias: bool = False, axis: int = -2) -> ComplexTensor:
+            bias: bool = False, axis: int = -2, crelu: bool = False) -> ComplexTensor:
     b = None
     if bias:
         b = ComplexTensor(p[f"{prefix}.bias.re"], p[f"{prefix}.bias.im"])
-    return complex_affine(p[f"{prefix}.weight.re"], p[f"{prefix}.weight.im"], x, bias=b, axis=axis)
+    return complex_affine(p[f"{prefix}.weight.re"], p[f"{prefix}.weight.im"], x, bias=b,
+                          axis=axis, crelu=crelu)
 
 
 def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor], prefix: str) -> ComplexTensor:
@@ -360,14 +361,16 @@ def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor], prefix: str
     connections, so a zero-weight block is the identity.
     """
     # no intermediate is bound to a name, so without a graph each one is
-    # freed as soon as the next op has read it
+    # freed as soon as the next op has read it; token1 and channel1 apply
+    # their CReLU inside the affine, so no pre-activation is stored
     u = x + _affine(
-        crelu(_affine(_complex_layernorm(x, params, f"{prefix}.ln1"), params, f"{prefix}.token1")),
+        _affine(_complex_layernorm(x, params, f"{prefix}.ln1"), params, f"{prefix}.token1",
+                crelu=True),
         params, f"{prefix}.token2",
     )
     return u + _affine(
-        crelu(_affine(_complex_layernorm(u, params, f"{prefix}.ln2"), params,
-                      f"{prefix}.channel1", axis=-1)),
+        _affine(_complex_layernorm(u, params, f"{prefix}.ln2"), params, f"{prefix}.channel1",
+                axis=-1, crelu=True),
         params, f"{prefix}.channel2", axis=-1,
     )
 

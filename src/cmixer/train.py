@@ -186,14 +186,16 @@ class EmaState:
 
 
 def ema_update(ema: EmaState, params: dict[str, np.ndarray]) -> None:
-    """shadow <- decay*shadow + (1-decay)*params, every buffer."""
+    """shadow <- decay*shadow + (1-decay)*params, every buffer, in place."""
     if set(ema.shadow) != set(params):
         raise ContractError("ema shadow and parameters have different buffers")
     d = ema.decay
     for name, value in params.items():
         if ema.shadow[name].shape != value.shape:
             raise ContractError(f"ema buffer {name} shape mismatch")
-        ema.shadow[name] = d * ema.shadow[name] + (1.0 - d) * value
+        shadow = ema.shadow[name]  # updated in place, same operation order
+        shadow *= d
+        shadow += (1.0 - d) * value
 
 
 def clip_global_norm(
@@ -239,7 +241,7 @@ def adamw_step(
     grads: dict[str, np.ndarray],
     lr: float,
 ) -> None:
-    """One bias-corrected AdamW update, applied in place."""
+    """One bias-corrected AdamW update; parameters and moments change in place."""
     state.step += 1
     t = state.step
     bias1 = 1.0 - state.beta1**t
@@ -250,13 +252,25 @@ def adamw_step(
             raise ContractError(f"gradient for {name} has wrong shape")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        mhat = state.m[name] / bias1
-        vhat = state.v[name] / bias2
+        # in place, in the operation order of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*(g*g) and p -= lr * (m/bias1) / (sqrt(v/bias2) + eps),
+        # so the values are bitwise those of that out-of-place form
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        sq = g * g
+        sq *= 1.0 - state.beta2
+        v *= state.beta2
+        v += sq
+        update = np.divide(m, bias1)
+        update *= lr
+        den = np.divide(v, bias2, out=sq)
+        np.sqrt(den, out=den)
+        den += state.eps
+        update /= den
         if state.weight_decay:
             params[name] *= 1.0 - lr * state.weight_decay
-        params[name] -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        params[name] -= update
 
 
 @dataclass
@@ -284,8 +298,10 @@ def sgd_momentum_step(
             raise ContractError(f"gradient for {name} has wrong shape")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name}")
-        state.velocity[name] = state.momentum * state.velocity[name] + g
-        params[name] -= lr * state.velocity[name]
+        velocity = state.velocity[name]  # updated in place, same operation order
+        velocity *= state.momentum
+        velocity += g
+        params[name] -= lr * velocity
 
 
 LogRow = tuple[int, int, str, str, float]  # step, epoch, split, metric, value

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from cmixer.engine import (
 )
 from cmixer.errors import ContractError, DimensionError, DomainError, NumericError
 from cmixer.gradcheck import run_suite
+from cmixer.model import CMixerConfig, CMixerModel
+from cmixer.train import cross_entropy, ssl_loss
 
 
 def ct(re, im):
@@ -182,7 +185,7 @@ class TestComplexTensor:
             ComplexTensor(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
     @pytest.mark.parametrize("op", ["affine_token", "affine_channel", "crelu", "add", "mean",
-                                    "layernorm"])
+                                    "layernorm", "affine_crelu"])
     def test_complex_op_builds_one_node(self, op):
         rng = np.random.default_rng(18)
         h = ComplexTensor.packed(Tensor(rng.standard_normal((2, 4, 2, 3))))
@@ -191,7 +194,8 @@ class TestComplexTensor:
             n = 4 if op == "affine_token" else 3
             A, B = Tensor(rng.standard_normal((5, n))), Tensor(rng.standard_normal((5, n)))
             bias = ComplexTensor.packed(Tensor(rng.standard_normal((2, 5))))
-            out = complex_affine(A, B, h, bias=bias, axis=-2 if op == "affine_token" else -1)
+            out = complex_affine(A, B, h, bias=bias, axis=-2 if op == "affine_token" else -1,
+                                 crelu=op == "affine_crelu")
             inputs += [A, B, bias.z]
         elif op == "crelu":
             out = crelu(h)
@@ -224,6 +228,58 @@ class TestCrelu:
         twice = crelu(once)
         np.testing.assert_array_equal(once.re.data, twice.re.data)
         np.testing.assert_array_equal(once.im.data, twice.im.data)
+
+
+class TestFusedCrelu:
+    """``complex_affine(..., crelu=True)`` against ``crelu(complex_affine(...))``."""
+
+    @staticmethod
+    def _run(fused, axis, leaves, w):
+        tape = Tape()
+        lv = {k: tape.leaf(k, v) for k, v in leaves.items()}
+        bias = ComplexTensor(lv["bre"], lv["bim"])
+        h = ComplexTensor.packed(lv["z"])
+        if fused:
+            out = complex_affine(lv["A"], lv["B"], h, bias=bias, axis=axis, crelu=True)
+        else:
+            out = crelu(complex_affine(lv["A"], lv["B"], h, bias=bias, axis=axis))
+        value = out.z.data.copy()
+        return value, tape.backward(engine.mul(out.z, w).sum())
+
+    @pytest.mark.parametrize("axis", [-2, -1], ids=["token", "channel"])
+    def test_bitwise_values_and_equal_gradients(self, axis):
+        rng = np.random.default_rng(31)
+        m, n = (5, 4) if axis == -2 else (5, 3)
+        leaves = {"A": rng.standard_normal((m, n)), "B": rng.standard_normal((m, n)),
+                  "z": rng.standard_normal((2, 4, 2, 3)),
+                  "bre": rng.standard_normal(m), "bim": rng.standard_normal(m)}
+        out_shape = (2, 5, 2, 3) if axis == -2 else (2, 4, 2, 5)
+        w = rng.standard_normal(out_shape)
+        fused, fused_grads = self._run(True, axis, leaves, w)
+        plain, plain_grads = self._run(False, axis, leaves, w)
+        assert fused.shape == out_shape and (fused == 0.0).any() and (fused > 0.0).any()
+        assert fused.tobytes() == plain.tobytes()
+        for name, g in plain_grads.items():
+            assert np.array_equal(fused_grads[name], g), name
+
+    def test_zero_pre_activation_gets_zero_gradient(self):
+        tape = Tape()
+        A = tape.leaf("A", np.zeros((2, 3)))
+        z = tape.leaf("z", np.ones((4, 2, 3)))
+        out = complex_affine(A, np.zeros((2, 3)), ComplexTensor.packed(z), axis=-1, crelu=True)
+        grads = tape.backward(out.z.sum())
+        np.testing.assert_array_equal(grads["A"], np.zeros((2, 3)))
+        np.testing.assert_array_equal(grads["z"], np.zeros((4, 2, 3)))
+
+    def test_no_pre_activation_is_stored(self):
+        rng = np.random.default_rng(32)
+        h = ComplexTensor.packed(Tensor(rng.standard_normal((2, 4, 2, 3))))
+        A, B = Tensor(rng.standard_normal((5, 3))), Tensor(rng.standard_normal((5, 3)))
+        out = complex_affine(A, B, h, axis=-1, crelu=True)
+        # the backward keeps no array but the output itself
+        kept = [c.cell_contents for c in out.z._backprop.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert kept and all(np.shares_memory(a, out.z.data) for a in kept)
 
 
 class TestLayerNorm:
@@ -375,6 +431,135 @@ class TestBackward:
         loss = engine.add(x, x).sum()
         grads = tape.backward(loss)
         np.testing.assert_allclose(grads["x"], [2.0])
+
+
+def reference_backward(tape, loss):
+    """The walk before graph release: every node, closure and interior
+    gradient stays alive until it returns."""
+    order = topo_order(loss)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backprop is None or node.grad is None:
+            continue
+        node._backprop(node.grad)
+    return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+            for name, t in tape._leaves.items()}
+
+
+def fit_tiny_config():
+    return CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
+
+
+def breast_config():
+    """The BreastMNIST-size model of acceptance criterion 10."""
+    return CMixerConfig(
+        num_layers=2, hidden=32, seq=49, patch=4, token_hidden=98,
+        channel_hidden=64, num_classes=2, in_channels=1, image_side=28,
+    )
+
+
+def model_step(model, x, eps, head, walk):
+    """One taped forward, its loss and ``walk`` over the graph."""
+    tape = Tape()
+    out = model.forward(x, eps=eps, tape=tape, head=head)
+    if head == "classify":
+        loss = cross_entropy(out, np.arange(x.shape[0]) % model.config.num_classes)
+    else:
+        loss = ssl_loss(out, np.linspace(-1.0, 1.0, out.size).reshape(out.shape))
+    return walk(tape, loss)
+
+
+class TestReleaseWalk:
+    @pytest.mark.parametrize("make_config", [fit_tiny_config, breast_config],
+                             ids=["fit_tiny", "breast"])
+    @pytest.mark.parametrize("head", ["classify", "ssl"])
+    def test_gradients_equal_the_reference_walk(self, make_config, head):
+        config = make_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.random((6, config.in_channels, config.image_side, config.image_side))
+        eps = rng.standard_normal(x.shape)
+        released = model_step(model, x, eps, head, Tape.backward)
+        kept = model_step(model, x, eps, head, reference_backward)
+        assert released.keys() == kept.keys()
+        for name, g in kept.items():
+            assert np.array_equal(released[name], g), name
+
+    def test_interior_nodes_are_released(self):
+        rng = np.random.default_rng(30)
+        tape = Tape()
+        x = tape.leaf("x", rng.standard_normal((3, 4)))
+        w = tape.leaf("w", rng.standard_normal((4, 2)))
+        hidden = engine.tanh(engine.matmul(x, w))
+        loss = engine.mul(hidden, hidden).sum()
+        nodes = topo_order(loss)
+        values = {id(n): n.data.copy() for n in nodes}
+        grads = tape.backward(loss)
+        interior = [n for n in nodes if n is not loss and n._op != "const"
+                    and not n._op.startswith("leaf:")]
+        assert len(interior) == 3  # matmul, tanh, mul
+        for node in interior:
+            assert node._parents == () and node.grad is None, node
+            assert node._backprop is engine._walked, node
+        for node in nodes:  # values stay readable
+            assert node.data.tobytes() == values[id(node)].tobytes()
+        assert loss.grad is not None and loss._parents == ()
+        assert x.grad is grads["x"] and w.grad is grads["w"]
+
+    def test_constants_drop_their_gradient(self):
+        tape = Tape()
+        x = tape.leaf("x", np.ones(3))
+        c = Tensor(np.full(3, 2.0))
+        tape.backward(engine.mul(x, c).sum())
+        assert c.grad is None
+
+    def test_second_walk_on_a_used_tape_raises(self):
+        tape = Tape()
+        x = tape.leaf("x", np.array([1.0, 2.0]))
+        first = tape.backward(engine.mul(x, x).sum())
+        with pytest.raises(ContractError, match="already run backward"):
+            tape.backward(engine.mul(x, 3.0).sum())
+        np.testing.assert_array_equal(first["x"], [2.0, 4.0])
+
+    def test_second_walk_of_a_consumed_graph_raises(self):
+        tape = Tape()
+        x = tape.leaf("x", np.array([1.0, 2.0]))
+        loss = engine.mul(x, x).sum()
+        tape.backward(loss)
+        with pytest.raises(ContractError, match="already consumed"):
+            Tape().backward(loss)
+
+    def test_walk_reaching_a_consumed_node_raises_before_any_work(self):
+        tape = Tape()
+        x = tape.leaf("x", np.array([1.0, 2.0]))
+        shared = engine.tanh(x)
+        other = engine.mul(shared, 2.0).sum()
+        tape.backward(engine.mul(shared, shared).sum())
+        with pytest.raises(ContractError, match="already consumed"):
+            Tape().backward(other)
+        assert other._backprop is not engine._walked  # nothing was walked
+
+    def test_graph_is_freed_during_the_walk(self):
+        """Memory scales with activations: on the BreastMNIST-size config at
+        B=64 the forward-plus-backward peak of the releasing walk stays well
+        below that of the walk that keeps the whole graph."""
+        config = breast_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        x = rng.random((64, 1, 28, 28))
+        eps = rng.standard_normal(x.shape)
+
+        def peak(walk):
+            tracemalloc.start()
+            try:
+                model_step(model, x, eps, "classify", walk)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        kept = peak(reference_backward)
+        released = peak(Tape.backward)
+        assert released < 0.65 * kept, (released, kept)
 
 
 class TestNoGrad:

@@ -329,7 +329,7 @@ class TestForward:
         tape = Tape()
         out = model.forward(x, eps=rng.standard_normal(x.shape), tape=tape)
         loss = loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2)
-        assert len(engine.topo_order(loss)) == 112
+        assert len(engine.topo_order(loss)) == 108
 
 
 def fit_tiny_config():

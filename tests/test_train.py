@@ -231,6 +231,97 @@ class TestOptimizers:
         assert params["w"][0] == pytest.approx(-2.5)
 
 
+def reference_adamw(state, params, grads, lr):
+    """The out-of-place AdamW update that ``adamw_step`` replaced."""
+    state.step += 1
+    bias1 = 1.0 - state.beta1**state.step
+    bias2 = 1.0 - state.beta2**state.step
+    for name in sorted(params):
+        g = grads[name]
+        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        mhat = state.m[name] / bias1
+        vhat = state.v[name] / bias2
+        if state.weight_decay:
+            params[name] *= 1.0 - lr * state.weight_decay
+        params[name] -= lr * mhat / (np.sqrt(vhat) + state.eps)
+
+
+def reference_sgd(state, params, grads, lr):
+    for name in sorted(params):
+        state.velocity[name] = state.momentum * state.velocity[name] + grads[name]
+        params[name] -= lr * state.velocity[name]
+
+
+def reference_ema(ema, params):
+    for name, value in params.items():
+        ema.shadow[name] = ema.decay * ema.shadow[name] + (1.0 - ema.decay) * value
+
+
+def _bitwise(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+class TestInPlaceState:
+    """The in-place updates give bitwise the values of the old formulas."""
+
+    def _params(self, seed):
+        # about the size of one update, so a last-bit change in it shows
+        rng = np.random.default_rng(seed)
+        return {"w": 1e-3 * rng.standard_normal((7, 5)), "b": 1e-3 * rng.standard_normal(5),
+                "s": 1e-3 * rng.standard_normal(1)}
+
+    def _grads(self, rng, params):
+        # mixed scales and exact zeros, so every branch of the arithmetic runs
+        return {k: rng.standard_normal(v.shape) * rng.choice([0.0, 1e-6, 1.0, 1e3], v.shape)
+                for k, v in params.items()}
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_adamw_matches_the_reference(self, weight_decay):
+        params, ref_params = self._params(0), self._params(0)
+        state = AdamWState.init(params, weight_decay=weight_decay)
+        ref = AdamWState.init(ref_params, weight_decay=weight_decay)
+        m_buffers = {k: id(v) for k, v in state.m.items()}
+        rng = np.random.default_rng(1)
+        for step in range(6):
+            grads = self._grads(rng, params)
+            adamw_step(state, params, grads, lr=1e-3 * (step + 1))
+            reference_adamw(ref, ref_params, grads, lr=1e-3 * (step + 1))
+            _bitwise(params, ref_params)
+            _bitwise(state.m, ref.m)
+            _bitwise(state.v, ref.v)
+        assert state.step == ref.step == 6
+        assert {k: id(v) for k, v in state.m.items()} == m_buffers  # no new buffers
+
+    def test_sgd_momentum_matches_the_reference(self):
+        params, ref_params = self._params(2), self._params(2)
+        state = SgdMomentumState.init(params, momentum=0.9)
+        ref = SgdMomentumState.init(ref_params, momentum=0.9)
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            grads = self._grads(rng, params)
+            sgd_momentum_step(state, params, grads, lr=0.01)
+            reference_sgd(ref, ref_params, grads, lr=0.01)
+            _bitwise(params, ref_params)
+            _bitwise(state.velocity, ref.velocity)
+
+    def test_ema_matches_the_reference_and_owns_its_shadow(self):
+        params = self._params(4)
+        before = {k: v.copy() for k, v in params.items()}
+        ema, ref = EmaState.init(params, 0.99), EmaState.init(params, 0.99)
+        for k in params:
+            assert not np.shares_memory(ema.shadow[k], params[k])
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            live = {k: v + rng.standard_normal(v.shape) for k, v in params.items()}
+            ema_update(ema, live)
+            reference_ema(ref, live)
+            _bitwise(ema.shadow, ref.shadow)
+        _bitwise(params, before)  # the in-place shadow update never writes the params
+
+
 class TestSchedule:
     def test_endpoints(self):
         sched = LrSchedule("warmup-linear-decay", 1.0, 10, 100)
