@@ -2,11 +2,15 @@
 
 Commands: ``pretrain``, ``finetune``, ``eval``, ``splits``,
 ``gradcheck``, ``noise-stats``. Settings come from a flat key=value
-config file overridden by flags; every run writes a ``manifest.txt``
-with the fully resolved settings plus sha256 checksums of its
-artifacts, and a manifest can itself be passed back as ``--config`` to
-reproduce the run. Output directories are guarded by a lockfile so
-parallel runs cannot share one.
+config file overridden by flags; the keys are the scalar fields of
+``TrainConfig``, the architecture fields of ``CMixerConfig`` and the CLI
+keys, each read as the type of its default. Every run writes a
+``manifest.txt`` with the fully resolved settings plus sha256 checksums
+of its artifacts, and a manifest can itself be passed back as
+``--config`` to reproduce the run. Output directories are guarded by a
+lockfile so parallel runs cannot share one. A command that loads a
+checkpoint runs with its toggles and refuses one that does not fit the
+run (see ``_checked_checkpoint``).
 
 Exit codes: 0 ok, 1 check failure, 2 config error, 3 data/IO error.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -24,15 +29,17 @@ import numpy as np
 
 from . import engine
 from .data import Split, TaskKind, corrupt_labels, load_npz, make_semi, write_npz
-from .errors import CMixerError, ConfigError, FormatError
+from .errors import CMixerError, ConfigError, ContractError, FormatError
 from .gradcheck import run_suite
 from .metrics import evaluate, report_rows
 from .model import (
     CMixerConfig,
     CMixerModel,
     Toggles,
+    field_types,
     incentive_mu_sigma,
     load_checkpoint,
+    parse_lines,
     save_checkpoint,
 )
 from .train import TrainConfig, finetune, pretrain
@@ -45,154 +52,83 @@ TOGGLE_NAMES = {
     "p-imag-only": "p_r",
 }
 
-_INT_KEYS = {
-    "seed", "epochs", "batch_size", "warmup_steps", "pretrain_epochs",
-    "pretrain_batch_size", "pretrain_warmup_steps", "num_layers", "hidden",
-    "patch", "token_hidden", "channel_hidden", "num_classes", "samples",
-}
-_FLOAT_KEYS = {
-    "lr", "momentum", "weight_decay", "pretrain_lr", "pretrain_weight_decay",
-    "clip_norm", "mask_rate", "temperature", "ema_decay", "semi_frac",
-    "corrupt_rate",
-}
-_STR_KEYS = {
-    "data", "out", "checkpoint", "init_checkpoint", "task", "split",
-    "toggles", "command", "config",
-}
-_IGNORED_PREFIXES = ("checksum.",)
+# CMixerConfig fields the data fixes; the others are keys
+_DATA_FIELDS = ("seq", "in_channels", "image_side", "num_classes")
+_ARCH_TYPES = {k: t for k, t in field_types(CMixerConfig).items() if k not in _DATA_FIELDS}
+# keys no dataclass holds, with their defaults
+_CLI_DEFAULTS = {"split": "test", "semi_frac": 0.1, "corrupt_rate": 0.0, "samples": 16}
+_STR_KEYS = ("data", "out", "checkpoint", "init_checkpoint", "task", "toggles", "command", "config")
+_KEY_TYPES = {**field_types(TrainConfig), **_ARCH_TYPES, **dict.fromkeys(_STR_KEYS, str),
+              **{k: type(v) for k, v in _CLI_DEFAULTS.items()}}
 
-_DEFAULTS = {
-    "seed": 0,
-    "split": "test",
-    "semi_frac": 0.1,
-    "corrupt_rate": 0.0,
-    "samples": 16,
-    "epochs": 100,
-    "batch_size": 512,
-    "lr": 0.01,
-    "momentum": 0.9,
-    "weight_decay": 0.0,
-    "warmup_steps": 100,
-    "pretrain_epochs": 10,
-    "pretrain_batch_size": 500,
-    "pretrain_lr": 1e-3,
-    "pretrain_weight_decay": 0.05,
-    "pretrain_warmup_steps": 1000,
-    "clip_norm": 1.0,
-    "mask_rate": 0.2,
-    "temperature": 0.5,
-    "ema_decay": 0.99,
-    "num_layers": 2,
-    "hidden": 16,
-    "patch": 4,
-}
+
+def _default_settings() -> dict:
+    # the model defaults are CMixerConfig.small's, which derives unset mixing widths
+    small = inspect.signature(CMixerConfig.small).parameters
+    settings = {k: small[k].default for k in _ARCH_TYPES if small[k].default is not None}
+    settings.update({k: getattr(TrainConfig, k) for k in field_types(TrainConfig)})
+    settings.update(_CLI_DEFAULTS)
+    return settings
 
 
 def parse_config_file(path: str) -> dict:
-    settings: dict = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        if any(key.startswith(p) for p in _IGNORED_PREFIXES):
-            continue
-        if key in _INT_KEYS:
-            settings[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            settings[key] = float(value)
-        elif key in _STR_KEYS:
-            settings[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return settings
+    # a manifest's checksum lines describe the artifacts, not settings
+    lines = ["" if line.strip().startswith("checksum.") else line for line in text.splitlines()]
+    try:
+        return parse_lines("\n".join(lines), _KEY_TYPES)
+    except FormatError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = _default_settings()
     if args.config:
         settings.update(parse_config_file(args.config))
         settings["config"] = args.config
-    for flag in ("data", "out", "seed", "checkpoint"):
-        value = getattr(args, flag.replace("-", "_"), None)
+    for flag in ("data", "out", "seed", "checkpoint", "semi_frac", "corrupt_rate", "samples"):
+        value = getattr(args, flag, None)
         if value is not None:
             settings[flag] = value
-    if getattr(args, "semi_frac", None) is not None:
-        settings["semi_frac"] = args.semi_frac
-    if getattr(args, "corrupt_rate", None) is not None:
-        settings["corrupt_rate"] = args.corrupt_rate
-    if getattr(args, "samples", None) is not None:
-        settings["samples"] = args.samples
-    toggles = settings.get("toggles", "")
-    names = [t for t in str(toggles).split(",") if t]
-    for name in getattr(args, "toggle", None) or []:
-        if name not in names:
-            names.append(name)
+    names = [t for t in settings.get("toggles", "").split(",") if t] + (args.toggle or [])
     for name in names:
         if name not in TOGGLE_NAMES:
             raise ConfigError(
                 f"unknown toggle {name!r}; valid: {', '.join(sorted(TOGGLE_NAMES))}"
             )
-    settings["toggles"] = ",".join(names)
+    settings["toggles"] = ",".join(dict.fromkeys(names))
     return settings
 
 
 def toggles_from(settings: dict) -> Toggles:
-    kwargs = {}
-    for name in str(settings.get("toggles", "")).split(","):
-        if name:
-            kwargs[TOGGLE_NAMES[name]] = False
-    return Toggles(**kwargs)
+    try:
+        return Toggles(**{TOGGLE_NAMES[n]: False for n in settings["toggles"].split(",") if n})
+    except ContractError as exc:
+        raise ConfigError(f"toggles={settings['toggles']}: {exc}") from None
 
 
 def train_config_from(settings: dict) -> TrainConfig:
-    return TrainConfig(
-        pretrain_epochs=settings["pretrain_epochs"],
-        pretrain_batch_size=settings["pretrain_batch_size"],
-        pretrain_lr=settings["pretrain_lr"],
-        pretrain_weight_decay=settings["pretrain_weight_decay"],
-        pretrain_warmup_steps=settings["pretrain_warmup_steps"],
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        lr=settings["lr"],
-        momentum=settings["momentum"],
-        weight_decay=settings["weight_decay"],
-        warmup_steps=settings["warmup_steps"],
-        clip_norm=settings["clip_norm"],
-        mask_rate=settings["mask_rate"],
-        temperature=settings["temperature"],
-        ema_decay=settings["ema_decay"],
-        seed=settings["seed"],
-        toggles=toggles_from(settings),
-    )
+    try:
+        return TrainConfig(**{k: settings[k] for k in field_types(TrainConfig)},
+                           toggles=toggles_from(settings))
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def model_config_from(settings: dict, bundle) -> CMixerConfig:
-    side = bundle.images.shape[1]
-    patch = settings["patch"]
-    if side % patch != 0:
-        raise ConfigError(f"patch {patch} does not divide image side {side}")
-    seq = (side // patch) ** 2
-    hidden = settings["hidden"]
-    return CMixerConfig(
-        num_layers=settings["num_layers"],
-        hidden=hidden,
-        seq=seq,
-        patch=patch,
-        token_hidden=settings.get("token_hidden") or 2 * seq,
-        channel_hidden=settings.get("channel_hidden") or 2 * hidden,
-        num_classes=settings.get("num_classes") or bundle.num_classes,
-        in_channels=bundle.images.shape[3],
-        image_side=side,
-    )
+    kwargs = {k: settings[k] for k in _ARCH_TYPES if k in settings}
+    try:
+        return CMixerConfig.small(
+            image_side=bundle.images.shape[1],
+            in_channels=bundle.images.shape[3],
+            num_classes=bundle.num_classes,
+            **kwargs,
+        )
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_bundle(settings: dict):
@@ -200,7 +136,46 @@ def _load_bundle(settings: dict):
     if not path:
         raise ConfigError("no dataset given; use --data or a data= config line")
     task = settings.get("task")
-    return load_npz(path, task=TaskKind(task) if task else None)
+    try:
+        kind = TaskKind(task) if task else None
+    except ValueError:
+        valid = ", ".join(t.value for t in TaskKind)
+        raise ConfigError(f"unknown task {task!r}; valid: {valid}") from None
+    return load_npz(path, task=kind)
+
+
+def _checked_checkpoint(
+    settings: dict, bundle, key: str = "checkpoint", architecture: bool = False
+) -> CMixerModel:
+    """Load ``settings[key]``; refuse it unless its channels, image side and
+    class count are the data's (and with ``architecture`` its architecture
+    keys the settings'), and named toggles are its own. Its toggles become
+    the run's, so the manifest records them."""
+    path = settings.get(key)
+    if not path:
+        raise ConfigError(f"no {key} given; use --{key} or a {key}= config line")
+    if not Path(path).exists():
+        raise FormatError(f"checkpoint {path} does not exist")
+    model = load_checkpoint(path)
+    want = {
+        "in_channels": bundle.images.shape[3],
+        "image_side": bundle.images.shape[1],
+        "num_classes": bundle.num_classes,
+    }
+    if architecture:
+        resolved = model_config_from(settings, bundle)
+        want.update({k: getattr(resolved, k) for k in _ARCH_TYPES})
+    for name, value in want.items():
+        have = getattr(model.config, name)
+        if have != value:
+            raise ConfigError(f"checkpoint {path} has {name}={have}, the run has {name}={value}")
+    names = ",".join(n for n, field in TOGGLE_NAMES.items() if not getattr(model.toggles, field))
+    if settings["toggles"] and toggles_from(settings) != model.toggles:
+        raise ConfigError(
+            f"toggles={settings['toggles']} differ from checkpoint {path}'s toggles={names}"
+        )
+    settings["toggles"] = settings["toggles"] or names
+    return model
 
 
 class OutputDir:
@@ -258,11 +233,12 @@ class OutputDir:
 
 def cmd_pretrain(settings: dict) -> int:
     bundle = _load_bundle(settings)
+    rng = np.random.default_rng(settings["seed"])
+    model = CMixerModel(model_config_from(settings, bundle), rng=rng)
+    train_config = train_config_from(settings)
     out = OutputDir(settings)
     try:
-        rng = np.random.default_rng(settings["seed"])
-        model = CMixerModel(model_config_from(settings, bundle), rng=rng)
-        result = pretrain(model, bundle, train_config_from(settings), rng)
+        result = pretrain(model, bundle, train_config, rng)
         save_checkpoint(out.file("checkpoint.npz"), result.model)
         save_checkpoint(out.file("checkpoint_ema.npz"), result.model, params=result.ema)
         out.write_csv("pretrain_log.csv", result.rows)
@@ -276,15 +252,15 @@ def cmd_pretrain(settings: dict) -> int:
 
 def cmd_finetune(settings: dict) -> int:
     bundle = _load_bundle(settings)
+    rng = np.random.default_rng(settings["seed"])
+    if settings.get("init_checkpoint"):
+        model = _checked_checkpoint(settings, bundle, "init_checkpoint", architecture=True)
+    else:
+        model = CMixerModel(model_config_from(settings, bundle), rng=rng)
+    train_config = train_config_from(settings)
     out = OutputDir(settings)
     try:
-        rng = np.random.default_rng(settings["seed"])
-        init = settings.get("init_checkpoint")
-        if init:
-            model = load_checkpoint(init)
-        else:
-            model = CMixerModel(model_config_from(settings, bundle), rng=rng)
-        result = finetune(model, bundle, train_config_from(settings), rng)
+        result = finetune(model, bundle, train_config, rng)
         save_checkpoint(out.file("checkpoint.npz"), result.model)
         out.write_csv("metrics.csv", result.rows)
         out.finish("finetune", settings)
@@ -296,23 +272,16 @@ def cmd_finetune(settings: dict) -> int:
 
 
 def cmd_eval(settings: dict) -> int:
-    checkpoint = settings.get("checkpoint")
-    if not checkpoint:
-        raise ConfigError("eval needs --checkpoint")
-    if not Path(checkpoint).exists():
-        raise FormatError(f"checkpoint {checkpoint} does not exist")
-    model = load_checkpoint(checkpoint)
+    try:
+        split = Split[settings["split"].upper().replace("-", "_")]
+    except KeyError:
+        valid = ", ".join(s.name.lower() for s in Split)
+        raise ConfigError(f"unknown split {settings['split']!r}; valid: {valid}") from None
     bundle = _load_bundle(settings)
-    split = Split[settings["split"].upper().replace("-", "_")]
+    model = _checked_checkpoint(settings, bundle)
     out = OutputDir(settings)
     try:
-        report = evaluate(
-            model,
-            bundle,
-            split,
-            rng=np.random.default_rng(settings["seed"]),
-            toggles=toggles_from(settings),
-        )
+        report = evaluate(model, bundle, split, rng=np.random.default_rng(settings["seed"]))
         out.write_csv("eval.csv", report_rows(report, settings["split"]))
         out.finish("eval", settings)
     except BaseException:
@@ -367,13 +336,8 @@ def cmd_gradcheck(settings: dict, corrupt: str | None = None) -> int:
 
 
 def cmd_noise_stats(settings: dict) -> int:
-    checkpoint = settings.get("checkpoint")
-    if not checkpoint:
-        raise ConfigError("noise-stats needs --checkpoint")
-    if not Path(checkpoint).exists():
-        raise FormatError(f"checkpoint {checkpoint} does not exist")
-    model = load_checkpoint(checkpoint)
     bundle = _load_bundle(settings)
+    model = _checked_checkpoint(settings, bundle)
     n = min(settings["samples"], bundle.n)
     idx = bundle.indices(Split.TEST)[:n]
     if len(idx) < n:

@@ -145,12 +145,6 @@ class CMixerClassifier:
         self.classes_, encoded = np.unique(labels, return_inverse=True)
         if len(self.classes_) < 2:
             raise ContractError("fit needs at least two classes")
-        side = images.shape[1]
-        if side % self.patch != 0:
-            raise ContractError(
-                f"image side {side} is not divisible by patch {self.patch}"
-            )
-        seq = (side // self.patch) ** 2
         task = TaskKind.BINARY if len(self.classes_) == 2 else TaskKind.MULTICLASS
         bundle = DatasetBundle(
             images=images,
@@ -159,16 +153,13 @@ class CMixerClassifier:
             task=task,
             num_classes=len(self.classes_),
         )
-        config = CMixerConfig(
+        config = CMixerConfig.small(
+            image_side=images.shape[1],
+            in_channels=images.shape[3],
+            num_classes=len(self.classes_),
             num_layers=self.num_layers,
             hidden=self.hidden,
-            seq=seq,
             patch=self.patch,
-            token_hidden=2 * seq,
-            channel_hidden=2 * self.hidden,
-            num_classes=len(self.classes_),
-            in_channels=images.shape[3],
-            image_side=side,
         )
         rng = np.random.default_rng(self.random_state)
         model = CMixerModel(config, rng=rng)

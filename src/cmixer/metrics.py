@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetBundle, Split, TaskKind
-from .errors import ContractError, UndefinedMetricError
+from .errors import ContractError, DimensionError, UndefinedMetricError
 from .model import CMixerModel, Toggles
 
 __all__ = [
@@ -149,9 +149,13 @@ def evaluate(
 
     Noise is sampled fresh from ``rng`` per batch (with the no-noise
     toggle the pass is deterministic); passing a seeded generator
-    freezes the evaluation.
+    freezes the evaluation. Without ``toggles`` the model's own are
+    used. A class count other than the bundle's is a ``DimensionError``.
     """
-    toggles = toggles if toggles is not None else Toggles()
+    if model.config.num_classes != bundle.num_classes:
+        raise DimensionError(
+            f"model has {model.config.num_classes} classes, data has {bundle.num_classes}"
+        )
     rng = rng if rng is not None else np.random.default_rng()
     idx = bundle.indices(split)
     if len(idx) == 0:

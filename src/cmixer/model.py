@@ -26,7 +26,7 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -128,35 +128,66 @@ class CMixerConfig:
     @classmethod
     def small(cls, image_side: int = 16, in_channels: int = 1,
               num_classes: int = 2, num_layers: int = 2, hidden: int = 16,
-              patch: int = 4) -> "CMixerConfig":
+              patch: int = 4, token_hidden: int | None = None,
+              channel_hidden: int | None = None) -> "CMixerConfig":
+        """Unset mixing widths are twice the sequence length and twice ``hidden``."""
+        if patch < 1:
+            raise ContractError("patch must be at least 1")
         seq = (image_side // patch) ** 2
         return cls(
             num_layers=num_layers,
             hidden=hidden,
             seq=seq,
             patch=patch,
-            token_hidden=2 * seq,
-            channel_hidden=2 * hidden,
+            token_hidden=2 * seq if token_hidden is None else token_hidden,
+            channel_hidden=2 * hidden if channel_hidden is None else channel_hidden,
             num_classes=num_classes,
             in_channels=in_channels,
             image_side=image_side,
         )
 
     def to_lines(self) -> str:
-        return "".join(f"{k}={getattr(self, k)}\n" for k in self.__dataclass_fields__)
+        return to_lines(self)
 
     @classmethod
     def from_lines(cls, text: str) -> "CMixerConfig":
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if key not in cls.__dataclass_fields__:
-                raise FormatError(f"unknown config field {key!r} in checkpoint")
-            kwargs[key] = int(value)
-        return cls(**kwargs)
+        return cls(**parse_lines(text, field_types(cls)))
+
+
+def to_lines(obj) -> str:
+    """A dataclass as ``key=value`` lines, one per field."""
+    return "".join(f"{f.name}={getattr(obj, f.name)}\n" for f in fields(obj))
+
+
+def field_types(cls) -> dict[str, type]:
+    """Each field of dataclass ``cls`` with a scalar default, mapped to that default's type."""
+    return {f.name: type(f.default) for f in fields(cls) if isinstance(f.default, (int, float))}
+
+
+_BOOLS = {"True": True, "False": False}
+
+
+def parse_lines(text: str, types: dict[str, type]) -> dict:
+    """Read ``key=value`` lines into values of the types that ``types`` gives each key.
+
+    Blank lines and ``#`` comments are skipped. A bool must read ``True``
+    or ``False`` (``bool("False")`` is true). A line without ``=``, an
+    unknown key or a malformed value raises ``FormatError``.
+    """
+    values = {}
+    for line in text.splitlines():
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not key or key.startswith("#"):
+            continue
+        if not sep:
+            raise FormatError(f"expected key=value, got {line.strip()!r}")
+        if key not in types:
+            raise FormatError(f"unknown key {key!r}")
+        try:
+            values[key] = _BOOLS[value] if types[key] is bool else types[key](value)
+        except (KeyError, ValueError):
+            raise FormatError(f"{key}={value!r} is not a {types[key].__name__}") from None
+    return values
 
 
 def param_shapes(config: CMixerConfig) -> dict[str, tuple]:
@@ -410,6 +441,8 @@ class CMixerModel:
     Parameters live in ``self.params`` as plain float64 arrays; a
     forward pass optionally registers them on a ``Tape`` to make them
     trainable leaves for that step. ``scores`` is the graph-free pass.
+    ``toggles``, set by ``pretrain`` and ``finetune`` and carried by
+    checkpoints, apply to every pass that is given none.
     """
 
     def __init__(
@@ -430,6 +463,7 @@ class CMixerModel:
             if params[name].shape != shape:
                 raise DimensionError(f"{name}: shape {params[name].shape}, expected {shape}")
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+        self.toggles = Toggles()
 
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
@@ -455,7 +489,7 @@ class CMixerModel:
         constants and tensors are used as they are. Either way the graph
         is built unless the call runs inside ``engine.no_grad``.
         """
-        toggles = toggles if toggles is not None else Toggles()
+        toggles = toggles if toggles is not None else self.toggles
         cfg = self.config
         x = np.asarray(images, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.image_side, cfg.image_side):
@@ -511,20 +545,27 @@ class CMixerModel:
 
 
 def save_checkpoint(path, model: CMixerModel, params: dict[str, np.ndarray] | None = None) -> None:
-    """Write parameters plus the architecture config to one NPZ file.
+    """Write parameters, the architecture config and the toggles to one NPZ file.
 
-    Each buffer is one array entry under its parameter name; the config
-    rides along as a ``meta`` entry of key=value lines.
+    Each buffer is one array entry under its parameter name; the
+    ``CMixerConfig`` and then the ``Toggles`` fields ride along as a
+    ``meta`` entry of key=value lines.
     """
     arrays = dict(params if params is not None else model.params)
-    meta = model.config.to_lines().encode()
+    meta = (to_lines(model.config) + to_lines(model.toggles)).encode()
     arrays["meta"] = np.frombuffer(meta, dtype=np.uint8)
     write_arrays(path, arrays)
 
 
 def load_checkpoint(path) -> CMixerModel:
+    """Read a ``save_checkpoint`` file. A ``meta`` without toggle lines
+    (an older checkpoint) loads with the default ``Toggles()``."""
     arrays = read_arrays(path)
     if "meta" not in arrays:
         raise FormatError(f"{path}: checkpoint is missing its 'meta' entry")
-    config = CMixerConfig.from_lines(bytes(arrays.pop("meta")).decode())
-    return CMixerModel(config, params=arrays)
+    config_types, toggle_types = field_types(CMixerConfig), field_types(Toggles)
+    meta = parse_lines(bytes(arrays.pop("meta")).decode(), {**config_types, **toggle_types})
+    model = CMixerModel(CMixerConfig(**{k: v for k, v in meta.items() if k in config_types}),
+                        params=arrays)
+    model.toggles = Toggles(**{k: v for k, v in meta.items() if k in toggle_types})
+    return model

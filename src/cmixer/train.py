@@ -73,11 +73,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1 or self.pretrain_batch_size < 1:
-            raise ContractError("batch sizes must be at least 1")
+            raise ContractError("batch_size and pretrain_batch_size must be at least 1")
         if self.temperature <= 0:
             raise ContractError("temperature must be positive")
         if not 0.0 <= self.ema_decay <= 1.0:
-            raise ContractError("ema decay must be in [0,1]")
+            raise ContractError("ema_decay must be in [0,1]")
 
 
 @dataclass
@@ -356,9 +356,11 @@ def pretrain(
     model, the target view (masked augmented image) through the EMA
     shadow under ``model.scores``, which builds no graph; AdamW with
     linear warmup and linear decay minimizes the view cross-entropy and
-    the shadow tracks the live weights after every step. With ``ssl`` off this is a no-op; with
-    ``rm`` off the masking stage is skipped.
+    the shadow tracks the live weights after every step. With ``ssl`` off
+    nothing is trained; with ``rm`` off the masking stage is skipped.
+    Either way ``model.toggles`` becomes ``config.toggles``.
     """
+    model.toggles = config.toggles
     ema = EmaState.init(model.params, config.ema_decay)
     if not config.toggles.ssl:
         return PretrainResult(model, ema.shadow, [], [])
@@ -394,13 +396,8 @@ def pretrain(
             eps_target = rng.standard_normal(target.shape)
 
             tape = Tape()
-            out_anchor = model.forward(
-                anchor, eps=eps_anchor, head="ssl", toggles=config.toggles, tape=tape
-            )
-            out_target = model.scores(
-                target, eps=eps_target, head="ssl", toggles=config.toggles,
-                params=ema.shadow,
-            )
+            out_anchor = model.forward(anchor, eps=eps_anchor, head="ssl", tape=tape)
+            out_target = model.scores(target, eps=eps_target, head="ssl", params=ema.shadow)
             loss = ssl_loss(out_anchor, out_target, config.temperature)
             grads = tape.backward(loss)
             adamw_step(opt, model.params, grads, lr_at(schedule, step))
@@ -423,9 +420,11 @@ def finetune(
     Momentum SGD under a warmup+cosine schedule with global-norm
     gradient clipping; no augmentation and no early stopping. Validation
     ACC/AUC are logged once per epoch when a validation split exists.
+    ``model.toggles`` becomes ``config.toggles``.
     """
     from .metrics import evaluate  # local import; metrics also imports data
 
+    model.toggles = config.toggles
     labeled = bundle.indices(Split.TRAIN_LABELED)
     if len(labeled) == 0:
         raise ContractError("fine-tuning needs labeled training samples")
@@ -444,7 +443,7 @@ def finetune(
             images = _to_model_layout(bundle.images[idx])
             eps = rng.standard_normal(images.shape)
             tape = Tape()
-            out = model.forward(images, eps=eps, toggles=config.toggles, tape=tape)
+            out = model.forward(images, eps=eps, tape=tape)
             loss = loss_for_task(bundle.task, out, bundle.labels[idx], bundle.num_classes)
             grads = tape.backward(loss)
             grads, pre_norm = clip_global_norm(grads, config.clip_norm)
@@ -455,11 +454,7 @@ def finetune(
             )
             step += 1
         if have_val:
-            report = evaluate(
-                model, bundle, Split.VAL,
-                rng=np.random.default_rng(config.seed + epoch),
-                toggles=config.toggles,
-            )
+            report = evaluate(model, bundle, Split.VAL, rng=np.random.default_rng(config.seed + epoch))
             rows.append((step, epoch, "val", "acc", report.acc))
             rows.append((step, epoch, "val", "auc", report.auc))
     return FinetuneResult(model, rows)

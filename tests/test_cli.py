@@ -1,11 +1,19 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmixer.cli import main, parse_config_file
-from cmixer.data import load_npz, synth_dataset, write_npz
+from cmixer.cli import (
+    build_parser,
+    main,
+    parse_config_file,
+    resolve_settings,
+    train_config_from,
+)
+from cmixer.data import DatasetBundle, load_npz, synth_dataset, write_npz
+from cmixer.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +293,30 @@ class TestConfigHandling:
         assert sha(out1 / "metrics.csv") == sha(out2 / "metrics.csv")
         assert sha(out1 / "checkpoint.npz") == sha(out2 / "checkpoint.npz")
 
+    @pytest.mark.parametrize(
+        "command, line, named",
+        [
+            ("finetune", "epochs=abc", ["epochs"]),
+            ("finetune", "epochs=2.5", ["epochs"]),
+            ("eval", "split=bogus", ["bogus", "train_labeled", "test"]),
+            ("finetune", "task=bogus", ["bogus", "multiclass"]),
+            ("finetune", "batch_size=0", ["batch_size"]),
+            ("finetune", "patch=5", ["patch"]),
+            ("finetune", "num_classes=2", ["num_classes"]),
+        ],
+    )
+    def test_bad_value_exit_2_names_key(self, fast_config, tmp_path, capsys, command, line,
+                                        named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(Path(fast_config).read_text() + line + "\n")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(tmp_path / "missing.npz")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "config error" in err
+        for word in named:
+            assert word in err
+
     def test_lockfile_blocks_concurrent_use(self, fast_config, tmp_path):
         out = tmp_path / "locked"
         out.mkdir()
@@ -297,6 +329,112 @@ class TestConfigHandling:
         assert main(["finetune", "--config", fast_config, "--out", str(out)]) == 0
         settings = parse_config_file(out / "manifest.txt")
         assert settings["epochs"] == 3
+
+
+class TestSettingsSchema:
+    def test_every_train_config_scalar_is_a_typed_key(self, tmp_path):
+        fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)
+                  if type(f.default) in (int, float)}
+        assert {"epochs", "lr", "seed", "pretrain_batch_size"} <= set(fields)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k}={v + 1}\n" for k, v in fields.items()))
+        settings = parse_config_file(str(cfg))
+        for name, default in fields.items():
+            assert type(settings[name]) is type(default), name
+            assert settings[name] == default + 1, name
+
+    def test_default_settings_build_the_default_train_config(self):
+        settings = resolve_settings(build_parser().parse_args(["finetune"]))
+        assert train_config_from(settings) == TrainConfig()
+
+
+@pytest.fixture(scope="module")
+def real_only_checkpoint(tmp_path_factory, fast_config):
+    out = tmp_path_factory.mktemp("ck") / "ft"
+    assert main(["finetune", "--config", fast_config, "--out", str(out),
+                 "--toggle", "p-real-only"]) == 0
+    return str(out / "checkpoint.npz")
+
+
+def _archive(tmp_path, bundle):
+    path = tmp_path / "other.npz"
+    write_npz(bundle, path)
+    return str(path)
+
+
+class TestCheckpointChecks:
+    def test_eval_refuses_other_toggles(self, fast_config, real_only_checkpoint, tmp_path,
+                                        capsys):
+        code = main(["eval", "--config", fast_config, "--out", str(tmp_path / "e"),
+                     "--checkpoint", real_only_checkpoint, "--toggle", "no-il"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "toggles" in err and "p-real-only" in err
+
+    def test_eval_refuses_other_class_count(self, fast_config, real_only_checkpoint, tmp_path,
+                                            capsys):
+        data = _archive(tmp_path, synth_dataset(3, 20, 16, np.random.default_rng(0)))
+        code = main(["eval", "--config", fast_config, "--data", data, "--out",
+                     str(tmp_path / "e"), "--checkpoint", real_only_checkpoint])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "num_classes" in err
+
+    def test_eval_refuses_other_channels(self, fast_config, real_only_checkpoint, tmp_path,
+                                         capsys):
+        gray = synth_dataset(2, 20, 16, np.random.default_rng(0))
+        rgb = DatasetBundle(np.repeat(gray.images, 3, axis=3), gray.labels, gray.splits,
+                            gray.task, gray.num_classes)
+        code = main(["eval", "--config", fast_config, "--data", _archive(tmp_path, rgb),
+                     "--out", str(tmp_path / "e"), "--checkpoint", real_only_checkpoint])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "in_channels" in err
+
+    def test_finetune_refuses_other_architecture(self, fast_config, real_only_checkpoint,
+                                                 tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(Path(fast_config).read_text()
+                       + f"hidden=32\ninit_checkpoint={real_only_checkpoint}\n")
+        code = main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "f")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "hidden" in err
+        assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("toggle", ["no-ssl", "no-rm", "no-il", "p-real-only",
+                                        "p-imag-only"])
+    def test_eval_takes_the_checkpoint_toggles(self, fast_config, tmp_path, toggle):
+        ft = tmp_path / "ft"
+        assert main(["finetune", "--config", fast_config, "--out", str(ft),
+                     "--toggle", toggle]) == 0
+        base = ["eval", "--config", fast_config, "--checkpoint", str(ft / "checkpoint.npz")]
+        assert main(base + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(base + ["--out", str(tmp_path / "named"), "--toggle", toggle]) == 0
+        assert sha(tmp_path / "plain" / "eval.csv") == sha(tmp_path / "named" / "eval.csv")
+        assert f"toggles={toggle}\n" in (tmp_path / "plain" / "manifest.txt").read_text()
+
+
+class TestManifestReplay:
+    @pytest.mark.parametrize("command", ["pretrain", "eval", "splits", "noise-stats"])
+    def test_manifest_reproduces_command(self, fast_config, real_only_checkpoint, synth_npz,
+                                         tmp_path, command):
+        args = {
+            "pretrain": ["--config", fast_config],
+            "eval": ["--config", fast_config, "--checkpoint", real_only_checkpoint],
+            "splits": ["--data", synth_npz, "--semi-frac", "0.5", "--corrupt-rate", "0.2",
+                       "--seed", "4"],
+            "noise-stats": ["--config", fast_config, "--checkpoint", real_only_checkpoint,
+                            "--samples", "5"],
+        }[command]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, *args, "--out", str(first)]) == 0
+        assert main([command, "--config", str(first / "manifest.txt"), "--out",
+                     str(again)]) == 0
+        artifacts = sorted(p.name for p in first.iterdir() if p.name != "manifest.txt")
+        assert artifacts == sorted(p.name for p in again.iterdir() if p.name != "manifest.txt")
+        for name in artifacts:
+            assert sha(first / name) == sha(again / name), name
 
 
 class TestInputImmutability:

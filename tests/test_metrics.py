@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmixer.data import Split, TaskKind, synth_dataset
-from cmixer.errors import ContractError, UndefinedMetricError
+from cmixer.errors import ContractError, DimensionError, UndefinedMetricError
 from cmixer.metrics import (
     _midranks,
     accuracy,
@@ -232,3 +232,10 @@ class TestEvaluate:
         rows = report_rows(report, "test")
         assert ("acc" in {r[3] for r in rows}) and ("auc" in {r[3] for r in rows})
         assert all(len(r) == 5 for r in rows)
+
+    def test_class_count_mismatch_raises_before_scoring(self, setup, monkeypatch):
+        _, model = setup
+        three = synth_dataset(3, 10, 16, np.random.default_rng(0))
+        monkeypatch.setattr(model, "scores", lambda *a, **k: pytest.fail("scored"))
+        with pytest.raises(DimensionError, match="classes"):
+            evaluate(model, three, Split.TEST, rng=np.random.default_rng(1))

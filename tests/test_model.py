@@ -550,3 +550,60 @@ class TestCheckpoint:
         assert "block0.token1.weight.re" in names
         assert "block0.channel2.weight.im" in names
         assert "meta" in names
+
+
+TOGGLE_SETS = [
+    Toggles(),
+    Toggles(ssl=False),
+    Toggles(rm=False),
+    Toggles(il=False),
+    Toggles(p_i=False),
+    Toggles(p_r=False),
+]
+TOGGLE_IDS = ["full", "no-ssl", "no-rm", "no-il", "p-real-only", "p-imag-only"]
+
+
+class TestCheckpointToggles:
+    @pytest.mark.parametrize("toggles", TOGGLE_SETS, ids=TOGGLE_IDS)
+    def test_scores_with_the_training_toggles(self, tmp_path, toggles):
+        from cmixer.data import synth_dataset
+        from cmixer.train import TrainConfig, finetune
+
+        bundle = synth_dataset(2, 10, 8, np.random.default_rng(0))
+        model = CMixerModel(tiny_config(image_side=8, hidden=8, num_layers=1),
+                            rng=np.random.default_rng(0))
+        finetune(model, bundle, TrainConfig(epochs=1, batch_size=8, warmup_steps=0,
+                                            toggles=toggles), np.random.default_rng(1))
+        assert model.toggles == toggles
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path)
+        assert loaded.toggles == toggles
+        rng = np.random.default_rng(2)
+        x = rng.random((5, 1, 8, 8))
+        eps = rng.standard_normal(x.shape)
+        want = model.scores(x, eps=eps, toggles=toggles)
+        assert np.array_equal(loaded.scores(x, eps=eps), want)
+
+    def test_meta_without_toggle_lines_loads_defaults(self, tmp_path):
+        from cmixer.npzio import write_arrays
+
+        model = CMixerModel(tiny_config(), rng=np.random.default_rng(0))
+        path = tmp_path / "old.npz"
+        meta = np.frombuffer(model.config.to_lines().encode(), dtype=np.uint8)
+        write_arrays(path, {**model.params, "meta": meta})
+        loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        assert loaded.toggles == Toggles()
+
+    def test_malformed_bool_in_meta_is_format_error(self, tmp_path):
+        from cmixer.errors import FormatError
+        from cmixer.npzio import write_arrays
+
+        model = CMixerModel(tiny_config(), rng=np.random.default_rng(0))
+        path = tmp_path / "bad.npz"
+        text = model.config.to_lines() + "p_i=maybe\n"
+        write_arrays(path, {**model.params,
+                            "meta": np.frombuffer(text.encode(), dtype=np.uint8)})
+        with pytest.raises(FormatError, match="p_i"):
+            load_checkpoint(path)
