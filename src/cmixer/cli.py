@@ -42,7 +42,7 @@ from .model import (
     parse_lines,
     save_checkpoint,
 )
-from .train import TrainConfig, finetune, pretrain
+from .train import TrainConfig, _to_model_layout, finetune, pretrain
 
 TOGGLE_NAMES = {
     "no-ssl": "ssl",
@@ -112,8 +112,7 @@ def toggles_from(settings: dict) -> Toggles:
 
 def train_config_from(settings: dict) -> TrainConfig:
     try:
-        return TrainConfig(**{k: settings[k] for k in field_types(TrainConfig)},
-                           toggles=toggles_from(settings))
+        return TrainConfig(**{k: settings[k] for k in field_types(TrainConfig)})
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -149,8 +148,8 @@ def _checked_checkpoint(
 ) -> CMixerModel:
     """Load ``settings[key]``; refuse it unless its channels, image side and
     class count are the data's (and with ``architecture`` its architecture
-    keys the settings'), and named toggles are its own. Its toggles become
-    the run's, so the manifest records them."""
+    keys the settings'), and named toggles are its own. Its toggles and
+    architecture keys become the run's, so the manifest records them."""
     path = settings.get(key)
     if not path:
         raise ConfigError(f"no {key} given; use --{key} or a {key}= config line")
@@ -175,11 +174,16 @@ def _checked_checkpoint(
             f"toggles={settings['toggles']} differ from checkpoint {path}'s toggles={names}"
         )
     settings["toggles"] = settings["toggles"] or names
+    settings.update({k: getattr(model.config, k) for k in _ARCH_TYPES})
     return model
 
 
 class OutputDir:
-    """Owns one run's output directory, lockfile, manifest, and artifacts."""
+    """Owns one run's output directory, lockfile, manifest, and artifacts.
+
+    A context manager: leaving the ``with`` block releases the lock, also
+    when the run raises (``KeyboardInterrupt`` included).
+    """
 
     def __init__(self, settings: dict):
         out = settings.get("out")
@@ -195,6 +199,12 @@ class OutputDir:
             raise FormatError(
                 f"{self.path} is locked by another run (remove {self.lock} if stale)"
             ) from None
+
+    def __enter__(self) -> "OutputDir":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
     def file(self, name: str) -> Path:
         p = self.path / name
@@ -214,7 +224,7 @@ class OutputDir:
     def finish(self, command: str, settings: dict) -> None:
         lines = [f"command={command}"]
         for key in sorted(settings):
-            if key == "out":
+            if key in ("command", "out"):  # a replayed manifest holds both
                 continue
             lines.append(f"{key}={settings[key]}")
         lines.append(f"out={self.path}")
@@ -222,7 +232,6 @@ class OutputDir:
             digest = hashlib.sha256(p.read_bytes()).hexdigest()
             lines.append(f"checksum.{p.name}={digest}")
         (self.path / "manifest.txt").write_text("\n".join(lines) + "\n")
-        self.release()
 
     def release(self) -> None:
         if getattr(self, "_fd", None) is not None:
@@ -235,17 +244,14 @@ def cmd_pretrain(settings: dict) -> int:
     bundle = _load_bundle(settings)
     rng = np.random.default_rng(settings["seed"])
     model = CMixerModel(model_config_from(settings, bundle), rng=rng)
+    model.toggles = toggles_from(settings)
     train_config = train_config_from(settings)
-    out = OutputDir(settings)
-    try:
+    with OutputDir(settings) as out:
         result = pretrain(model, bundle, train_config, rng)
         save_checkpoint(out.file("checkpoint.npz"), result.model)
         save_checkpoint(out.file("checkpoint_ema.npz"), result.model, params=result.ema)
         out.write_csv("pretrain_log.csv", result.rows)
         out.finish("pretrain", settings)
-    except BaseException:
-        out.release()
-        raise
     print(f"pretrain done: {len(result.losses)} steps, artifacts in {out.path}")
     return 0
 
@@ -257,16 +263,13 @@ def cmd_finetune(settings: dict) -> int:
         model = _checked_checkpoint(settings, bundle, "init_checkpoint", architecture=True)
     else:
         model = CMixerModel(model_config_from(settings, bundle), rng=rng)
+        model.toggles = toggles_from(settings)
     train_config = train_config_from(settings)
-    out = OutputDir(settings)
-    try:
+    with OutputDir(settings) as out:
         result = finetune(model, bundle, train_config, rng)
         save_checkpoint(out.file("checkpoint.npz"), result.model)
         out.write_csv("metrics.csv", result.rows)
         out.finish("finetune", settings)
-    except BaseException:
-        out.release()
-        raise
     print(f"finetune done: artifacts in {out.path}")
     return 0
 
@@ -279,22 +282,17 @@ def cmd_eval(settings: dict) -> int:
         raise ConfigError(f"unknown split {settings['split']!r}; valid: {valid}") from None
     bundle = _load_bundle(settings)
     model = _checked_checkpoint(settings, bundle)
-    out = OutputDir(settings)
-    try:
+    with OutputDir(settings) as out:
         report = evaluate(model, bundle, split, rng=np.random.default_rng(settings["seed"]))
         out.write_csv("eval.csv", report_rows(report, settings["split"]))
         out.finish("eval", settings)
-    except BaseException:
-        out.release()
-        raise
     print(f"eval {settings['split']}: acc={report.acc:.4f} auc={report.auc:.4f} n={report.n}")
     return 0
 
 
 def cmd_splits(settings: dict) -> int:
     bundle = _load_bundle(settings)
-    out = OutputDir(settings)
-    try:
+    with OutputDir(settings) as out:
         rng = np.random.default_rng(settings["seed"])
         semi = make_semi(bundle, settings["semi_frac"], rng)
         corrupted_idx = np.empty(0, dtype=np.int64)
@@ -308,9 +306,6 @@ def cmd_splits(settings: dict) -> int:
             for i in corrupted_idx:
                 writer.writerow([int(i)])
         out.finish("splits", settings)
-    except BaseException:
-        out.release()
-        raise
     counts = semi.split_counts()
     print(
         f"splits written: labeled={counts['train_labeled']} test={counts['test']} "
@@ -342,14 +337,12 @@ def cmd_noise_stats(settings: dict) -> int:
     idx = bundle.indices(Split.TEST)[:n]
     if len(idx) < n:
         idx = np.arange(n)
-    images = bundle.images[idx].astype(np.float64) / 255.0
-    flat_images = np.transpose(images, (0, 3, 1, 2))
+    images = _to_model_layout(bundle.images[idx])
     with engine.no_grad():
-        mu, sigma = incentive_mu_sigma(flat_images, model.params)
+        mu, sigma = incentive_mu_sigma(images, model.params)
     mu, sigma = mu.data.ravel(), sigma.data.ravel()
     rng = np.random.default_rng(settings["seed"])
-    out = OutputDir(settings)
-    try:
+    with OutputDir(settings) as out:
         path = out.file("noise_stats.csv")
         edges = np.linspace(-3.0, 3.0, 65)
         with open(path, "w", newline="") as fh:
@@ -361,9 +354,6 @@ def cmd_noise_stats(settings: dict) -> int:
                 hist, _ = np.histogram(np.clip(draws, -3.0, 3.0), bins=edges)
                 writer.writerow([row_i, repr(float(m)), repr(float(s))] + hist.tolist())
         out.finish("noise-stats", settings)
-    except BaseException:
-        out.release()
-        raise
     print(f"noise stats for {n} samples in {path}")
     return 0
 

@@ -18,8 +18,8 @@ import numpy as np
 from .data import DatasetBundle, Split, TaskKind
 from .errors import ContractError, DimensionError
 from .metrics import predictions_for_task
-from .model import CMixerConfig, CMixerModel, Toggles
-from .train import TrainConfig, finetune, pretrain
+from .model import CMixerConfig, CMixerModel
+from .train import TrainConfig, _to_model_layout, finetune, pretrain
 
 __all__ = ["CMixerClassifier", "check_images", "check_labels"]
 
@@ -136,7 +136,6 @@ class CMixerClassifier:
             temperature=self.temperature,
             ema_decay=self.ema_decay,
             seed=self.random_state,
-            toggles=Toggles(ssl=self.pretrain_epochs > 0),
         )
 
     def fit(self, X, y) -> "CMixerClassifier":
@@ -176,16 +175,13 @@ class CMixerClassifier:
             raise ContractError("this estimator is not fitted yet; call fit first")
 
     def decision_function(self, X) -> np.ndarray:
-        """Raw bounded scores in (-1, 1), one column per class."""
+        """Raw bounded scores in (-1, 1), one column per class.
+
+        Images of another size or channel count than the fitted ones are
+        a ``DimensionError`` from the model's forward pass.
+        """
         self._check_fitted()
-        images = check_images(X)
-        cfg = self.model_.config
-        if images.shape[1] != cfg.image_side or images.shape[3] != cfg.in_channels:
-            raise DimensionError(
-                f"images {images.shape[1:]} do not match the fitted model "
-                f"({cfg.image_side}, {cfg.image_side}, {cfg.in_channels})"
-            )
-        x = np.transpose(images.astype(np.float64) / 255.0, (0, 3, 1, 2))
+        x = _to_model_layout(check_images(X))
         return self.model_.scores(x, rng=np.random.default_rng(self.random_state))
 
     def predict_proba(self, X) -> np.ndarray:

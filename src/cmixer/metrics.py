@@ -20,7 +20,8 @@ import numpy as np
 
 from .data import DatasetBundle, Split, TaskKind
 from .errors import ContractError, DimensionError, UndefinedMetricError
-from .model import CMixerModel, Toggles
+from .model import CMixerModel
+from .train import _to_model_layout
 
 __all__ = [
     "EvalReport",
@@ -142,15 +143,14 @@ def evaluate(
     bundle: DatasetBundle,
     split: Split = Split.TEST,
     rng: np.random.Generator | None = None,
-    toggles: Toggles | None = None,
     batch_size: int = 256,
 ) -> EvalReport:
     """Score one split and report ACC/AUC with a per-class breakdown.
 
-    Noise is sampled fresh from ``rng`` per batch (with the no-noise
-    toggle the pass is deterministic); passing a seeded generator
-    freezes the evaluation. Without ``toggles`` the model's own are
-    used. A class count other than the bundle's is a ``DimensionError``.
+    The model scores under its own ``toggles``. Noise is sampled fresh
+    from ``rng`` per batch (with the no-noise toggle the pass is
+    deterministic); passing a seeded generator freezes the evaluation.
+    A class count other than the bundle's is a ``DimensionError``.
     """
     if model.config.num_classes != bundle.num_classes:
         raise DimensionError(
@@ -163,10 +163,7 @@ def evaluate(
     chunks = []
     for start in range(0, len(idx), batch_size):
         part = idx[start : start + batch_size]
-        images = np.transpose(
-            bundle.images[part].astype(np.float64) / 255.0, (0, 3, 1, 2)
-        )
-        chunks.append(model.scores(images, rng=rng, toggles=toggles))
+        chunks.append(model.scores(_to_model_layout(bundle.images[part]), rng=rng))
     scores = np.concatenate(chunks)
     labels = bundle.labels[idx]
     preds = predictions_for_task(scores, bundle.task)

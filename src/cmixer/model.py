@@ -42,7 +42,6 @@ __all__ = [
     "incentive_mu_sigma",
     "sample_incentive",
     "patchify",
-    "unpatchify",
     "mixer_block_forward",
     "pearson_project",
     "param_shapes",
@@ -100,14 +99,19 @@ class CMixerConfig:
     def __post_init__(self):
         if self.num_layers < 0:
             raise ContractError("num_layers must be nonnegative")
-        for name in ("hidden", "seq", "patch", "token_hidden", "channel_hidden",
-                     "num_classes", "in_channels", "image_side"):
+        # seq, and with it the default token_hidden, is derived from the
+        # patch, so a patch that does not tile the image is named first; a
+        # seq below 1 then fails the (side/patch)^2 check
+        for name in ("hidden", "patch", "num_classes", "in_channels", "image_side"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1")
         if self.image_side % self.patch != 0:
             raise ContractError(
                 f"image side {self.image_side} not divisible by patch {self.patch}"
             )
+        for name in ("token_hidden", "channel_hidden"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be at least 1")
         if (self.image_side // self.patch) ** 2 != self.seq:
             raise ContractError(
                 f"seq {self.seq} != (side/patch)^2 = {(self.image_side // self.patch) ** 2}"
@@ -297,49 +301,37 @@ def incentive_mu_sigma(
 
 
 def sample_incentive(
-    image: Tensor | np.ndarray,
+    images: Tensor | np.ndarray,
     params: dict[str, Tensor],
     epsilon: np.ndarray,
 ) -> ComplexTensor:
-    """Fuse an image with its learned noise sample into a complex input.
+    """Fuse a (batch, ch, H, W) image batch with its learned noise sample.
 
     The real part is the image; the imaginary part is ``mu + sigma*eps``
     with per-image scalars mu and sigma broadcast over all pixels, so
     gradients flow to the generator through the reparameterized sample.
     ``epsilon`` must be standard normal, drawn by the caller, and shaped
-    like the image.
+    like the batch.
     """
-    image = engine.constant(image)
-    single = image.ndim == 3
-    if single:
-        image = image.reshape((1, *image.shape))
-    if image.ndim != 4:
-        raise DimensionError(f"expected (batch, ch, H, W) image, got {image.shape}")
+    images = engine.constant(images)
+    if images.ndim != 4:
+        raise DimensionError(f"expected (batch, ch, H, W) images, got {images.shape}")
     eps = np.asarray(epsilon, dtype=np.float64)
-    if single and eps.ndim == 3:
-        eps = eps[None]
-    if eps.shape != image.shape:
-        raise DimensionError(f"epsilon shape {eps.shape} != image shape {image.shape}")
-    b = image.shape[0]
-    mu, sigma = incentive_mu_sigma(image, params)
-    mu4 = mu.reshape((b, 1, 1, 1))
-    sigma4 = sigma.reshape((b, 1, 1, 1))
-    imag = mu4 + sigma4 * Tensor(eps)
-    out = ComplexTensor(image, imag)
-    return ComplexTensor.packed(out.z.reshape(out.z.shape[1:])) if single else out
+    if eps.shape != images.shape:
+        raise DimensionError(f"epsilon shape {eps.shape} != image shape {images.shape}")
+    b = images.shape[0]
+    mu, sigma = incentive_mu_sigma(images, params)
+    imag = mu.reshape((b, 1, 1, 1)) + sigma.reshape((b, 1, 1, 1)) * Tensor(eps)
+    return ComplexTensor(images, imag)
 
 
 def patchify(h: ComplexTensor, patch: int) -> ComplexTensor:
-    """Cut (..., ch, H, W) into a row-major sequence of flattened patches.
+    """Cut a (batch, ch, H, W) batch into row-major sequences of flattened patches.
 
-    Output is (..., S, patch*patch*ch) with S = (H/P)*(W/P); each row is
-    one patch flattened in (ch, P, P) order. Invertible by
-    ``unpatchify``.
+    Output is (batch, S, patch*patch*ch) with S = (H/P)*(W/P); each row
+    is one patch flattened in (ch, P, P) order.
     """
     z = h.z  # (batch, ch, H, 2, W)
-    single = z.ndim == 4
-    if single:
-        z = z.reshape((1, *z.shape))
     if z.ndim != 5:
         raise DimensionError(f"expected (batch, ch, H, W), got {h.shape}")
     b, ch, hgt, _, wid = z.shape
@@ -348,24 +340,7 @@ def patchify(h: ComplexTensor, patch: int) -> ComplexTensor:
     hp, wp = hgt // patch, wid // patch
     z = z.reshape((b, ch, hp, patch, 2, wp, patch))
     z = z.transpose((0, 2, 5, 4, 1, 3, 6))
-    z = z.reshape((b, hp * wp, 2, ch * patch * patch))
-    return ComplexTensor.packed(z.reshape(z.shape[1:]) if single else z)
-
-
-def unpatchify(h: ComplexTensor, patch: int, ch: int, height: int, width: int) -> ComplexTensor:
-    """Inverse of ``patchify`` for the stated original dimensions."""
-    z = h.z  # (batch, S, 2, ch*P*P)
-    single = z.ndim == 3
-    if single:
-        z = z.reshape((1, *z.shape))
-    b = z.shape[0]
-    hp, wp = height // patch, width // patch
-    if z.shape[1] != hp * wp or z.shape[3] != ch * patch * patch:
-        raise DimensionError(f"patch sequence {h.shape} does not match target image")
-    z = z.reshape((b, hp, wp, 2, ch, patch, patch))
-    z = z.transpose((0, 4, 1, 5, 3, 2, 6))
-    z = z.reshape((b, ch, height, 2, width))
-    return ComplexTensor.packed(z.reshape(z.shape[1:]) if single else z)
+    return ComplexTensor.packed(z.reshape((b, hp * wp, 2, ch * patch * patch)))
 
 
 def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor], prefix: str) -> ComplexTensor:
@@ -441,8 +416,9 @@ class CMixerModel:
     Parameters live in ``self.params`` as plain float64 arrays; a
     forward pass optionally registers them on a ``Tape`` to make them
     trainable leaves for that step. ``scores`` is the graph-free pass.
-    ``toggles``, set by ``pretrain`` and ``finetune`` and carried by
-    checkpoints, apply to every pass that is given none.
+    ``toggles`` is the one holder of the ablation switches: every pass
+    runs under it, the training loops read it, and checkpoints carry it.
+    Set it before training; the loops never change it.
     """
 
     def __init__(
@@ -475,12 +451,13 @@ class CMixerModel:
         eps: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
         head: str = "classify",
-        toggles: Toggles | None = None,
         tape: Tape | None = None,
         params: dict[str, np.ndarray | Tensor] | None = None,
     ) -> Tensor:
-        """Score a float batch of shape (batch, ch, H, W).
+        """Score a float batch of shape (batch, ch, H, W) under ``self.toggles``.
 
+        The batch is the only input form (``train._to_model_layout`` makes
+        it from uint8 images); any other shape is a ``DimensionError``.
         ``eps`` injects the noise sample (tests freeze it); otherwise it
         is drawn from ``rng``. ``params`` substitutes a foreign buffer set
         for ``self.params`` (an EMA shadow, or leaf tensors a caller made).
@@ -489,7 +466,6 @@ class CMixerModel:
         constants and tensors are used as they are. Either way the graph
         is built unless the call runs inside ``engine.no_grad``.
         """
-        toggles = toggles if toggles is not None else self.toggles
         cfg = self.config
         x = np.asarray(images, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.image_side, cfg.image_side):
@@ -502,7 +478,7 @@ class CMixerModel:
         else:
             p = {k: tape.leaf(k, v) for k, v in raw.items()}
 
-        if toggles.il:
+        if self.toggles.il:
             if eps is None:
                 if rng is None:
                     raise ContractError("forward needs eps or rng to sample noise")
@@ -520,7 +496,7 @@ class CMixerModel:
             raise ContractError(f"unknown head {head!r}")
         prefix = "head" if head == "classify" else "ssl_head"
         out = _affine(pooled, p, prefix, bias=True, axis=-1)
-        return pearson_project(out, use_real=toggles.p_r, use_imag=toggles.p_i)
+        return pearson_project(out, use_real=self.toggles.p_r, use_imag=self.toggles.p_i)
 
     def scores(
         self,
@@ -528,20 +504,17 @@ class CMixerModel:
         *,
         eps: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
-        toggles: Toggles | None = None,
         head: str = "classify",
         params: dict[str, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """``forward`` under ``engine.no_grad``, returned as a plain array.
+        """``forward`` under ``engine.no_grad`` and ``self.toggles``, as a plain array.
 
         No graph is built: each intermediate is freed as soon as the
         forward drops it. The values are bitwise those of ``forward`` for
         the same ``eps``.
         """
         with engine.no_grad():
-            return self.forward(
-                images, eps=eps, rng=rng, head=head, toggles=toggles, params=params
-            ).data
+            return self.forward(images, eps=eps, rng=rng, head=head, params=params).data
 
 
 def save_checkpoint(path, model: CMixerModel, params: dict[str, np.ndarray] | None = None) -> None:

@@ -24,7 +24,7 @@ from . import engine
 from .data import AugmentSpec, DatasetBundle, MaskSpec, Split, TaskKind, augment_target, random_mask
 from .engine import Tape, Tensor
 from .errors import ContractError, NumericError
-from .model import CMixerModel, Toggles
+from .model import CMixerModel
 
 __all__ = [
     "TrainConfig",
@@ -50,7 +50,8 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
-    """Settings for one pretrain+finetune run."""
+    """Settings for one pretrain+finetune run. The ablation toggles are not
+    settings of a run: they live on the model (``CMixerModel.toggles``)."""
 
     pretrain_epochs: int = 10
     pretrain_batch_size: int = 500
@@ -68,7 +69,6 @@ class TrainConfig:
     temperature: float = 0.5
     ema_decay: float = 0.99
     seed: int = 0
-    toggles: Toggles = field(default_factory=Toggles)
     augment: AugmentSpec = field(default_factory=AugmentSpec)
 
     def __post_init__(self):
@@ -322,7 +322,10 @@ class FinetuneResult:
 
 
 def _to_model_layout(images_u8: np.ndarray) -> np.ndarray:
-    """(B,H,W,ch) uint8 -> (B,ch,H,W) float in [0,1]."""
+    """(B,H,W,ch) uint8 -> (B,ch,H,W) float in [0,1], the model's one input form.
+
+    Every caller that scores or trains on stored images converts here.
+    """
     return np.transpose(images_u8.astype(np.float64) / 255.0, (0, 3, 1, 2))
 
 
@@ -356,13 +359,13 @@ def pretrain(
     model, the target view (masked augmented image) through the EMA
     shadow under ``model.scores``, which builds no graph; AdamW with
     linear warmup and linear decay minimizes the view cross-entropy and
-    the shadow tracks the live weights after every step. With ``ssl`` off
-    nothing is trained; with ``rm`` off the masking stage is skipped.
-    Either way ``model.toggles`` becomes ``config.toggles``.
+    the shadow tracks the live weights after every step. The views are
+    masked as uint8 and then converted. The toggles are ``model.toggles``:
+    with ``ssl`` off nothing is trained; with ``rm`` off the masking stage
+    is skipped.
     """
-    model.toggles = config.toggles
     ema = EmaState.init(model.params, config.ema_decay)
-    if not config.toggles.ssl:
+    if not model.toggles.ssl:
         return PretrainResult(model, ema.shadow, [], [])
     train_idx = bundle.indices(Split.TRAIN_LABELED, Split.TRAIN_UNLABELED)
     if len(train_idx) == 0:
@@ -382,16 +385,14 @@ def pretrain(
     step = 0
     for epoch in range(config.pretrain_epochs):
         for batch in _batches(len(train_idx), config.pretrain_batch_size, rng):
-            raw = bundle.images[train_idx[batch]]
-            anchor = raw.astype(np.float64) / 255.0
-            target = np.stack(
-                [augment_target(img, config.augment, rng) for img in raw]
-            ).astype(np.float64) / 255.0
-            if config.toggles.rm:
+            anchor = bundle.images[train_idx[batch]]
+            target = np.stack([augment_target(img, config.augment, rng) for img in anchor])
+            if model.toggles.rm:
                 anchor = random_mask(anchor, mask, rng)
                 target = random_mask(target, mask, rng)
-            anchor = np.transpose(anchor, (0, 3, 1, 2))
-            target = np.transpose(target, (0, 3, 1, 2))
+            # zeroing a uint8 pixel before the division gives the same float
+            anchor = _to_model_layout(anchor)
+            target = _to_model_layout(target)
             eps_anchor = rng.standard_normal(anchor.shape)
             eps_target = rng.standard_normal(target.shape)
 
@@ -420,11 +421,10 @@ def finetune(
     Momentum SGD under a warmup+cosine schedule with global-norm
     gradient clipping; no augmentation and no early stopping. Validation
     ACC/AUC are logged once per epoch when a validation split exists.
-    ``model.toggles`` becomes ``config.toggles``.
+    Every pass runs under ``model.toggles``.
     """
-    from .metrics import evaluate  # local import; metrics also imports data
+    from .metrics import evaluate  # local import; metrics imports this module
 
-    model.toggles = config.toggles
     labeled = bundle.indices(Split.TRAIN_LABELED)
     if len(labeled) == 0:
         raise ContractError("fine-tuning needs labeled training samples")

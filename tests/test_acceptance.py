@@ -275,7 +275,8 @@ def test_c08_ablation_wiring(ablation_runs):
     for name, (_, ft) in runs.items():
         model = load_checkpoint(ft / "checkpoint.npz")
         kwargs = {TOGGLE_NAMES[name]: False} if name in TOGGLE_NAMES else {}
-        outputs[name] = model.scores(x, eps=eps, toggles=Toggles(**kwargs))
+        assert model.toggles == Toggles(**kwargs), name
+        outputs[name] = model.scores(x, eps=eps)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             delta = np.abs(outputs[a] - outputs[b]).max()

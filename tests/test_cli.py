@@ -303,6 +303,7 @@ class TestConfigHandling:
             ("finetune", "batch_size=0", ["batch_size"]),
             ("finetune", "patch=5", ["patch"]),
             ("finetune", "num_classes=2", ["num_classes"]),
+            ("finetune", "patch=32", ["patch", "not divisible"]),
         ],
     )
     def test_bad_value_exit_2_names_key(self, fast_config, tmp_path, capsys, command, line,
@@ -435,6 +436,60 @@ class TestManifestReplay:
         assert artifacts == sorted(p.name for p in again.iterdir() if p.name != "manifest.txt")
         for name in artifacts:
             assert sha(first / name) == sha(again / name), name
+
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "splits",
+                                         "noise-stats"])
+    def test_replayed_manifest_matches_the_first(self, fast_config, real_only_checkpoint,
+                                                 synth_npz, tmp_path, command):
+        args = {
+            "pretrain": ["--config", fast_config],
+            "finetune": ["--config", fast_config],
+            "eval": ["--config", fast_config, "--checkpoint", real_only_checkpoint],
+            "splits": ["--data", synth_npz, "--seed", "4"],
+            "noise-stats": ["--config", fast_config, "--checkpoint", real_only_checkpoint,
+                            "--samples", "5"],
+        }[command]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, *args, "--out", str(first)]) == 0
+        assert main([command, "--config", str(first / "manifest.txt"), "--out",
+                     str(again)]) == 0
+
+        def lines(run):
+            text = (run / "manifest.txt").read_text()
+            return [line for line in text.splitlines()
+                    if not line.startswith(("config=", "out="))]
+
+        assert lines(first) == lines(again)
+        assert [line for line in lines(again) if line.startswith("command=")] == [
+            f"command={command}"]
+
+    @pytest.mark.parametrize("command", ["eval", "noise-stats"])
+    def test_manifest_records_the_checkpoint_architecture(self, real_only_checkpoint,
+                                                          synth_npz, tmp_path, command):
+        # no config, so the settings hold the CLI defaults (2 layers, hidden 16)
+        # while the checkpoint has 1 layer of hidden 8
+        out = tmp_path / "run"
+        assert main([command, "--data", synth_npz, "--checkpoint", real_only_checkpoint,
+                     "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        for line in ("num_layers=1", "hidden=8", "patch=4", "token_hidden=32",
+                     "channel_hidden=16"):
+            assert line in manifest, line
+
+
+class TestOutputDirLock:
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError])
+    def test_lock_released_when_the_run_raises(self, fast_config, tmp_path, monkeypatch,
+                                               exc):
+        def interrupted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("cmixer.cli.finetune", interrupted)
+        out = tmp_path / "run"
+        with pytest.raises(exc):
+            main(["finetune", "--config", fast_config, "--out", str(out)])
+        assert out.is_dir() and not (out / ".lock").exists()
 
 
 class TestInputImmutability:

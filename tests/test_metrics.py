@@ -210,11 +210,11 @@ class TestEvaluate:
         b = evaluate(model, bundle, Split.TEST, rng=np.random.default_rng(5))
         assert a.acc == b.acc and a.auc == b.auc
 
-    def test_no_noise_toggle_deterministic_without_seed(self, setup):
+    def test_no_noise_toggle_deterministic_without_seed(self, setup, monkeypatch):
         bundle, model = setup
-        toggles = Toggles(il=False)
-        a = evaluate(model, bundle, Split.TEST, rng=np.random.default_rng(0), toggles=toggles)
-        b = evaluate(model, bundle, Split.TEST, rng=np.random.default_rng(9), toggles=toggles)
+        monkeypatch.setattr(model, "toggles", Toggles(il=False))  # the model is shared
+        a = evaluate(model, bundle, Split.TEST, rng=np.random.default_rng(0))
+        b = evaluate(model, bundle, Split.TEST, rng=np.random.default_rng(9))
         assert a.acc == b.acc and a.auc == b.auc
 
     def test_empty_split_rejected(self, setup):

@@ -20,7 +20,6 @@ from cmixer.model import (
     pearson_project,
     sample_incentive,
     save_checkpoint,
-    unpatchify,
 )
 from cmixer.train import loss_for_task
 
@@ -61,7 +60,7 @@ class TestSampleIncentive:
         # tanh saturates to exactly -1 well before -50, so sigma is exactly 0
         params = forced_incentive(config, mu_raw=0.0, sigma_raw=-50.0)
         rng = np.random.default_rng(1)
-        image = rng.random((config.in_channels, 16, 16))
+        image = rng.random((1, config.in_channels, 16, 16))
         eps = rng.standard_normal(image.shape)
         h = sample_incentive(Tensor(image), wrap(params), eps)
         np.testing.assert_array_equal(h.re.data, image)
@@ -70,7 +69,7 @@ class TestSampleIncentive:
     def test_constant_imaginary_at_zero_sigma(self):
         config = tiny_config()
         params = forced_incentive(config, mu_raw=np.arctanh(0.5), sigma_raw=-50.0)
-        image = np.zeros((config.in_channels, 16, 16))
+        image = np.zeros((1, config.in_channels, 16, 16))
         eps = np.random.default_rng(0).standard_normal(image.shape)
         h = sample_incentive(Tensor(image), wrap(params), eps)
         np.testing.assert_allclose(h.im.data, 0.5, atol=1e-12)
@@ -95,8 +94,13 @@ class TestSampleIncentive:
         params = wrap(forced_incentive(config))
         with pytest.raises(DimensionError):
             sample_incentive(
-                Tensor(np.zeros((1, 16, 16))), params, np.zeros((1, 8, 8))
+                Tensor(np.zeros((1, 1, 16, 16))), params, np.zeros((1, 1, 8, 8))
             )
+
+    def test_unbatched_image_raises(self):
+        params = wrap(forced_incentive(tiny_config()))
+        with pytest.raises(DimensionError, match="batch"):
+            sample_incentive(Tensor(np.zeros((1, 16, 16))), params, np.zeros((1, 16, 16)))
 
     def test_gradient_reaches_generator(self):
         # a sigma-dependent loss must produce nonzero incentive gradients;
@@ -121,38 +125,46 @@ class TestSampleIncentive:
 
 class TestPatchify:
     def test_28x28_patch4_gives_49_rows(self):
-        h = ComplexTensor(Tensor(np.zeros((1, 28, 28))), Tensor(np.zeros((1, 28, 28))))
+        h = ComplexTensor(Tensor(np.zeros((1, 1, 28, 28))), Tensor(np.zeros((1, 1, 28, 28))))
         out = patchify(h, 4)
-        assert out.shape == (49, 16)
+        assert out.shape == (1, 49, 16)
 
     def test_whole_image_patch_is_flatten(self):
         rng = np.random.default_rng(0)
-        re = rng.random((1, 6, 6))
+        re = rng.random((1, 1, 6, 6))
         h = ComplexTensor(Tensor(re), Tensor(np.zeros_like(re)))
         out = patchify(h, 6)
-        assert out.shape == (1, 36)
-        np.testing.assert_array_equal(out.re.data[0], re.ravel())
+        assert out.shape == (1, 1, 36)
+        np.testing.assert_array_equal(out.re.data[0, 0], re.ravel())
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        re = rng.random((4, 3, 8, 8))
-        im = rng.random((4, 3, 8, 8))
-        h = ComplexTensor(Tensor(re), Tensor(im))
-        back = unpatchify(patchify(h, 4), 4, 3, 8, 8)
-        np.testing.assert_array_equal(back.re.data, re)
-        np.testing.assert_array_equal(back.im.data, im)
+    def test_is_a_permutation_of_its_input(self):
+        # distinct entries, so equal sorted parts mean each entry lands once
+        re = np.arange(4 * 3 * 8 * 8, dtype=np.float64).reshape((4, 3, 8, 8))
+        h = ComplexTensor(Tensor(re), Tensor(-1.0 - re))
+        out = patchify(h, 4)
+        assert out.shape == (4, 4, 48)
+        np.testing.assert_array_equal(np.sort(out.re.data, axis=None), re.ravel())
+        np.testing.assert_array_equal(np.sort(-1.0 - out.im.data, axis=None), re.ravel())
+        # each image's entries stay in that image's sequence
+        for b in range(4):
+            np.testing.assert_array_equal(np.sort(out.re.data[b], axis=None), re[b].ravel())
+
+    def test_unbatched_image_raises(self):
+        h = ComplexTensor(Tensor(np.zeros((1, 8, 8))), Tensor(np.zeros((1, 8, 8))))
+        with pytest.raises(DimensionError, match="batch"):
+            patchify(h, 4)
 
     def test_indivisible_raises(self):
-        h = ComplexTensor(Tensor(np.zeros((1, 9, 9))), Tensor(np.zeros((1, 9, 9))))
+        h = ComplexTensor(Tensor(np.zeros((1, 1, 9, 9))), Tensor(np.zeros((1, 1, 9, 9))))
         with pytest.raises(DimensionError):
             patchify(h, 4)
 
     def test_patch_order_row_major(self):
         # put a marker in the second patch of the first patch row
-        img = np.zeros((1, 8, 8))
-        img[0, 0, 4] = 1.0
+        img = np.zeros((1, 1, 8, 8))
+        img[0, 0, 0, 4] = 1.0
         h = ComplexTensor(Tensor(img), Tensor(np.zeros_like(img)))
-        out = patchify(h, 4).re.data
+        out = patchify(h, 4).re.data[0]
         assert out[1].sum() == 1.0 and out[0].sum() == 0.0
 
 
@@ -242,10 +254,10 @@ class TestForward:
     def test_no_il_is_deterministic(self):
         config = tiny_config()
         model = CMixerModel(config, rng=np.random.default_rng(0))
-        toggles = Toggles(il=False)
+        model.toggles = Toggles(il=False)
         x = np.random.default_rng(2).random((3, 1, 16, 16))
-        a = model.scores(x, toggles=toggles, rng=np.random.default_rng(0))
-        b = model.scores(x, toggles=toggles, rng=np.random.default_rng(99))
+        a = model.scores(x, rng=np.random.default_rng(0))
+        b = model.scores(x, rng=np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
 
     def test_fixed_seed_reproducible(self):
@@ -281,8 +293,10 @@ class TestForward:
         x = rng.random((2, 1, 16, 16))
         eps = rng.standard_normal(x.shape)
         full = model.scores(x, eps=eps)
-        ronly = model.scores(x, eps=eps, toggles=Toggles(p_i=False))
-        ionly = model.scores(x, eps=eps, toggles=Toggles(p_r=False))
+        model.toggles = Toggles(p_i=False)
+        ronly = model.scores(x, eps=eps)
+        model.toggles = Toggles(p_r=False)
+        ionly = model.scores(x, eps=eps)
         for out in (ronly, ionly):
             assert np.all(out > -1.0) and np.all(out < 1.0)
         assert np.abs(full - ronly).max() > 1e-9
@@ -356,6 +370,7 @@ class TestNoGrad:
         config = make_config()
         model = CMixerModel(config, rng=np.random.default_rng(0))
         kwargs = dict(kwargs)
+        model.toggles = kwargs.pop("toggles", Toggles())
         if kwargs.pop("foreign", False):
             kwargs["params"] = init_params(config, np.random.default_rng(9))
         rng = np.random.default_rng(1)
@@ -413,10 +428,10 @@ class TestNoGrad:
         assert scores_peak < 0.5 * graph_peak, (scores_peak, graph_peak)
 
 
-def reference_scores(model, x, eps, head="classify", toggles=Toggles()):
+def reference_scores(model, x, eps, head="classify"):
     """The whole forward in plain complex128 numpy: ``(A+iB) @ h`` mixing,
     per-part layer norm, CReLU and ``tanh`` of the kept parts."""
-    p, cfg = model.params, model.config
+    p, cfg, toggles = model.params, model.config, model.toggles
 
     def weight(name):
         return p[f"{name}.weight.re"] + 1j * p[f"{name}.weight.im"]
@@ -470,11 +485,12 @@ class TestComplexReference:
         jitter = np.random.default_rng(1)
         params = {k: v + 0.1 * jitter.standard_normal(v.shape) for k, v in params.items()}
         model = CMixerModel(config, params=params)
+        model.toggles = toggles
         rng = np.random.default_rng(2)
         x = rng.random((6, config.in_channels, config.image_side, config.image_side))
         eps = rng.standard_normal(x.shape)
-        got = model.scores(x, eps=eps, head=head, toggles=toggles)
-        want = reference_scores(model, x, eps, head=head, toggles=toggles)
+        got = model.scores(x, eps=eps, head=head)
+        want = reference_scores(model, x, eps, head=head)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -566,14 +582,16 @@ TOGGLE_IDS = ["full", "no-ssl", "no-rm", "no-il", "p-real-only", "p-imag-only"]
 class TestCheckpointToggles:
     @pytest.mark.parametrize("toggles", TOGGLE_SETS, ids=TOGGLE_IDS)
     def test_scores_with_the_training_toggles(self, tmp_path, toggles):
-        from cmixer.data import synth_dataset
+        from cmixer.data import Split, synth_dataset
+        from cmixer.metrics import evaluate
         from cmixer.train import TrainConfig, finetune
 
         bundle = synth_dataset(2, 10, 8, np.random.default_rng(0))
         model = CMixerModel(tiny_config(image_side=8, hidden=8, num_layers=1),
                             rng=np.random.default_rng(0))
-        finetune(model, bundle, TrainConfig(epochs=1, batch_size=8, warmup_steps=0,
-                                            toggles=toggles), np.random.default_rng(1))
+        model.toggles = toggles
+        finetune(model, bundle, TrainConfig(epochs=1, batch_size=8, warmup_steps=0),
+                 np.random.default_rng(1))
         assert model.toggles == toggles
         path = tmp_path / "model.npz"
         save_checkpoint(path, model)
@@ -582,8 +600,10 @@ class TestCheckpointToggles:
         rng = np.random.default_rng(2)
         x = rng.random((5, 1, 8, 8))
         eps = rng.standard_normal(x.shape)
-        want = model.scores(x, eps=eps, toggles=toggles)
-        assert np.array_equal(loaded.scores(x, eps=eps), want)
+        want = model.scores(x, eps=eps)
+        assert loaded.scores(x, eps=eps).tobytes() == want.tobytes()
+        want_report = evaluate(model, bundle, Split.TEST, rng=np.random.default_rng(3))
+        assert evaluate(loaded, bundle, Split.TEST, rng=np.random.default_rng(3)) == want_report
 
     def test_meta_without_toggle_lines_loads_defaults(self, tmp_path):
         from cmixer.npzio import write_arrays

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmixer import engine
-from cmixer.data import Split, synth_dataset
+from cmixer.data import MaskSpec, Split, augment_target, random_mask, synth_dataset
 from cmixer.engine import Tape, Tensor, grad_check
 from cmixer.errors import ContractError
 from cmixer.model import CMixerConfig, CMixerModel, Toggles
@@ -365,6 +365,7 @@ def small_setup(seed=0, toggles=None):
     bundle = synth_dataset(2, 40, 16, np.random.default_rng(seed))
     config = CMixerConfig.small(image_side=16, hidden=8, num_layers=1)
     model = CMixerModel(config, rng=np.random.default_rng(seed))
+    model.toggles = toggles if toggles is not None else Toggles()
     train_config = TrainConfig(
         pretrain_epochs=2,
         pretrain_batch_size=28,
@@ -373,7 +374,6 @@ def small_setup(seed=0, toggles=None):
         batch_size=28,
         warmup_steps=2,
         seed=seed,
-        toggles=toggles if toggles is not None else Toggles(),
     )
     return bundle, model, train_config
 
@@ -439,6 +439,55 @@ class TestPretrain:
         bundle2, model2, config2 = small_setup(toggles=Toggles(rm=False))
         plain = pretrain(model2, bundle2, config2, np.random.default_rng(0))
         assert masked.losses != plain.losses
+
+
+def reference_views(bundle, config, seed, rm):
+    """The pre-training views as the loop built them before it masked uint8
+    images: convert to float, then mask, then transpose, with the same RNG
+    order (batch order, augment, anchor mask, target mask, the two eps)."""
+    rng = np.random.default_rng(seed)
+    train_idx = bundle.indices(Split.TRAIN_LABELED, Split.TRAIN_UNLABELED)
+    order = rng.permutation(len(train_idx))
+    views = []
+    mask = MaskSpec(config.mask_rate)
+    for start in range(0, len(order), config.pretrain_batch_size):
+        raw = bundle.images[train_idx[order[start : start + config.pretrain_batch_size]]]
+        anchor = raw.astype(np.float64) / 255.0
+        target = np.stack(
+            [augment_target(img, config.augment, rng) for img in raw]
+        ).astype(np.float64) / 255.0
+        if rm:
+            anchor = random_mask(anchor, mask, rng)
+            target = random_mask(target, mask, rng)
+        anchor = np.transpose(anchor, (0, 3, 1, 2))
+        target = np.transpose(target, (0, 3, 1, 2))
+        views += [(anchor, rng.standard_normal(anchor.shape)),
+                  (target, rng.standard_normal(target.shape))]
+    return views
+
+
+class TestPretrainViews:
+    @pytest.mark.parametrize("rm", [True, False], ids=["rm", "no-rm"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_uint8_masking_matches_the_float_path(self, seed, rm, monkeypatch):
+        bundle, model, config = small_setup(seed=seed, toggles=Toggles(rm=rm))
+        config.pretrain_epochs = 1
+        seen = []
+        forward = model.forward
+
+        def recording_forward(images, **kwargs):
+            seen.append((images, kwargs["eps"]))
+            return forward(images, **kwargs)
+
+        # the anchor goes through forward, the target through scores -> forward
+        monkeypatch.setattr(model, "forward", recording_forward)
+        pretrain(model, bundle, config, np.random.default_rng(seed))
+        want = reference_views(bundle, config, seed, rm)
+        assert len(seen) == len(want) == 4
+        for (images, eps), (ref_images, ref_eps) in zip(seen, want):
+            assert images.shape == ref_images.shape
+            assert images.tobytes() == ref_images.tobytes()
+            assert eps.tobytes() == ref_eps.tobytes()
 
 
 class TestFinetune:
