@@ -292,12 +292,18 @@ def cmd_eval(settings: dict) -> int:
 
 def cmd_splits(settings: dict) -> int:
     bundle = _load_bundle(settings)
-    with OutputDir(settings) as out:
-        rng = np.random.default_rng(settings["seed"])
+    rng = np.random.default_rng(settings["seed"])
+    try:
         semi = make_semi(bundle, settings["semi_frac"], rng)
-        corrupted_idx = np.empty(0, dtype=np.int64)
-        if settings["corrupt_rate"] > 0:
+    except ContractError as exc:
+        raise ConfigError(f"semi_frac={settings['semi_frac']}: {exc}") from None
+    corrupted_idx = np.empty(0, dtype=np.int64)
+    if settings["corrupt_rate"] > 0:
+        try:
             semi, corrupted_idx = corrupt_labels(semi, settings["corrupt_rate"], rng)
+        except ContractError as exc:
+            raise ConfigError(f"corrupt_rate={settings['corrupt_rate']}: {exc}") from None
+    with OutputDir(settings) as out:
         write_npz(semi, out.file("splits.npz"))
         sidecar = out.file("corrupted.csv")
         with open(sidecar, "w", newline="") as fh:
@@ -331,6 +337,8 @@ def cmd_gradcheck(settings: dict, corrupt: str | None = None) -> int:
 
 
 def cmd_noise_stats(settings: dict) -> int:
+    if settings["samples"] < 1:
+        raise ConfigError(f"samples={settings['samples']}: must be at least 1")
     bundle = _load_bundle(settings)
     model = _checked_checkpoint(settings, bundle)
     n = min(settings["samples"], bundle.n)

@@ -35,8 +35,9 @@ Conventions baked into this module:
   over the last axis, the residual add and the mean each build exactly one node;
   only packing two real tensors (``ComplexTensor(re, im)``) and reading a part
   (``.re``/``.im``) add a node of their own
-* ``complex_affine``, ``layernorm`` and ``crelu`` are fused ops with hand-written
-  backward passes; ``complex_affine`` is one block-form GEMM, which beat Gauss's
+* ``complex_affine``, ``layernorm``, ``crelu`` and the loss ops ``softmax``,
+  ``log_softmax`` and ``sub`` are fused ops with hand-written backward passes,
+  one node each; ``complex_affine`` is one block-form GEMM, which beat Gauss's
   3-multiply form on the model's shapes (its extra elementwise passes cost more).
   With ``crelu=True`` it also applies the CReLU in place on its output and takes
   the ReLU mask off that output, so a CReLU after an affine stores no
@@ -55,7 +56,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DomainError, NumericError
+from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
     "Tensor",
@@ -66,13 +67,8 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
-    "div",
     "matmul",
-    "pow_const",
     "tanh",
-    "exp",
-    "log",
     "relu",
     "softplus",
     "softmax",
@@ -182,9 +178,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -228,17 +221,16 @@ def add(a, b) -> Tensor:
     return Tensor(out_data, (a, b), backprop, "add")
 
 
-def neg(a) -> Tensor:
-    a = constant(a)
+def sub(a, b) -> Tensor:
+    a, b = constant(a), constant(b)
+    _broadcast_check(a, b, "sub")
+    out_data = a.data - b.data
 
     def backprop(g):
-        a._accumulate(-g)
+        a._accumulate(_unbroadcast(g, a.shape))
+        b._accumulate(-_unbroadcast(g, b.shape))
 
-    return Tensor(-a.data, (a,), backprop, "neg")
-
-
-def sub(a, b) -> Tensor:
-    return add(a, neg(b))
+    return Tensor(out_data, (a, b), backprop, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -251,10 +243,6 @@ def mul(a, b) -> Tensor:
         b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return Tensor(out_data, (a, b), backprop, "mul")
-
-
-def div(a, b) -> Tensor:
-    return mul(a, pow_const(b, -1.0))
 
 
 def matmul(a, b) -> Tensor:
@@ -270,19 +258,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, (a, b), backprop, "matmul")
 
 
-def pow_const(a, exponent: float) -> Tensor:
-    a = constant(a)
-    exponent = float(exponent)
-    if not exponent.is_integer() and np.any(a.data < 0):
-        raise DomainError("pow: fractional power of a negative value")
-    out_data = a.data**exponent
-
-    def backprop(g):
-        a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-    return Tensor(out_data, (a,), backprop, f"pow{exponent}")
-
-
 def tanh(a) -> Tensor:
     a = constant(a)
     out_data = np.tanh(a.data)
@@ -291,29 +266,6 @@ def tanh(a) -> Tensor:
         a._accumulate(g * (1.0 - out_data * out_data))
 
     return Tensor(out_data, (a,), backprop, "tanh")
-
-
-def exp(a) -> Tensor:
-    a = constant(a)
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-
-    def backprop(g):
-        a._accumulate(g * out_data)
-
-    return Tensor(out_data, (a,), backprop, "exp")
-
-
-def log(a) -> Tensor:
-    a = constant(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log: input must be strictly positive")
-    out_data = np.log(a.data)
-
-    def backprop(g):
-        a._accumulate(g / a.data)
-
-    return Tensor(out_data, (a,), backprop, "log")
 
 
 def relu(a) -> Tensor:
@@ -420,19 +372,37 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor(out_data, (a,), backprop, "mean")
 
 
+def _shifted_exp(x: np.ndarray, axis: int):
+    """``x`` less its max along ``axis``, its exponentials ``e`` and their sum ``s``."""
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, np.sum(e, axis=axis, keepdims=True)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``; the max shift is treated as a constant."""
+    """Softmax along ``axis``, ``e / s``. One node; the backward is
+    ``y * (g - sum(g * y))``."""
     a = constant(a)
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    e = exp(sub(a, Tensor(shift)))
-    return div(e, tsum(e, axis=axis, keepdims=True))
+    _, e, s = _shifted_exp(a.data, axis)
+    out_data = e / s
+
+    def backprop(g):
+        a._accumulate(out_data * (g - np.sum(g * out_data, axis=axis, keepdims=True)))
+
+    return Tensor(out_data, (a,), backprop, "softmax")
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
+    """Log-softmax along ``axis``, ``shifted - log(s)``. One node; the
+    backward is ``g - (sum(g) / s) * e``, rounded as ``g + (-sum(g) / s) * e``."""
     a = constant(a)
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    shifted = sub(a, Tensor(shift))
-    return sub(shifted, log(tsum(exp(shifted), axis=axis, keepdims=True)))
+    shifted, e, s = _shifted_exp(a.data, axis)
+    out_data = shifted - np.log(s)
+
+    def backprop(g):
+        a._accumulate(g + (-np.sum(g, axis=axis, keepdims=True) / s) * e)
+
+    return Tensor(out_data, (a,), backprop, "log_softmax")
 
 
 def layernorm(x, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:

@@ -13,10 +13,6 @@ class NumericError(CMixerError):
     """A computation produced NaN or Inf."""
 
 
-class DomainError(CMixerError):
-    """An input lies outside the mathematical domain of the operation."""
-
-
 class ContractError(CMixerError):
     """A documented precondition was violated by the caller."""
 

@@ -15,6 +15,7 @@ import inspect
 
 import numpy as np
 
+from . import engine
 from .data import DatasetBundle, Split, TaskKind
 from .errors import ContractError, DimensionError
 from .metrics import predictions_for_task
@@ -185,9 +186,7 @@ class CMixerClassifier:
         return self.model_.scores(x, rng=np.random.default_rng(self.random_state))
 
     def predict_proba(self, X) -> np.ndarray:
-        scores = self.decision_function(X)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        return engine.softmax(self.decision_function(X), axis=1).data
 
     def predict(self, X) -> np.ndarray:
         scores = self.decision_function(X)

@@ -208,13 +208,11 @@ def _suite_entries():
         lambda lv: engine.tanh(lv["x"]).sum(),
         {"x": rng.standard_normal((4, 4))},
     ))
-    op("exp", lambda: (
-        lambda lv: engine.exp(lv["x"]).sum(),
-        {"x": rng.standard_normal((4, 4))},
-    ))
-    op("log", lambda: (
-        lambda lv: engine.log(engine.add(engine.mul(lv["x"], lv["x"]), 0.2)).sum(),
-        {"x": rng.standard_normal((4, 4))},
+    # b is the first row of a 4x4 draw, broadcast over a's rows; the two
+    # full draws keep the inputs of the entries after this one
+    op("sub_broadcast", lambda: (
+        lambda lv: engine.mul(engine.sub(lv["a"], lv["b"]), a44).sum(),
+        {"a": rng.standard_normal((4, 4)), "b": rng.standard_normal((4, 4))[0]},
     ))
     op("softplus", lambda: (
         lambda lv: engine.softplus(lv["x"]).sum(),

@@ -74,6 +74,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.pretrain_batch_size < 1:
             raise ContractError("batch_size and pretrain_batch_size must be at least 1")
+        for key in ("lr", "pretrain_lr", "epochs", "pretrain_epochs", "warmup_steps",
+                    "pretrain_warmup_steps"):
+            if getattr(self, key) < 0:
+                raise ContractError(f"{key} must be nonnegative, got {getattr(self, key)}")
+        if self.clip_norm <= 0:
+            raise ContractError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not 0.0 <= self.mask_rate <= 1.0:
+            raise ContractError(f"mask_rate must be in [0,1], got {self.mask_rate}")
         if self.temperature <= 0:
             raise ContractError("temperature must be positive")
         if not 0.0 <= self.ema_decay <= 1.0:
@@ -132,6 +140,19 @@ def bce_with_logits(logits, targets) -> Tensor:
     return engine.tmean(engine.sub(engine.softplus(logits), engine.mul(logits, t)))
 
 
+def _onehot(labels, k: int) -> np.ndarray:
+    y = np.asarray(labels).reshape(-1)
+    onehot = np.zeros((len(y), k))
+    onehot[np.arange(len(y)), y] = 1.0
+    return onehot
+
+
+def _soft_cross_entropy(logits: Tensor, q: np.ndarray) -> Tensor:
+    """Mean over rows of H(q, softmax(logits)); the targets ``q`` are constants."""
+    logp = engine.log_softmax(logits, axis=1)
+    return engine.mul(engine.tsum(engine.mul(logp, q)), -1.0 / logits.shape[0])
+
+
 def cross_entropy(logits, labels) -> Tensor:
     """Mean softmax cross-entropy against integer class labels."""
     logits = engine.constant(logits)
@@ -143,10 +164,7 @@ def cross_entropy(logits, labels) -> Tensor:
         raise ContractError(f"{y.shape[0]} labels for {n} rows of logits")
     if y.min(initial=0) < 0 or y.max(initial=0) >= k:
         raise ContractError(f"labels outside [0, {k})")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
-    logp = engine.log_softmax(logits, axis=1)
-    return engine.mul(engine.tsum(engine.mul(logp, onehot)), -1.0 / n)
+    return _soft_cross_entropy(logits, _onehot(y, k))
 
 
 def ssl_loss(anchor_out, target_out, temperature: float = 0.5) -> Tensor:
@@ -162,13 +180,8 @@ def ssl_loss(anchor_out, target_out, temperature: float = 0.5) -> Tensor:
     target = target_out.data if isinstance(target_out, Tensor) else np.asarray(target_out)
     if target.shape != anchor_out.shape:
         raise ContractError(f"target {target.shape} != anchor {anchor_out.shape}")
-    scaled = target / temperature
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    q = np.exp(scaled)
-    q /= q.sum(axis=1, keepdims=True)
-    logp = engine.log_softmax(engine.mul(anchor_out, 1.0 / temperature), axis=1)
-    n = anchor_out.shape[0]
-    return engine.mul(engine.tsum(engine.mul(logp, q)), -1.0 / n)
+    q = engine.softmax(target / temperature, axis=1).data
+    return _soft_cross_entropy(engine.mul(anchor_out, 1.0 / temperature), q)
 
 
 @dataclass
@@ -341,9 +354,7 @@ def loss_for_task(task: TaskKind, logits: Tensor, labels: np.ndarray, num_classe
     if task is TaskKind.MULTILABEL:
         return bce_with_logits(logits, labels)
     if task is TaskKind.BINARY:
-        onehot = np.zeros((len(labels), num_classes))
-        onehot[np.arange(len(labels)), np.asarray(labels).reshape(-1)] = 1.0
-        return bce_with_logits(logits, onehot)
+        return bce_with_logits(logits, _onehot(labels, num_classes))
     return cross_entropy(logits, labels)
 
 

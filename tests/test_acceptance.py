@@ -47,7 +47,8 @@ def test_c01_gradient_fidelity():
     assert result.seconds < 60.0, f"gradcheck took {result.seconds:.1f}s"
     names = {r.name for r in result.results}
     for required in (
-        "complex_affine", "crelu", "layernorm", "softmax", "incentive_sampler",
+        "complex_affine", "crelu", "layernorm", "softmax", "log_softmax", "sub_broadcast",
+        "incentive_sampler",
         "model_cross_entropy", "model_bce", "model_ssl_loss",
     ):
         assert required in names

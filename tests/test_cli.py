@@ -304,6 +304,14 @@ class TestConfigHandling:
             ("finetune", "patch=5", ["patch"]),
             ("finetune", "num_classes=2", ["num_classes"]),
             ("finetune", "patch=32", ["patch", "not divisible"]),
+            ("finetune", "clip_norm=0", ["clip_norm"]),
+            ("pretrain", "mask_rate=1.5", ["mask_rate"]),
+            ("finetune", "lr=-1", ["error: lr "]),
+            ("pretrain", "pretrain_lr=-1", ["pretrain_lr"]),
+            ("finetune", "epochs=-1", ["error: epochs "]),
+            ("pretrain", "pretrain_epochs=-1", ["pretrain_epochs"]),
+            ("finetune", "warmup_steps=-3", ["error: warmup_steps "]),
+            ("pretrain", "pretrain_warmup_steps=-3", ["pretrain_warmup_steps"]),
         ],
     )
     def test_bad_value_exit_2_names_key(self, fast_config, tmp_path, capsys, command, line,
@@ -317,6 +325,26 @@ class TestConfigHandling:
         assert "config error" in err
         for word in named:
             assert word in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("splits", ["--semi-frac", "0"], "semi_frac"),
+            ("splits", ["--corrupt-rate", "2"], "corrupt_rate"),
+            # checked before the data and the checkpoint are read: both are missing
+            ("noise-stats", ["--samples", "0", "--data", "missing.npz"], "samples"),
+            ("noise-stats", ["--samples", "-3", "--data", "missing.npz"], "samples"),
+        ],
+    )
+    def test_bad_flag_exit_2_names_key(self, fast_config, tmp_path, capsys, command, flags,
+                                       named):
+        code = main([command, "--config", fast_config, "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(tmp_path / "missing.npz"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "config error" in err and named in err
+        assert not (tmp_path / "o").exists()
 
     def test_lockfile_blocks_concurrent_use(self, fast_config, tmp_path):
         out = tmp_path / "locked"

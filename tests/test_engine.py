@@ -18,7 +18,7 @@ from cmixer.engine import (
     layernorm,
     topo_order,
 )
-from cmixer.errors import ContractError, DimensionError, DomainError, NumericError
+from cmixer.errors import ContractError, DimensionError, NumericError
 from cmixer.gradcheck import run_suite
 from cmixer.model import CMixerConfig, CMixerModel
 from cmixer.train import cross_entropy, ssl_loss
@@ -346,15 +346,19 @@ class TestScalarOps:
     def test_mean(self):
         assert engine.tmean(Tensor([1.0, 2.0, 3.0])).data == pytest.approx(2.0)
 
-    def test_log_domain_error(self):
-        with pytest.raises(DomainError):
-            engine.log(Tensor([1.0, 0.0]))
-        with pytest.raises(DomainError):
-            engine.log(Tensor([-1.0]))
-
     def test_overflow_is_numeric_error(self):
-        with pytest.raises(NumericError):
-            engine.exp(Tensor([1000.0]))
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            engine.mul(Tensor([1e308]), 10.0)
+
+    @pytest.mark.parametrize("name, op", [
+        ("softmax", lambda t: engine.softmax(t, axis=1)),
+        ("log_softmax", lambda t: engine.log_softmax(t, axis=1)),
+        ("sub", lambda t: engine.sub(t, Tensor(np.ones(3)))),
+    ])
+    def test_loss_ops_build_one_node(self, name, op):
+        out = op(Tensor(np.arange(6.0).reshape(2, 3)))
+        assert out._op == name
+        assert all(p._parents == () for p in out._parents)
 
     def test_nan_input_is_numeric_error(self):
         with pytest.raises(NumericError):
@@ -576,8 +580,9 @@ class TestNoGrad:
         assert bare.data.tobytes() == taped.data.tobytes()
 
     def test_ops_still_validate(self):
-        with engine.no_grad(), pytest.raises(NumericError, match="exp"):
-            engine.exp(np.array([1e308]))
+        with engine.no_grad(), pytest.raises(NumericError, match="mul"), \
+                np.errstate(over="ignore"):
+            engine.mul(np.array([1e308]), 10.0)
 
     def test_leaf_inside_raises(self):
         tape = Tape()
@@ -593,9 +598,9 @@ class TestNoGrad:
         assert engine.mul(np.ones(2), 2.0)._backprop is not None
 
     def test_state_restored_after_exception(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
             with engine.no_grad():
-                engine.log(np.zeros(2))
+                engine.mul(np.array([1e308]), 10.0)
         tape = Tape()
         x = tape.leaf("x", np.array([1.0, 2.0]))
         grads = tape.backward(engine.mul(x, x).sum())
@@ -643,9 +648,9 @@ class TestGradCheck:
             ("add", lambda lv: engine.add(lv["a"], lv["b"]).sum()),
             ("mul", lambda lv: engine.mul(lv["a"], lv["b"]).sum()),
             ("sub", lambda lv: engine.sub(lv["a"], lv["b"]).sum()),
+            ("sub_broadcast", lambda lv: engine.mul(engine.sub(lv["a"], lv["g"]), lv["b"]).sum()),
             ("matmul", lambda lv: engine.matmul(lv["a"], lv["b"].transpose((1, 0))).sum()),
             ("tanh", lambda lv: engine.tanh(lv["a"]).sum()),
-            ("exp", lambda lv: engine.exp(lv["a"]).sum()),
             ("softplus", lambda lv: engine.softplus(engine.mul(lv["a"], lv["b"])).sum()),
             ("mean", lambda lv: engine.tmean(engine.mul(lv["a"], lv["a"]), axis=1).sum()),
             ("softmax", lambda lv: engine.mul(engine.softmax(lv["a"], axis=1), lv["b"]).sum()),
@@ -659,14 +664,11 @@ class TestGradCheck:
                     layernorm(lv["a"], lv["g"], lv["be"], axis=1), lv["b"]
                 ).sum(),
             ),
-            ("pow", lambda lv: engine.pow_const(engine.exp(lv["a"]), -0.5).sum()),
             ("reshape", lambda lv: engine.mul(lv["a"].reshape((8, 2)), 3.0).sum()),
             (
                 "transpose",
                 lambda lv: engine.mul(lv["a"].transpose((1, 0)), lv["b"].transpose((1, 0))).sum(),
             ),
-            ("log", lambda lv: engine.log(engine.add(engine.mul(lv["a"], lv["a"]), 0.1)).sum()),
-            ("div", lambda lv: engine.div(lv["a"], engine.add(engine.mul(lv["b"], lv["b"]), 1.0)).sum()),
         ],
     )
     def test_every_op_matches_finite_differences(self, name, builder):

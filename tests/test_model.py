@@ -21,7 +21,7 @@ from cmixer.model import (
     sample_incentive,
     save_checkpoint,
 )
-from cmixer.train import loss_for_task
+from cmixer.train import cross_entropy, loss_for_task, ssl_loss
 
 
 def tiny_config(**kw):
@@ -335,15 +335,22 @@ class TestForward:
 
     def test_training_step_node_count(self):
         """One training step of the fit-tiny benchmark model builds a fixed
-        graph; the count is pinned so that un-fusing an op shows."""
+        graph for each loss (BCE, softmax cross-entropy, SSL); the counts
+        are pinned so that un-fusing an op shows."""
         config = CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
         model = CMixerModel(config, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
         x = rng.random((32, 1, 8, 8))
-        tape = Tape()
-        out = model.forward(x, eps=rng.standard_normal(x.shape), tape=tape)
-        loss = loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2)
-        assert len(engine.topo_order(loss)) == 108
+        eps = rng.standard_normal(x.shape)
+        labels = rng.integers(0, 2, 32)
+
+        def nodes(loss, head="classify"):
+            out = model.forward(x, eps=eps, head=head, tape=Tape())
+            return len(engine.topo_order(loss(out)))
+
+        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 107
+        assert nodes(lambda out: cross_entropy(out, labels)) == 108
+        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 110
 
 
 def fit_tiny_config():
