@@ -291,6 +291,8 @@ def cmd_eval(settings: dict) -> int:
 
 
 def cmd_splits(settings: dict) -> int:
+    if not 0.0 <= settings["corrupt_rate"] <= 1.0:  # a rate of 0 or less skips corrupt_labels
+        raise ConfigError(f"corrupt_rate={settings['corrupt_rate']}: must be in [0,1]")
     bundle = _load_bundle(settings)
     rng = np.random.default_rng(settings["seed"])
     try:

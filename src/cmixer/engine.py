@@ -30,7 +30,10 @@ without a tape.
 
 Conventions baked into this module:
 
-* every op validates its output once for NaN/Inf and raises ``NumericError``
+* every op validates its output once for NaN/Inf and raises ``NumericError`` naming
+  itself, except those built by ``_exempt``, which cannot make NaN/Inf from finite inputs:
+  ``relu``/``crelu``, ``reshape``, ``transpose``, ``.re``/``.im``, ``ComplexTensor(re, im)``
+  and ``model._open_unit``
 * a complex op is one node over ``z``: ``complex_affine``, ``crelu``, ``layernorm``
   over the last axis, the residual add and the mean each build exactly one node;
   only packing two real tensors (``ComplexTensor(re, im)``) and reading a part
@@ -84,7 +87,7 @@ __all__ = [
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -107,29 +110,25 @@ class Tensor:
 
     ``grad`` is populated by ``Tape.backward`` and is always an array of
     the same shape as ``data``; once the walk is done, only the registered
-    leaves and the loss keep theirs. Tensors with no parents act as leaves or
-    constants; whether the gradient is reported depends on tape
-    registration, not on the node itself.
+    leaves and the loss keep theirs. A tensor with no parents is a leaf if
+    ``Tape.leaf`` made it (its op reads ``leaf:<name>``) and a constant
+    otherwise; a constant takes no gradient.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backprop", "_op")
 
-    def __init__(
-        self,
-        data,
-        _parents: tuple = (),
-        _backprop: Callable[[np.ndarray], None] | None = None,
-        _op: str = "const",
-    ):
+    def __init__(self, data, _parents: tuple = (),
+                 _backprop: Callable[[np.ndarray], None] | None = None, _op: str = "const"):
         arr = np.asarray(data, dtype=np.float64)
         _ensure_finite(arr, _op)
+        self._link(arr, _parents, _backprop, _op)
+
+    def _link(self, arr: np.ndarray, parents: tuple, backprop, op: str) -> "Tensor":
         if not _grad_enabled:
-            _parents, _backprop = (), None
-        self.data = arr
-        self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backprop = _backprop
-        self._op = _op
+            parents, backprop = (), None
+        self.data, self.grad, self._op = arr, None, op
+        self._parents, self._backprop = parents, backprop
+        return self
 
     @property
     def shape(self) -> tuple:
@@ -144,9 +143,11 @@ class Tensor:
         return self.data.size
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is not None:
+            self.grad += g
+        elif self._parents or self._op.startswith("leaf:"):  # constants take no gradient
+            # first arrival in one pass: -0.0 becomes +0.0 and the layout is data's
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
@@ -189,13 +190,17 @@ def constant(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
+def _exempt(data: np.ndarray, parents: tuple, backprop, op: str) -> Tensor:
+    """A node without the finite check; only for the exempt ops of the module docstring."""
+    return Tensor.__new__(Tensor)._link(np.asarray(data, dtype=np.float64), parents, backprop, op)
+
+
+def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """``ufunc(a.data, b.data)``; a numpy broadcast failure raises ``DimensionError``."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
-        raise DimensionError(
-            f"{op}: shapes {a.shape} and {b.shape} do not broadcast"
-        ) from None
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -211,8 +216,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    _broadcast_check(a, b, "add")
-    out_data = a.data + b.data
+    out_data = _broadcast(np.add, a, b, "add")
 
     def backprop(g):
         a._accumulate(_unbroadcast(g, a.shape))
@@ -223,8 +227,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    _broadcast_check(a, b, "sub")
-    out_data = a.data - b.data
+    out_data = _broadcast(np.subtract, a, b, "sub")
 
     def backprop(g):
         a._accumulate(_unbroadcast(g, a.shape))
@@ -235,8 +238,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    _broadcast_check(a, b, "mul")
-    out_data = a.data * b.data
+    out_data = _broadcast(np.multiply, a, b, "mul")
 
     def backprop(g):
         a._accumulate(_unbroadcast(g * b.data, a.shape))
@@ -276,7 +278,7 @@ def relu(a) -> Tensor:
         # derivative at the kink (input exactly 0) is defined as 0
         a._accumulate(g * (a.data > 0.0))
 
-    return Tensor(out_data, (a,), backprop, "relu")
+    return _exempt(out_data, (a,), backprop, "relu")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -310,7 +312,7 @@ def reshape(a, shape) -> Tensor:
     def backprop(g):
         a._accumulate(g.reshape(a.shape))
 
-    return Tensor(out_data, (a,), backprop, "reshape")
+    return _exempt(out_data, (a,), backprop, "reshape")
 
 
 def transpose(a, axes) -> Tensor:
@@ -324,7 +326,7 @@ def transpose(a, axes) -> Tensor:
     def backprop(g):
         a._accumulate(g.transpose(inverse))
 
-    return Tensor(out_data, (a,), backprop, "transpose")
+    return _exempt(out_data, (a,), backprop, "transpose")
 
 
 def _norm_axis(axis, ndim: int):
@@ -341,12 +343,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = np.sum(a.data, axis=axes, keepdims=keepdims)
 
     def backprop(g):
-        if axes is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
+        if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.shape))
 
     return Tensor(out_data, (a,), backprop, "sum")
 
@@ -474,7 +473,7 @@ class ComplexTensor:
             re._accumulate(g[..., 0, :])
             im._accumulate(g[..., 1, :])
 
-        self.z = Tensor(np.stack((re.data, im.data), axis=-2), (re, im), backprop, "complex")
+        self.z = _exempt(np.stack((re.data, im.data), axis=-2), (re, im), backprop, "complex")
 
     @classmethod
     def packed(cls, z: Tensor) -> "ComplexTensor":
@@ -505,7 +504,7 @@ class ComplexTensor:
                 z.grad = np.zeros_like(z.data)
             z.grad[..., i, :] += g
 
-        return Tensor(z.data[..., i, :], (z,), backprop, "re" if i == 0 else "im")
+        return _exempt(z.data[..., i, :], (z,), backprop, "re" if i == 0 else "im")
 
     def mean(self, axis: int) -> "ComplexTensor":
         """Mean over one logical axis."""

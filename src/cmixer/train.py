@@ -24,7 +24,7 @@ from . import engine
 from .data import AugmentSpec, DatasetBundle, MaskSpec, Split, TaskKind, augment_target, random_mask
 from .engine import Tape, Tensor
 from .errors import ContractError, NumericError
-from .model import CMixerModel
+from .model import CMixerModel, field_types
 
 __all__ = [
     "TrainConfig",
@@ -72,6 +72,9 @@ class TrainConfig:
     augment: AugmentSpec = field(default_factory=AugmentSpec)
 
     def __post_init__(self):
+        for key, kind in field_types(TrainConfig).items():  # NaN passes the checks below
+            if kind is float and not math.isfinite(getattr(self, key)):
+                raise ContractError(f"{key} must be finite, got {getattr(self, key)}")
         if self.batch_size < 1 or self.pretrain_batch_size < 1:
             raise ContractError("batch_size and pretrain_batch_size must be at least 1")
         for key in ("lr", "pretrain_lr", "epochs", "pretrain_epochs", "warmup_steps",
@@ -263,7 +266,7 @@ def adamw_step(
         g = grads[name]
         if g.shape != params[name].shape:
             raise ContractError(f"gradient for {name} has wrong shape")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}")
         # in place, in the operation order of m = b1*m + (1-b1)*g,
         # v = b2*v + (1-b2)*(g*g) and p -= lr * (m/bias1) / (sqrt(v/bias2) + eps),
@@ -309,7 +312,7 @@ def sgd_momentum_step(
         g = grads[name]
         if g.shape != params[name].shape:
             raise ContractError(f"gradient for {name} has wrong shape")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}")
         velocity = state.velocity[name]  # updated in place, same operation order
         velocity *= state.momentum

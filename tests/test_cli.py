@@ -312,6 +312,9 @@ class TestConfigHandling:
             ("pretrain", "pretrain_epochs=-1", ["pretrain_epochs"]),
             ("finetune", "warmup_steps=-3", ["error: warmup_steps "]),
             ("pretrain", "pretrain_warmup_steps=-3", ["pretrain_warmup_steps"]),
+            ("finetune", "lr=nan", ["error: lr "]),
+            ("finetune", "clip_norm=inf", ["clip_norm"]),
+            ("pretrain", "temperature=nan", ["temperature"]),
         ],
     )
     def test_bad_value_exit_2_names_key(self, fast_config, tmp_path, capsys, command, line,
@@ -335,6 +338,9 @@ class TestConfigHandling:
             # checked before the data and the checkpoint are read: both are missing
             ("noise-stats", ["--samples", "0", "--data", "missing.npz"], "samples"),
             ("noise-stats", ["--samples", "-3", "--data", "missing.npz"], "samples"),
+            # a rate of 0 or less never reaches corrupt_labels' own range check
+            ("splits", ["--corrupt-rate", "-1"], "corrupt_rate"),
+            ("splits", ["--corrupt-rate", "nan"], "corrupt_rate"),
         ],
     )
     def test_bad_flag_exit_2_names_key(self, fast_config, tmp_path, capsys, command, flags,

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cmixer import engine
 from cmixer.engine import (
@@ -20,7 +22,7 @@ from cmixer.engine import (
 )
 from cmixer.errors import ContractError, DimensionError, NumericError
 from cmixer.gradcheck import run_suite
-from cmixer.model import CMixerConfig, CMixerModel
+from cmixer.model import CMixerConfig, CMixerModel, _open_unit
 from cmixer.train import cross_entropy, ssl_loss
 
 
@@ -381,8 +383,136 @@ class TestScalarOps:
         np.testing.assert_allclose(out.sum(axis=1), [1.0, 1.0], atol=1e-12)
 
     def test_broadcast_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            engine.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+        for op in ("add", "sub", "mul"):
+            with pytest.raises(DimensionError,
+                               match=fr"^{op}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
+                getattr(engine, op)(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+
+
+# finite float64 arrays up to the largest magnitudes, where arithmetic overflows
+finite_arrays = hnp.arrays(np.float64, st.sampled_from([(3,), (2, 3), (2, 2, 3)]),
+                           elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@contextlib.contextmanager
+def finite_checks():
+    """Inside the block, record the op of every output the finite check sees."""
+    seen = []
+    check = engine._ensure_finite
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_ensure_finite", lambda arr, op: (seen.append(op), check(arr, op)))
+        yield seen
+
+
+class TestFiniteCheckExemptions:
+    """Each op here skips the output check. It is sound because the op's input
+    is a node, which passed its own check, and finite input gives finite output."""
+
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_relu(self, data):
+        """max(x, 0) is x or 0: no arithmetic that can round to Inf."""
+        x = Tensor(data)
+        with finite_checks() as seen:
+            out = engine.relu(x)
+        assert seen == [] and out._op == "relu" and np.isfinite(out.data).all()
+
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_crelu(self, data):
+        """crelu is one relu over z, so each part is x or 0."""
+        h = ComplexTensor.packed(Tensor(np.stack((data, -data), axis=-2)))
+        with finite_checks() as seen:
+            out = crelu(h)
+        assert seen == [] and out.z._op == "relu" and np.isfinite(out.z.data).all()
+
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_reshape(self, data):
+        """A reshape is a view of the same values."""
+        x = Tensor(data)
+        with finite_checks() as seen:
+            out = engine.reshape(x, (-1,))
+        assert seen == [] and out.data.tobytes() == data.tobytes()
+
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_transpose(self, data):
+        """A transpose is a view of the same values in another order."""
+        x, axes = Tensor(data), tuple(reversed(range(data.ndim)))
+        with finite_checks() as seen:
+            out = engine.transpose(x, axes)
+        assert seen == [] and np.array_equal(out.data, data.transpose(axes))
+
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_part_slices(self, data):
+        """``.re`` and ``.im`` are views of one half of z's values."""
+        h = ComplexTensor.packed(Tensor(np.stack((data, -data), axis=-2)))
+        with finite_checks() as seen:
+            re, im = h.re, h.im
+        assert seen == []
+        assert re.data.tobytes() == data.tobytes() and np.array_equal(im.data, -data)
+
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_packing(self, data):
+        """``ComplexTensor(re, im)`` stacks the two parts' values unchanged."""
+        x = Tensor(data)
+        with finite_checks() as seen:
+            out = ComplexTensor(x, x)
+        assert seen == [] and out.z._op == "complex"
+        assert out.z.data[..., 0, :].tobytes() == data.tobytes()
+
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_open_unit(self, data):
+        """The head's clip to the open unit interval returns x or a bound just inside +-1."""
+        x = Tensor(data)
+        with finite_checks() as seen:
+            out = _open_unit(x)
+        assert seen == [] and out._op == "open_unit" and np.all(np.abs(out.data) < 1.0)
+
+    def test_nan_constant_is_reported_as_const(self):
+        tape = Tape()
+        x = tape.leaf("x", np.ones(2))
+        with pytest.raises(NumericError, match="op 'const'"):
+            engine.add(x, np.array([np.nan, 0.0]))
+
+    def test_overflow_names_the_arithmetic_op_not_the_exempt_one_after_it(self):
+        x = Tensor(np.full((2, 3), 1e308))
+        with pytest.raises(NumericError, match="op 'add'"), np.errstate(over="ignore"):
+            engine.relu(engine.reshape(engine.add(x, x), (6,)))
+        with pytest.raises(NumericError, match="op 'mul'"), np.errstate(over="ignore"):
+            ComplexTensor(engine.mul(x, 10.0), x).re
+
+    def test_each_checked_op_checks_once(self):
+        with finite_checks() as seen:
+            engine.tanh(engine.relu(engine.mul(np.ones(3), 2.0)))
+        assert seen == ["const", "const", "mul", "tanh"]
+
+
+class TestFirstGradientArrival:
+    def test_keeps_the_layout_of_data_and_maps_negative_zero(self):
+        tape = Tape()
+        x = tape.leaf("x", np.ones((3, 4)))
+        t = engine.transpose(x, (1, 0))  # a Fortran-ordered view of x
+        g = np.array([[-0.0, 1.0, -2.0], [0.0, -0.0, 3.0], [4.0, 5.0, -0.0], [6.0, 7.0, 8.0]])
+        t._accumulate(g)
+        assert t.grad.strides == t.data.strides and t.grad.strides != g.strides
+        assert not np.signbit(t.grad[g == 0.0]).any()
+        np.testing.assert_array_equal(t.grad, g)
+        t._accumulate(g)  # later arrivals add in place
+        np.testing.assert_array_equal(t.grad, 2 * g)
+
+    def test_leaf_gradient_maps_negative_zero(self):
+        tape = Tape()
+        x = tape.leaf("x", np.asfortranarray(np.ones((2, 3))))
+        c = np.array([[-0.0, 1.0, -0.0], [2.0, -0.0, 3.0]])
+        grads = tape.backward(engine.mul(x, c).sum())
+        assert grads["x"].strides == x.data.strides
+        assert not np.signbit(grads["x"]).any()
+        np.testing.assert_array_equal(grads["x"], c)
 
 
 class TestBackward:
@@ -516,6 +646,24 @@ class TestReleaseWalk:
         c = Tensor(np.full(3, 2.0))
         tape.backward(engine.mul(x, c).sum())
         assert c.grad is None
+
+    def test_model_constants_take_no_gradient(self):
+        """The packed image, the noise ``eps`` and the loss targets are
+        constants: even a walk that releases nothing leaves them no gradient."""
+        config = fit_tiny_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(2)
+        x = rng.random((4, config.in_channels, config.image_side, config.image_side))
+        tape = Tape()
+        loss = cross_entropy(model.forward(x, eps=rng.standard_normal(x.shape), tape=tape),
+                             np.arange(4) % config.num_classes)
+        nodes = topo_order(loss)
+        reference_backward(tape, loss)
+        constants = [n for n in nodes if n._parents == () and n._op == "const"]
+        assert len(constants) >= 3
+        assert all(n.grad is None for n in constants)
+        leaves = [n for n in nodes if n._op.startswith("leaf:")]
+        assert leaves and all(n.grad is not None for n in leaves)
 
     def test_second_walk_on_a_used_tape_raises(self):
         tape = Tape()

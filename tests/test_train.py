@@ -5,7 +5,7 @@ from cmixer import engine
 from cmixer.data import MaskSpec, Split, augment_target, random_mask, synth_dataset
 from cmixer.engine import Tape, Tensor, grad_check
 from cmixer.errors import ContractError
-from cmixer.model import CMixerConfig, CMixerModel, Toggles
+from cmixer.model import CMixerConfig, CMixerModel, Toggles, field_types
 from cmixer.train import (
     AdamWState,
     EmaState,
@@ -320,6 +320,21 @@ class TestInPlaceState:
             reference_ema(ref, live)
             _bitwise(ema.shadow, ref.shadow)
         _bitwise(params, before)  # the in-place shadow update never writes the params
+
+
+FLOAT_KEYS = [k for k, kind in field_types(TrainConfig).items() if kind is float]
+
+
+class TestTrainConfig:
+    def test_float_keys_cover_the_reported_ones(self):
+        assert {"lr", "pretrain_lr", "clip_norm", "temperature", "momentum"} <= set(FLOAT_KEYS)
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_is_rejected_naming_key(self, key, value):
+        # every range check compares, and NaN passes any comparison that is negated
+        with pytest.raises(ContractError, match=f"^{key} must be finite"):
+            TrainConfig(**{key: value})
 
 
 class TestSchedule:
