@@ -71,7 +71,6 @@ class CMixerClassifier:
         batch_size: int = 64,
         learning_rate: float = 0.01,
         momentum: float = 0.9,
-        weight_decay: float = 0.0,
         warmup_steps: int = 20,
         clip_norm: float = 1.0,
         pretrain_epochs: int = 0,
@@ -89,7 +88,6 @@ class CMixerClassifier:
         self.batch_size = batch_size
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
         self.clip_norm = clip_norm
         self.pretrain_epochs = pretrain_epochs
@@ -130,7 +128,6 @@ class CMixerClassifier:
             batch_size=self.batch_size,
             lr=self.learning_rate,
             momentum=self.momentum,
-            weight_decay=self.weight_decay,
             warmup_steps=self.warmup_steps,
             clip_norm=self.clip_norm,
             mask_rate=self.mask_rate,

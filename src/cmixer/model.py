@@ -461,6 +461,8 @@ class CMixerModel:
         constants and tensors are used as they are. Either way the graph
         is built unless the call runs inside ``engine.no_grad``.
         """
+        if head not in ("classify", "ssl"):  # before any of the trunk's work
+            raise ContractError(f"unknown head {head!r}")
         cfg = self.config
         x = np.asarray(images, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.image_side, cfg.image_side):
@@ -487,8 +489,6 @@ class CMixerModel:
         for i in range(cfg.num_layers):
             h = mixer_block_forward(h, p, f"block{i}")
         pooled = h.mean(axis=1)  # over the patch sequence
-        if head not in ("classify", "ssl"):
-            raise ContractError(f"unknown head {head!r}")
         prefix = "head" if head == "classify" else "ssl_head"
         out = _affine(pooled, p, prefix, bias=True, axis=-1)
         return pearson_project(out, use_real=self.toggles.p_r, use_imag=self.toggles.p_i)

@@ -16,7 +16,7 @@ seed gives a bitwise-identical trajectory at 64-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,10 @@ __all__ = [
     "FinetuneResult",
 ]
 
+# fixed, not settings: AdamW's moment decays and floor, and pretrain's target-view augmentation
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_AUGMENT = AugmentSpec()
+
 
 @dataclass
 class TrainConfig:
@@ -62,14 +66,12 @@ class TrainConfig:
     batch_size: int = 512
     lr: float = 0.01
     momentum: float = 0.9
-    weight_decay: float = 0.0
     warmup_steps: int = 100
     clip_norm: float = 1.0
     mask_rate: float = 0.2
     temperature: float = 0.5
     ema_decay: float = 0.99
     seed: int = 0
-    augment: AugmentSpec = field(default_factory=AugmentSpec)
 
     def __post_init__(self):
         for key, kind in field_types(TrainConfig).items():  # NaN passes the checks below
@@ -78,9 +80,11 @@ class TrainConfig:
         if self.batch_size < 1 or self.pretrain_batch_size < 1:
             raise ContractError("batch_size and pretrain_batch_size must be at least 1")
         for key in ("lr", "pretrain_lr", "epochs", "pretrain_epochs", "warmup_steps",
-                    "pretrain_warmup_steps"):
+                    "pretrain_warmup_steps", "pretrain_weight_decay"):
             if getattr(self, key) < 0:
                 raise ContractError(f"{key} must be nonnegative, got {getattr(self, key)}")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ContractError(f"momentum must be in [0,1], got {self.momentum}")
         if self.clip_norm <= 0:
             raise ContractError(f"clip_norm must be positive, got {self.clip_norm}")
         if not 0.0 <= self.mask_rate <= 1.0:
@@ -237,9 +241,6 @@ class AdamWState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
@@ -260,8 +261,8 @@ def adamw_step(
     """One bias-corrected AdamW update; parameters and moments change in place."""
     state.step += 1
     t = state.step
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
     for name in sorted(params):
         g = grads[name]
         if g.shape != params[name].shape:
@@ -272,17 +273,17 @@ def adamw_step(
         # v = b2*v + (1-b2)*(g*g) and p -= lr * (m/bias1) / (sqrt(v/bias2) + eps),
         # so the values are bitwise those of that out-of-place form
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
         sq = g * g
-        sq *= 1.0 - state.beta2
-        v *= state.beta2
+        sq *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += sq
         update = np.divide(m, bias1)
         update *= lr
         den = np.divide(v, bias2, out=sq)
         np.sqrt(den, out=den)
-        den += state.eps
+        den += ADAM_EPS
         update /= den
         if state.weight_decay:
             params[name] *= 1.0 - lr * state.weight_decay
@@ -400,7 +401,7 @@ def pretrain(
     for epoch in range(config.pretrain_epochs):
         for batch in _batches(len(train_idx), config.pretrain_batch_size, rng):
             anchor = bundle.images[train_idx[batch]]
-            target = np.stack([augment_target(img, config.augment, rng) for img in anchor])
+            target = np.stack([augment_target(img, _AUGMENT, rng) for img in anchor])
             if model.toggles.rm:
                 anchor = random_mask(anchor, mask, rng)
                 target = random_mask(target, mask, rng)

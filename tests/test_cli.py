@@ -315,6 +315,11 @@ class TestConfigHandling:
             ("finetune", "lr=nan", ["error: lr "]),
             ("finetune", "clip_norm=inf", ["clip_norm"]),
             ("pretrain", "temperature=nan", ["temperature"]),
+            ("finetune", "momentum=-3", ["momentum"]),
+            ("finetune", "momentum=7", ["momentum"]),
+            ("pretrain", "pretrain_weight_decay=-1", ["pretrain_weight_decay"]),
+            # fine-tuning has no weight decay, so the key is gone; old manifests hold it
+            ("finetune", "weight_decay=0.0", ["unknown key 'weight_decay'"]),
         ],
     )
     def test_bad_value_exit_2_names_key(self, fast_config, tmp_path, capsys, command, line,
@@ -381,6 +386,16 @@ class TestSettingsSchema:
     def test_default_settings_build_the_default_train_config(self):
         settings = resolve_settings(build_parser().parse_args(["finetune"]))
         assert train_config_from(settings) == TrainConfig()
+
+    def test_every_train_config_field_is_a_key_and_a_manifest_line(self, fast_config, tmp_path):
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("".join(f"{name}={getattr(TrainConfig(), name)}\n" for name in names))
+        assert train_config_from(parse_config_file(str(cfg))) == TrainConfig()
+        out = tmp_path / "ft"
+        assert main(["finetune", "--config", fast_config, "--out", str(out)]) == 0
+        keys = [line.partition("=")[0] for line in (out / "manifest.txt").read_text().splitlines()]
+        assert [name for name in names if name not in keys] == []
 
 
 @pytest.fixture(scope="module")

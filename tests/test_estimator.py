@@ -118,3 +118,37 @@ class TestEstimatorFit:
         )
         est.fit(X_train, y_train)
         assert hasattr(est, "model_")
+
+
+# base settings that every parameter reaches: one pre-training epoch of
+# 2+ steps (so the EMA shadow feeds a later target), 3+ fine-tune steps,
+# a warmup shorter than the run, and a clip norm small enough to engage
+ACTS_BASE = dict(num_layers=1, hidden=4, epochs=2, batch_size=8, warmup_steps=1, clip_norm=0.05,
+                 pretrain_epochs=1, pretrain_batch_size=8)
+ACTS_CHANGED = dict(num_layers=2, hidden=6, patch=2, epochs=3, batch_size=6, learning_rate=0.02,
+                    momentum=0.5, warmup_steps=2, clip_norm=0.1, pretrain_epochs=2,
+                    pretrain_batch_size=6, pretrain_learning_rate=2e-3, mask_rate=0.5,
+                    temperature=0.25, ema_decay=0.5, random_state=1)
+
+
+class TestEveryParameterActs:
+    @pytest.fixture(scope="class")
+    def data(self):
+        bundle = synth_dataset(2, 20, 8, np.random.default_rng(0))
+        return bundle.images[..., 0], bundle.labels[:, 0]
+
+    @pytest.fixture(scope="class")
+    def base(self, data):
+        return CMixerClassifier(**ACTS_BASE).fit(*data).model_.params
+
+    def test_changed_values_cover_every_parameter(self):
+        assert set(ACTS_CHANGED) == set(CMixerClassifier().get_params())
+
+    @pytest.mark.parametrize("name", CMixerClassifier().get_params())
+    def test_changing_the_parameter_changes_the_fitted_model(self, data, base, name):
+        est = CMixerClassifier(**{**ACTS_BASE, name: ACTS_CHANGED[name]})
+        params = est.fit(*data).model_.params
+        same = params.keys() == base.keys() and all(
+            params[k].shape == base[k].shape and np.array_equal(params[k], base[k]) for k in base
+        )
+        assert not same, f"{name}={ACTS_CHANGED[name]} left the fitted model as it was"

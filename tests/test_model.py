@@ -332,6 +332,23 @@ class TestForward:
         with pytest.raises(DimensionError):
             model.scores(np.zeros((2, 1, 8, 8)), rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    def test_unknown_head_raises_before_the_trunk_runs(self, monkeypatch, taped):
+        import cmixer.model as model_module
+
+        config = tiny_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+
+        def trunk(*args, **kwargs):
+            raise AssertionError("the trunk ran before the head was checked")
+
+        for name in ("sample_incentive", "patchify", "mixer_block_forward"):
+            monkeypatch.setattr(model_module, name, trunk)
+        x = np.zeros((2, config.in_channels, config.image_side, config.image_side))
+        with pytest.raises(ContractError, match="unknown head 'bogus'"):
+            model.forward(x, rng=np.random.default_rng(0), head="bogus",
+                          tape=Tape() if taped else None)
+
 
     def test_training_step_node_count(self):
         """One training step of the fit-tiny benchmark model builds a fixed

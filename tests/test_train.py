@@ -1,12 +1,17 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from cmixer import engine
-from cmixer.data import MaskSpec, Split, augment_target, random_mask, synth_dataset
+from cmixer.data import AugmentSpec, MaskSpec, Split, augment_target, random_mask, synth_dataset
 from cmixer.engine import Tape, Tensor, grad_check
 from cmixer.errors import ContractError
 from cmixer.model import CMixerConfig, CMixerModel, Toggles, field_types
 from cmixer.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamWState,
     EmaState,
     LrSchedule,
@@ -234,17 +239,17 @@ class TestOptimizers:
 def reference_adamw(state, params, grads, lr):
     """The out-of-place AdamW update that ``adamw_step`` replaced."""
     state.step += 1
-    bias1 = 1.0 - state.beta1**state.step
-    bias2 = 1.0 - state.beta2**state.step
+    bias1 = 1.0 - ADAM_BETA1**state.step
+    bias2 = 1.0 - ADAM_BETA2**state.step
     for name in sorted(params):
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         mhat = state.m[name] / bias1
         vhat = state.v[name] / bias2
         if state.weight_decay:
             params[name] *= 1.0 - lr * state.weight_decay
-        params[name] -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        params[name] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def reference_sgd(state, params, grads, lr):
@@ -335,6 +340,20 @@ class TestTrainConfig:
         # every range check compares, and NaN passes any comparison that is negated
         with pytest.raises(ContractError, match=f"^{key} must be finite"):
             TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("momentum", -3.0), ("momentum", 7.0), ("momentum", -1e-9), ("momentum", 1.0 + 1e-9),
+         ("pretrain_weight_decay", -1.0)],
+    )
+    def test_out_of_range_is_rejected_naming_key(self, key, value):
+        with pytest.raises(ContractError, match=f"^{key} must be"):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [("momentum", 0.0), ("momentum", 1.0),
+                                            ("pretrain_weight_decay", 0.0)])
+    def test_range_ends_are_accepted(self, key, value):
+        assert getattr(TrainConfig(**{key: value}), key) == value
 
 
 class TestSchedule:
@@ -443,8 +462,6 @@ class TestPretrain:
         bundle, model, config = small_setup()
         empty = bundle.splits.copy()
         empty[:] = 3  # everything becomes test
-        from dataclasses import replace
-
         with pytest.raises(ContractError):
             pretrain(model, replace(bundle, splits=empty), config, np.random.default_rng(0))
 
@@ -469,7 +486,7 @@ def reference_views(bundle, config, seed, rm):
         raw = bundle.images[train_idx[order[start : start + config.pretrain_batch_size]]]
         anchor = raw.astype(np.float64) / 255.0
         target = np.stack(
-            [augment_target(img, config.augment, rng) for img in raw]
+            [augment_target(img, AugmentSpec(), rng) for img in raw]
         ).astype(np.float64) / 255.0
         if rm:
             anchor = random_mask(anchor, mask, rng)
@@ -539,7 +556,52 @@ class TestFinetune:
         bundle, model, config = small_setup()
         tags = bundle.splits.copy()
         tags[:] = 3
-        from dataclasses import replace
-
         with pytest.raises(ContractError):
             finetune(model, replace(bundle, splits=tags), config, np.random.default_rng(0))
+
+
+# a short run that every setting reaches: 2+ pretrain steps (so the EMA
+# shadow feeds a later target), 3+ fine-tune steps, warmups shorter than
+# the runs, and a clip norm small enough that clipping engages
+ACTS_BASE = dict(pretrain_epochs=1, pretrain_batch_size=8, pretrain_warmup_steps=1, epochs=2,
+                 batch_size=8, warmup_steps=1, clip_norm=0.05)
+ACTS_CHANGED = dict(pretrain_epochs=2, pretrain_batch_size=6, pretrain_lr=2e-3,
+                    pretrain_weight_decay=0.5, pretrain_warmup_steps=2, epochs=3, batch_size=6,
+                    lr=0.02, momentum=0.5, warmup_steps=2, clip_norm=0.1, mask_rate=0.5,
+                    temperature=0.25, ema_decay=0.5, seed=1)
+
+
+def acts_run(**changes):
+    """pretrain + finetune from fixed data, weights and generator; returns
+    the parameters, the EMA shadow and every log row."""
+    bundle = synth_dataset(2, 60, 8, np.random.default_rng(0))
+    # the test split joins validation: `seed` acts only through the
+    # validation noise, and 12 images leave too few ranks to be sure it shows
+    bundle = replace(bundle, splits=np.where(bundle.splits == int(Split.TEST), int(Split.VAL),
+                                             bundle.splits).astype(np.uint8))
+    model = CMixerModel(CMixerConfig.small(image_side=8, hidden=4, num_layers=1),
+                        rng=np.random.default_rng(0))
+    config = TrainConfig(**{**ACTS_BASE, **changes})
+    rng = np.random.default_rng(0)  # not config.seed, so seed must act by itself
+    pre = pretrain(model, bundle, config, rng)
+    tuned = finetune(model, bundle, config, rng)
+    return model.params, pre.ema, pre.rows + tuned.rows
+
+
+class TestEverySettingActs:
+    @pytest.fixture(scope="class")
+    def base(self):
+        return acts_run()
+
+    def test_changed_values_cover_every_setting(self):
+        assert set(ACTS_CHANGED) == set(field_types(TrainConfig))
+        assert {f.name for f in fields(TrainConfig)} == set(field_types(TrainConfig))
+
+    @pytest.mark.parametrize("key", sorted(field_types(TrainConfig)))
+    def test_changing_the_setting_changes_the_run(self, base, key):
+        params, ema, rows = acts_run(**{key: ACTS_CHANGED[key]})
+        same = rows == base[2] and all(
+            np.array_equal(new[name], old[name])
+            for new, old in ((params, base[0]), (ema, base[1])) for name in old
+        )
+        assert not same, f"{key}={ACTS_CHANGED[key]} left the parameters, EMA and rows as they were"
