@@ -3,9 +3,10 @@
 Everything is float64. A ``Tensor`` is one node of a computation graph:
 it holds the forward value, references to its parents, and a closure
 that pushes an incoming gradient into them. A complex value of logical
-shape ``(..., n)`` is one real tensor ``z`` of shape ``(..., 2, n)``
-(``ComplexTensor``): index 0 on the pair axis is the real part, index 1
-the imaginary part. Differentiation is plain real-valued reverse mode
+shape ``(..., n)``, activation or parameter, is one real tensor ``z`` of
+shape ``(..., 2, n)`` (``ComplexTensor``): index 0 on the pair axis is the
+real part, index 1 the imaginary part, so a weight ``A + iB`` (m, n) is one
+``(m, 2, n)`` buffer. Differentiation is plain real-valued reverse mode
 over that buffer; no Wirtinger calculus is involved because every
 operation in the network is already written in separated real/imaginary
 form.
@@ -520,26 +521,25 @@ def crelu(h: ComplexTensor) -> ComplexTensor:
     return ComplexTensor.packed(relu(h.z))
 
 
-def _real_form(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``[[A, -B], [B, A]]``, the real form of ``A + iB``; rebuilt, not kept in the graph."""
-    m, n = A.shape
-    w = np.empty((2 * m, 2 * n))
-    w[:m, :n] = A
-    np.negative(B, out=w[:m, n:])
-    w[m:, :n] = B
-    w[m:, n:] = A
-    return w
+def _real_form(w: np.ndarray) -> np.ndarray:
+    """``[[A, -B], [B, A]]`` of the packed (m, 2, n) ``A + iB``; rebuilt, not kept in the graph."""
+    m, _, n = w.shape
+    out = np.empty((2 * m, 2 * n))
+    out[:m, :n] = out[m:, n:] = w[:, 0, :]
+    np.negative(w[:, 1, :], out=out[:m, n:])
+    out[m:, :n] = w[:, 1, :]
+    return out
 
 
 def complex_affine(
-    A, B, h: ComplexTensor, bias: ComplexTensor | None = None, axis: int = -2,
+    W: ComplexTensor, h: ComplexTensor, bias: ComplexTensor | None = None, axis: int = -2,
     crelu: bool = False,
 ) -> ComplexTensor:
-    """Apply the complex weight ``A + iB`` (m, n) along logical ``axis`` of ``h``.
+    """Apply the complex weight ``W = A + iB`` (m, n) along logical ``axis`` of ``h``.
 
     Each length-n slice ``a + ib`` becomes ``(Aa - Bb) + i(Ba + Ab)`` plus the
-    optional (m,) bias; ``axis=-2`` is ``(A + iB) @ h``. The op is one real
-    GEMM of rows ``[a | b]`` against the block form ``[[A, -B], [B, A]]``.
+    optional (m,) bias; ``axis=-2`` is ``W @ h``. ``W.z`` (m, 2, n) gets one gradient.
+    The op is one real GEMM of rows ``[a | b]`` against the block form ``[[A, -B], [B, A]]``.
     On the last axis those rows are ``h.z`` reshaped to ``(-1, 2n)``, and the
     output is the product reshaped back, with no copy either way. On any
     other axis the rows are one transposed copy of ``h.z`` (none if ``h.z``
@@ -553,16 +553,14 @@ def complex_affine(
     reads the ReLU mask off the output (``out > 0`` exactly where the
     pre-activation is), so the pre-activation is never stored.
     """
-    A, B = constant(A), constant(B)
-    if A.shape != B.shape:
-        raise DimensionError(f"complex_affine: A {A.shape} != B {B.shape}")
-    if A.ndim != 2:
+    w = W.z
+    if w.ndim != 3:
         raise DimensionError("complex_affine: weights must be matrices")
-    m, n = A.shape
+    m, n = W.shape
     z = h.z
     rank = z.ndim - 1
     if rank < 2 or h.shape[axis] != n:
-        raise DimensionError(f"complex_affine: weight {A.shape} vs axis {axis} of input {h.shape}")
+        raise DimensionError(f"complex_affine: weight {W.shape} vs axis {axis} of input {h.shape}")
     # rows [a | b]: every other axis of z first, then the pair axis, then the
     # mixed one; on the last axis this is z's own order
     mixed = axis % rank if axis % rank < rank - 1 else rank
@@ -573,8 +571,8 @@ def complex_affine(
     def rows(arr: np.ndarray, width: int) -> np.ndarray:
         return np.ascontiguousarray(arr.transpose(perm)).reshape(-1, width)
 
-    out = rows(z.data, 2 * n) @ _real_form(A.data, B.data).T
-    parents = (A, B, z)
+    out = rows(z.data, 2 * n) @ _real_form(w.data).T
+    parents = (w, z)
     if bias is not None:
         if bias.shape != (m,):
             raise DimensionError(
@@ -595,9 +593,9 @@ def complex_affine(
             # the derivative at the kink (pre-activation exactly 0) is 0
             g = np.where(product > 0.0, g, 0.0)
         gw = rows(z.data, 2 * n).T @ g
-        A._accumulate(gw[:n, :m].T + gw[n:, m:].T)
-        B._accumulate(gw[:n, m:].T - gw[n:, :m].T)
-        gh = g @ _real_form(A.data, B.data)
+        w._accumulate(np.stack((gw[:n, :m].T + gw[n:, m:].T, gw[:n, m:].T - gw[n:, :m].T),
+                               axis=1))
+        gh = g @ _real_form(w.data)
         z._accumulate(gh.reshape(t_shape[:-1] + (n,)).transpose(inverse))
         if bias is not None:
             bias.z._accumulate(g.sum(axis=0).reshape(2, m))

@@ -26,7 +26,7 @@ from .train import bce_with_logits, cross_entropy, ssl_loss
 __all__ = ["OpResult", "SuiteResult", "run_suite", "TOLERANCE"]
 
 TOLERANCE = 1e-4
-_FULL_MODEL_SAMPLE = 40  # entries probed per leaf in whole-model checks
+_FULL_MODEL_SAMPLE = 80  # entries probed per leaf in whole-model checks, 40 per complex part
 
 
 @dataclass
@@ -115,7 +115,7 @@ def _suite_entries():
     op("complex_affine", lambda: (
         lambda lv: (
             lambda out: engine.add(out.re.sum(), out.im.sum())
-        )(complex_affine(lv["A"], lv["B"], ComplexTensor(lv["hre"], lv["him"]),
+        )(complex_affine(ComplexTensor(lv["A"], lv["B"]), ComplexTensor(lv["hre"], lv["him"]),
                          bias=ComplexTensor(lv["bre"], lv["bim"]))),
         {
             "A": rng.standard_normal((3, 4)), "B": rng.standard_normal((3, 4)),
@@ -138,14 +138,14 @@ def _suite_entries():
     w_batched = extra.standard_normal((2, 2, 5, 3))
     op("complex_affine_batched", lambda: (
         lambda lv: weighted(complex_affine(
-            lv["A"], lv["B"], ComplexTensor(lv["hre"], lv["him"]),
+            ComplexTensor(lv["A"], lv["B"]), ComplexTensor(lv["hre"], lv["him"]),
             bias=ComplexTensor(lv["bre"], lv["bim"])), w_batched),
         complex_leaves(5, 4, (2, 4, 3)),
     ))
     w_strided = extra.standard_normal((2, 2, 3, 5))
     op("complex_affine_strided", lambda: (
         lambda lv: weighted(complex_affine(
-            lv["A"], lv["B"],
+            ComplexTensor(lv["A"], lv["B"]),
             ComplexTensor(lv["hre"].transpose((0, 2, 1)), lv["him"].transpose((0, 2, 1))),
             bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-1), w_strided),
         complex_leaves(5, 4, (2, 4, 3)),
@@ -156,7 +156,7 @@ def _suite_entries():
     w_token = tok.standard_normal((2, 4, 2, 3))
     op("complex_affine_token", lambda: (
         lambda lv: engine.mul(complex_affine(
-            lv["A"], lv["B"], ComplexTensor.packed(lv["z"]),
+            ComplexTensor(lv["A"], lv["B"]), ComplexTensor.packed(lv["z"]),
             bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-2).z, w_token).sum(),
         {"A": tok.standard_normal((4, 5)), "B": tok.standard_normal((4, 5)),
          "z": tok.standard_normal((2, 5, 2, 3)),
@@ -169,7 +169,7 @@ def _suite_entries():
     w_fused = fused.standard_normal((2, 2, 5, 3))
     op("complex_affine_crelu", lambda: (
         lambda lv: weighted(complex_affine(
-            lv["A"], lv["B"], ComplexTensor(lv["hre"], lv["him"]),
+            ComplexTensor(lv["A"], lv["B"]), ComplexTensor(lv["hre"], lv["him"]),
             bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-1, crelu=True), w_fused),
         {"A": fused.standard_normal((3, 4)), "B": fused.standard_normal((3, 4)),
          "hre": fused.standard_normal((2, 5, 4)), "him": fused.standard_normal((2, 5, 4)),
@@ -179,7 +179,7 @@ def _suite_entries():
     w_fused_tok = fused_tok.standard_normal((2, 4, 2, 3))
     op("complex_affine_crelu_token", lambda: (
         lambda lv: engine.mul(complex_affine(
-            lv["A"], lv["B"], ComplexTensor.packed(lv["z"]),
+            ComplexTensor(lv["A"], lv["B"]), ComplexTensor.packed(lv["z"]),
             bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-2, crelu=True).z,
             w_fused_tok).sum(),
         {"A": fused_tok.standard_normal((4, 5)), "B": fused_tok.standard_normal((4, 5)),

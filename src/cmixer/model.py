@@ -18,10 +18,11 @@ the imaginary part side by side, so every complex step is one engine op:
 4. a bounded real score comes out of ``tanh(re + im)`` applied to the
    head output, so every logit lives in (-1, 1).
 
-Parameters are kept in a flat ``{name: ndarray}`` dict; complex weights
-are two independent real buffers with ``.re`` / ``.im`` name suffixes.
-That makes optimizers, EMA shadows, and checkpoints trivial dict
-operations.
+Parameters are kept in a flat ``{name: ndarray}`` dict, which makes
+optimizers and EMA shadows trivial dict operations. Each complex one is a
+single buffer in the ``(..., 2, n)`` layout of a ``ComplexTensor``; only
+the six ``incentive.*`` buffers are real. A checkpoint file stores the
+parts of a complex buffer as two entries, ``<name>.re`` and ``<name>.im``.
 """
 
 from __future__ import annotations
@@ -194,36 +195,31 @@ def parse_lines(text: str, types: dict[str, type]) -> dict:
     return values
 
 
-def param_shapes(config: CMixerConfig) -> dict[str, tuple]:
-    """Every stored buffer and its shape, in a fixed order."""
+def _complex_groups(config: CMixerConfig) -> list[dict[str, tuple]]:
+    """The complex buffers' logical shapes, one group per layer, in the order
+    that ``init_params`` draws them and a checkpoint lists their parts."""
     c, s = config.hidden, config.seq
     ds, dc = config.token_hidden, config.channel_hidden
-    shapes: dict[str, tuple] = {
-        "incentive.hidden.weight": (config.flat_dim, INCENTIVE_HIDDEN),
-        "incentive.hidden.bias": (INCENTIVE_HIDDEN,),
-        "incentive.mu.weight": (INCENTIVE_HIDDEN, 1),
-        "incentive.mu.bias": (1,),
-        "incentive.sigma.weight": (INCENTIVE_HIDDEN, 1),
-        "incentive.sigma.bias": (1,),
-    }
-    for part in ("re", "im"):
-        shapes[f"patch_embed.weight.{part}"] = (c, config.patch_dim)
-        shapes[f"patch_embed.bias.{part}"] = (c,)
-    for i in range(config.num_layers):
-        for part in ("re", "im"):
-            shapes[f"block{i}.ln1.gamma.{part}"] = (c,)
-            shapes[f"block{i}.ln1.beta.{part}"] = (c,)
-            shapes[f"block{i}.token1.weight.{part}"] = (ds, s)
-            shapes[f"block{i}.token2.weight.{part}"] = (s, ds)
-            shapes[f"block{i}.ln2.gamma.{part}"] = (c,)
-            shapes[f"block{i}.ln2.beta.{part}"] = (c,)
-            shapes[f"block{i}.channel1.weight.{part}"] = (dc, c)
-            shapes[f"block{i}.channel2.weight.{part}"] = (c, dc)
-    for part in ("re", "im"):
-        shapes[f"head.weight.{part}"] = (config.num_classes, c)
-        shapes[f"head.bias.{part}"] = (config.num_classes,)
-        shapes[f"ssl_head.weight.{part}"] = (SSL_DIM, c)
-        shapes[f"ssl_head.bias.{part}"] = (SSL_DIM,)
+    block = {"ln1.gamma": (c,), "ln1.beta": (c,), "token1.weight": (ds, s),
+             "token2.weight": (s, ds), "ln2.gamma": (c,), "ln2.beta": (c,),
+             "channel1.weight": (dc, c), "channel2.weight": (c, dc)}
+    return [
+        {"patch_embed.weight": (c, config.patch_dim), "patch_embed.bias": (c,)},
+        *({f"block{i}.{k}": v for k, v in block.items()} for i in range(config.num_layers)),
+        {"head.weight": (config.num_classes, c), "head.bias": (config.num_classes,),
+         "ssl_head.weight": (SSL_DIM, c), "ssl_head.bias": (SSL_DIM,)},
+    ]
+
+
+def param_shapes(config: CMixerConfig) -> dict[str, tuple]:
+    """Every stored buffer and its shape, in a fixed order; a complex buffer
+    of logical shape ``(..., n)`` is stored as ``(..., 2, n)``."""
+    h = INCENTIVE_HIDDEN
+    shapes = {"incentive.hidden.weight": (config.flat_dim, h), "incentive.hidden.bias": (h,),
+              "incentive.mu.weight": (h, 1), "incentive.mu.bias": (1,),
+              "incentive.sigma.weight": (h, 1), "incentive.sigma.bias": (1,)}
+    for group in _complex_groups(config):
+        shapes.update((name, shape[:-1] + (2,) + shape[-1:]) for name, shape in group.items())
     return shapes
 
 
@@ -236,7 +232,7 @@ def _glorot(rng: np.random.Generator, shape: tuple, gain: float = 1.0) -> np.nda
 def init_params(config: CMixerConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Glorot weights, zero biases, unit layer-norm gains.
 
-    Complex weight pairs are drawn at 1/sqrt(2) of the Glorot limit
+    Complex weights have both parts drawn at 1/sqrt(2) of the Glorot limit
     because the affine sums two independent matmuls (Aa - Bb), which
     would otherwise double the output variance. The branch-closing
     block weights (token2/channel2) are further scaled by
@@ -248,26 +244,22 @@ def init_params(config: CMixerConfig, rng: np.random.Generator) -> dict[str, np.
     every image.
     """
     branch_gain = 1.0 / np.sqrt(2.0 * max(config.num_layers, 1))
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith(".bias") or ".bias." in name or ".beta." in name:
-            params[name] = np.zeros(shape)
-        elif ".gamma." in name:
-            params[name] = np.ones(shape)
-        elif name.startswith(("incentive.mu", "incentive.sigma")):
-            params[name] = np.zeros(shape)
-        elif name.endswith((".re", ".im")):
-            gain = 1.0 / np.sqrt(2.0)
-            if ".token2." in name or ".channel2." in name:
-                gain *= branch_gain
-            params[name] = _glorot(rng, shape, gain=gain)
-        else:
-            params[name] = _glorot(rng, shape)
+    params = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
+    params["incentive.hidden.weight"] = _glorot(rng, params["incentive.hidden.weight"].shape)
+    for group in _complex_groups(config):
+        for part in (0, 1):
+            for name, shape in group.items():
+                if name.endswith(".gamma"):
+                    params[name][part] = 1.0
+                elif name.endswith(".weight"):
+                    branch = ".token2." in name or ".channel2." in name
+                    gain = 1.0 / np.sqrt(2.0) * (branch_gain if branch else 1.0)
+                    params[name][..., part, :] = _glorot(rng, shape, gain=gain)
     return params
 
 
 def param_count(config: CMixerConfig) -> int:
-    """Total stored scalars; re and im buffers count separately."""
+    """Total stored scalars; a complex buffer counts both its parts."""
     return int(sum(np.prod(s) for s in param_shapes(config).values()))
 
 
@@ -344,18 +336,14 @@ def patchify(h: ComplexTensor, patch: int) -> ComplexTensor:
 
 
 def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor], prefix: str) -> ComplexTensor:
-    # re and im are normalized independently, each with its own gain/shift
-    gamma = ComplexTensor(p[f"{prefix}.gamma.re"], p[f"{prefix}.gamma.im"])
-    beta = ComplexTensor(p[f"{prefix}.beta.re"], p[f"{prefix}.beta.im"])
-    return ComplexTensor.packed(engine.layernorm(x.z, gamma.z, beta.z, axis=-1))
+    # re and im are normalized independently, each by its row of the (2, n) gain and shift
+    return ComplexTensor.packed(engine.layernorm(x.z, p[f"{prefix}.gamma"], p[f"{prefix}.beta"]))
 
 
 def _affine(x: ComplexTensor, p: dict[str, Tensor], prefix: str,
             bias: bool = False, axis: int = -2, crelu: bool = False) -> ComplexTensor:
-    b = None
-    if bias:
-        b = ComplexTensor(p[f"{prefix}.bias.re"], p[f"{prefix}.bias.im"])
-    return complex_affine(p[f"{prefix}.weight.re"], p[f"{prefix}.weight.im"], x, bias=b,
+    b = ComplexTensor.packed(p[f"{prefix}.bias"]) if bias else None
+    return complex_affine(ComplexTensor.packed(p[f"{prefix}.weight"]), x, bias=b,
                           axis=axis, crelu=crelu)
 
 
@@ -515,25 +503,37 @@ class CMixerModel:
 def save_checkpoint(path, model: CMixerModel, params: dict[str, np.ndarray] | None = None) -> None:
     """Write parameters, the architecture config and the toggles to one NPZ file.
 
-    Each buffer is one array entry under its parameter name; the
-    ``CMixerConfig`` and then the ``Toggles`` fields ride along as a
-    ``meta`` entry of key=value lines.
+    Each real buffer is one entry, each complex one two (``<name>.re``, ``<name>.im``);
+    the ``CMixerConfig`` and ``Toggles`` fields follow as ``meta`` key=value lines.
     """
-    arrays = dict(params if params is not None else model.params)
+    src = params if params is not None else model.params
+    arrays = {name: v for name, v in src.items() if name.startswith("incentive.")}
+    for group in _complex_groups(model.config):
+        for part, suffix in enumerate(("re", "im")):
+            arrays.update((f"{name}.{suffix}", src[name][..., part, :]) for name in group)
     meta = (to_lines(model.config) + to_lines(model.toggles)).encode()
     arrays["meta"] = np.frombuffer(meta, dtype=np.uint8)
     write_arrays(path, arrays)
 
 
 def load_checkpoint(path) -> CMixerModel:
-    """Read a ``save_checkpoint`` file. A ``meta`` without toggle lines
-    (an older checkpoint) loads with the default ``Toggles()``."""
+    """Read a ``save_checkpoint`` file, joining each ``.re``/``.im`` pair into one
+    buffer as it pops them. A ``meta`` without toggle lines (an older
+    checkpoint) loads with the default ``Toggles()``."""
     arrays = read_arrays(path)
     if "meta" not in arrays:
         raise FormatError(f"{path}: checkpoint is missing its 'meta' entry")
     config_types, toggle_types = field_types(CMixerConfig), field_types(Toggles)
     meta = parse_lines(bytes(arrays.pop("meta")).decode(), {**config_types, **toggle_types})
-    model = CMixerModel(CMixerConfig(**{k: v for k, v in meta.items() if k in config_types}),
-                        params=arrays)
+    config = CMixerConfig(**{k: v for k, v in meta.items() if k in config_types})
+    for group in _complex_groups(config):
+        for name, shape in group.items():
+            for entry in (f"{name}.re", f"{name}.im"):
+                if entry not in arrays:
+                    raise FormatError(f"{path}: checkpoint is missing its {entry!r} entry")
+                if arrays[entry].shape != shape:
+                    raise DimensionError(f"{entry}: shape {arrays[entry].shape}, expected {shape}")
+            arrays[name] = np.stack((arrays.pop(f"{name}.re"), arrays.pop(f"{name}.im")), axis=-2)
+    model = CMixerModel(config, params=arrays)
     model.toggles = Toggles(**{k: v for k, v in meta.items() if k in toggle_types})
     return model

@@ -71,7 +71,7 @@ def test_c02_complex_arithmetic_oracle():
         B = rng.standard_normal((m, n))
         hre = rng.standard_normal((n, k))
         him = rng.standard_normal((n, k))
-        got = complex_affine(A, B, ComplexTensor(Tensor(hre), Tensor(him)))
+        got = complex_affine(ComplexTensor(A, B), ComplexTensor(Tensor(hre), Tensor(him)))
         want = (A + 1j * B) @ (hre + 1j * him)
         err = np.abs(got.re.data + 1j * got.im.data - want).max()
         worst = max(worst, err / max(1.0, np.abs(want).max()))

@@ -13,6 +13,7 @@ from cmixer.cli import (
     train_config_from,
 )
 from cmixer.data import DatasetBundle, load_npz, synth_dataset, write_npz
+from cmixer.npzio import read_arrays, write_arrays
 from cmixer.train import TrainConfig
 
 
@@ -413,6 +414,18 @@ def _archive(tmp_path, bundle):
 
 
 class TestCheckpointChecks:
+    def test_checkpoint_missing_a_part_is_exit_3(self, fast_config, real_only_checkpoint,
+                                                 tmp_path, capsys):
+        arrays = read_arrays(real_only_checkpoint)
+        del arrays["head.bias.im"]
+        path = tmp_path / "partial.npz"
+        write_arrays(path, arrays)
+        code = main(["eval", "--config", fast_config, "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "'head.bias.im'" in err
+
     def test_eval_refuses_other_toggles(self, fast_config, real_only_checkpoint, tmp_path,
                                         capsys):
         code = main(["eval", "--config", fast_config, "--out", str(tmp_path / "e"),

@@ -32,17 +32,17 @@ def ct(re, im):
 
 class TestComplexAffine:
     def test_identity_weight(self):
-        out = complex_affine([[1.0]], [[0.0]], ct([[2.0]], [[3.0]]))
+        out = complex_affine(ct([[1.0]], [[0.0]]), ct([[2.0]], [[3.0]]))
         assert out.re.data == pytest.approx(2.0)
         assert out.im.data == pytest.approx(3.0)
 
     def test_multiply_by_i_rotates(self):
-        out = complex_affine([[0.0]], [[1.0]], ct([[1.0]], [[0.0]]))
+        out = complex_affine(ct([[0.0]], [[1.0]]), ct([[1.0]], [[0.0]]))
         assert out.re.data == pytest.approx(0.0)
         assert out.im.data == pytest.approx(1.0)
 
     def test_one_plus_i_squared(self):
-        out = complex_affine([[1.0]], [[1.0]], ct([[1.0]], [[1.0]]))
+        out = complex_affine(ct([[1.0]], [[1.0]]), ct([[1.0]], [[1.0]]))
         assert out.re.data == pytest.approx(0.0)
         assert out.im.data == pytest.approx(2.0)
 
@@ -56,7 +56,7 @@ class TestComplexAffine:
             him = rng.standard_normal((n, k))
             bre = rng.standard_normal(m)
             bim = rng.standard_normal(m)
-            got = complex_affine(A, B, ct(hre, him), bias=ct(bre, bim))
+            got = complex_affine(ct(A, B), ct(hre, him), bias=ct(bre, bim))
             want = (A + 1j * B) @ (hre + 1j * him) + (bre + 1j * bim)[:, None]
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got.re.data + 1j * got.im.data - want).max() / scale < 1e-12
@@ -65,22 +65,25 @@ class TestComplexAffine:
         rng = np.random.default_rng(8)
         A = rng.standard_normal((3, 4))
         h = rng.standard_normal((4, 2))
-        out = complex_affine(A, np.zeros((3, 4)), ct(h, np.zeros((4, 2))))
+        out = complex_affine(ct(A, np.zeros((3, 4))), ct(h, np.zeros((4, 2))))
         np.testing.assert_array_equal(out.re.data, A @ h)
         np.testing.assert_array_equal(out.im.data, np.zeros((3, 2)))
 
     def test_shape_mismatch_raises(self):
+        h3, h4 = ct(np.ones((3, 1)), np.ones((3, 1))), ct(np.ones((4, 1)), np.ones((4, 1)))
         with pytest.raises(DimensionError):
-            complex_affine(np.ones((2, 3)), np.ones((2, 2)), ct(np.ones((3, 1)), np.ones((3, 1))))
+            complex_affine(ct(np.ones((2, 3)), np.ones((2, 2))), h3)
         with pytest.raises(DimensionError):
-            complex_affine(np.ones((2, 3)), np.ones((2, 3)), ct(np.ones((4, 1)), np.ones((4, 1))))
+            complex_affine(ct(np.ones((2, 3)), np.ones((2, 3))), h4)
+        with pytest.raises(DimensionError, match="matrices"):
+            complex_affine(ct(np.ones(3), np.ones(3)), h3)
 
     def test_batched_input(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((3, 4))
         B = rng.standard_normal((3, 4))
         h = ct(rng.standard_normal((5, 4, 2)), rng.standard_normal((5, 4, 2)))
-        out = complex_affine(A, B, h)
+        out = complex_affine(ct(A, B), h)
         assert out.shape == (5, 3, 2)
         want = (A + 1j * B) @ (h.re.data[0] + 1j * h.im.data[0])
         np.testing.assert_allclose(out.re.data[0] + 1j * out.im.data[0], want, atol=1e-12)
@@ -101,7 +104,7 @@ class TestComplexAffine:
             assert not re.flags.c_contiguous
         else:
             re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-        got = complex_affine(A, B, ct(re, im), bias=ct(bre, bim), axis=axis)
+        got = complex_affine(ct(A, B), ct(re, im), bias=ct(bre, bim), axis=axis)
         W, z, b = A + 1j * B, re + 1j * im, bre + 1j * bim
         want = np.moveaxis(np.moveaxis(z, axis, -1) @ W.T + b, -1, axis)
         assert got.shape == want.shape
@@ -114,7 +117,8 @@ class TestComplexAffine:
         w = rng.standard_normal((2, 3, 2))
 
         def f(lv):
-            out = complex_affine(lv["A"], lv["B"], ComplexTensor(lv["hre"], lv["him"]))
+            out = complex_affine(ComplexTensor(lv["A"], lv["B"]),
+                                 ComplexTensor(lv["hre"], lv["him"]))
             return engine.mul(getattr(out, part), w).sum()
 
         leaves = {"A": rng.standard_normal((3, 4)), "B": rng.standard_normal((3, 4)),
@@ -127,7 +131,7 @@ class TestComplexAffine:
         w = rng.standard_normal((3, 3, 2, 2))
 
         def f(lv):
-            out = complex_affine(lv["A"], lv["B"], ComplexTensor.packed(lv["z"]),
+            out = complex_affine(ComplexTensor(lv["A"], lv["B"]), ComplexTensor.packed(lv["z"]),
                                  bias=ComplexTensor(lv["bre"], lv["bim"]), axis=0)
             return engine.mul(out.z, w).sum()
 
@@ -144,7 +148,7 @@ class TestComplexAffine:
         gc.collect()
         gc.disable()
         try:
-            out = crelu(complex_affine(A, B, ct(x, x)))
+            out = crelu(complex_affine(ct(A, B), ct(x, x)))
             out = layernorm(out.im, np.ones(5), np.zeros(5))
             del out
             assert gc.collect() == 0
@@ -154,7 +158,7 @@ class TestComplexAffine:
     def test_nonfinite_output_raises_naming_op(self):
         big = np.full((2, 2), 1e308)
         with pytest.raises(NumericError, match="complex_affine"), np.errstate(over="ignore"):
-            complex_affine(big, big, ct(np.full((2, 1), 10.0), np.zeros((2, 1))))
+            complex_affine(ct(big, big), ct(np.full((2, 1), 10.0), np.zeros((2, 1))))
 
 
 class TestComplexTensor:
@@ -194,11 +198,11 @@ class TestComplexTensor:
         inputs = [h.z]
         if op.startswith("affine"):
             n = 4 if op == "affine_token" else 3
-            A, B = Tensor(rng.standard_normal((5, n))), Tensor(rng.standard_normal((5, n)))
+            W = ComplexTensor.packed(Tensor(rng.standard_normal((5, 2, n))))
             bias = ComplexTensor.packed(Tensor(rng.standard_normal((2, 5))))
-            out = complex_affine(A, B, h, bias=bias, axis=-2 if op == "affine_token" else -1,
+            out = complex_affine(W, h, bias=bias, axis=-2 if op == "affine_token" else -1,
                                  crelu=op == "affine_crelu")
-            inputs += [A, B, bias.z]
+            inputs += [W.z, bias.z]
         elif op == "crelu":
             out = crelu(h)
         elif op == "add":
@@ -239,12 +243,12 @@ class TestFusedCrelu:
     def _run(fused, axis, leaves, w):
         tape = Tape()
         lv = {k: tape.leaf(k, v) for k, v in leaves.items()}
-        bias = ComplexTensor(lv["bre"], lv["bim"])
+        W, bias = ComplexTensor(lv["A"], lv["B"]), ComplexTensor(lv["bre"], lv["bim"])
         h = ComplexTensor.packed(lv["z"])
         if fused:
-            out = complex_affine(lv["A"], lv["B"], h, bias=bias, axis=axis, crelu=True)
+            out = complex_affine(W, h, bias=bias, axis=axis, crelu=True)
         else:
-            out = crelu(complex_affine(lv["A"], lv["B"], h, bias=bias, axis=axis))
+            out = crelu(complex_affine(W, h, bias=bias, axis=axis))
         value = out.z.data.copy()
         return value, tape.backward(engine.mul(out.z, w).sum())
 
@@ -268,7 +272,8 @@ class TestFusedCrelu:
         tape = Tape()
         A = tape.leaf("A", np.zeros((2, 3)))
         z = tape.leaf("z", np.ones((4, 2, 3)))
-        out = complex_affine(A, np.zeros((2, 3)), ComplexTensor.packed(z), axis=-1, crelu=True)
+        out = complex_affine(ComplexTensor(A, np.zeros((2, 3))), ComplexTensor.packed(z), axis=-1,
+                             crelu=True)
         grads = tape.backward(out.z.sum())
         np.testing.assert_array_equal(grads["A"], np.zeros((2, 3)))
         np.testing.assert_array_equal(grads["z"], np.zeros((4, 2, 3)))
@@ -277,7 +282,7 @@ class TestFusedCrelu:
         rng = np.random.default_rng(32)
         h = ComplexTensor.packed(Tensor(rng.standard_normal((2, 4, 2, 3))))
         A, B = Tensor(rng.standard_normal((5, 3))), Tensor(rng.standard_normal((5, 3)))
-        out = complex_affine(A, B, h, axis=-1, crelu=True)
+        out = complex_affine(ComplexTensor(A, B), h, axis=-1, crelu=True)
         # the backward keeps no array but the output itself
         kept = [c.cell_contents for c in out.z._backprop.__closure__
                 if isinstance(c.cell_contents, np.ndarray)]
@@ -718,10 +723,10 @@ class TestNoGrad:
     def test_ops_keep_no_graph_and_same_values(self):
         x = np.random.default_rng(0).standard_normal((3, 4))
         h = ct(x, x[::-1].copy())
-        taped = engine.layernorm(crelu(complex_affine(x[:2, :3], x[1:, 1:], h)).re,
+        taped = engine.layernorm(crelu(complex_affine(ct(x[:2, :3], x[1:, 1:]), h)).re,
                                  np.ones(4), np.zeros(4))
         with engine.no_grad():
-            bare = engine.layernorm(crelu(complex_affine(x[:2, :3], x[1:, 1:], h)).re,
+            bare = engine.layernorm(crelu(complex_affine(ct(x[:2, :3], x[1:, 1:]), h)).re,
                                     np.ones(4), np.zeros(4))
         assert len(topo_order(taped)) > 1
         assert bare._parents == () and bare._backprop is None
@@ -776,9 +781,8 @@ class TestGradCheck:
         him = rng.standard_normal((3, 2)) + 0.5
 
         def f(lv):
-            out = crelu(
-                complex_affine(lv["A"], lv["B"], ComplexTensor(lv["hre"], lv["him"]))
-            )
+            out = crelu(complex_affine(ComplexTensor(lv["A"], lv["B"]),
+                                       ComplexTensor(lv["hre"], lv["him"])))
             return engine.add(out.re.sum(), out.im.sum())
 
         err = grad_check(f, {"A": A, "B": B, "hre": hre, "him": him})

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from cmixer import engine
 from cmixer.engine import ComplexTensor, Tape, Tensor
 from cmixer.data import TaskKind
-from cmixer.errors import ContractError, DimensionError
+from cmixer.errors import ContractError, DimensionError, FormatError
 from cmixer.model import (
     CMixerConfig,
     CMixerModel,
@@ -21,6 +23,7 @@ from cmixer.model import (
     sample_incentive,
     save_checkpoint,
 )
+from cmixer.npzio import read_arrays, write_arrays
 from cmixer.train import cross_entropy, loss_for_task, ssl_loss
 
 
@@ -172,7 +175,7 @@ class TestMixerBlock:
     def zero_block(self, config, rng):
         params = init_params(config, rng)
         for k in list(params):
-            if k.startswith("block0.") and ".weight." in k:
+            if k.startswith("block0.") and k.endswith(".weight"):
                 params[k] = np.zeros_like(params[k])
         return params
 
@@ -208,7 +211,7 @@ class TestMixerBlock:
         )
         params = init_params(config, np.random.default_rng(0))
         for k in params:
-            if k.startswith("block0.") and ".weight." in k:
+            if k.startswith("block0.") and k.endswith(".weight"):
                 params[k] = np.ones_like(params[k])
         x = ComplexTensor(Tensor([[[1.0]]]), Tensor(np.zeros((1, 1, 1))))
         y = mixer_block_forward(x, wrap(params), "block0")
@@ -365,9 +368,27 @@ class TestForward:
             out = model.forward(x, eps=eps, head=head, tape=Tape())
             return len(engine.topo_order(loss(out)))
 
-        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 107
-        assert nodes(lambda out: cross_entropy(out, labels)) == 108
-        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 110
+        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 77
+        assert nodes(lambda out: cross_entropy(out, labels)) == 78
+        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 80
+
+    def test_training_step_packs_no_parameter(self):
+        """Each complex parameter is one packed leaf: the fit-tiny BCE step
+        has one leaf per buffer the classify head reads (26) and one packing
+        node, the noisy input; a pair of ``.re``/``.im`` leaves would add a
+        leaf and a packing node each."""
+        config = CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.random((32, 1, 8, 8))
+        out = model.forward(x, eps=rng.standard_normal(x.shape), tape=Tape())
+        nodes = engine.topo_order(loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2))
+        ops = [n._op for n in nodes]
+        assert ops.count("complex") == 1
+        leaves = {op for op in ops if op.startswith("leaf:")}
+        assert leaves == {f"leaf:{name}" for name in model.params
+                          if not name.startswith("ssl_head.")}
+        assert len(leaves) == 26
 
 
 def fit_tiny_config():
@@ -457,19 +478,19 @@ def reference_scores(model, x, eps, head="classify"):
     per-part layer norm, CReLU and ``tanh`` of the kept parts."""
     p, cfg, toggles = model.params, model.config, model.toggles
 
-    def weight(name):
-        return p[f"{name}.weight.re"] + 1j * p[f"{name}.weight.im"]
+    def weight(name):  # a packed (m, 2, n) buffer
+        return p[f"{name}.weight"][:, 0] + 1j * p[f"{name}.weight"][:, 1]
 
-    def bias(name):
-        return p[f"{name}.bias.re"] + 1j * p[f"{name}.bias.im"]
+    def bias(name):  # a packed (2, m) buffer
+        return p[f"{name}.bias"][0] + 1j * p[f"{name}.bias"][1]
 
     def norm(v, gamma, beta):
         mu = v.mean(axis=-1, keepdims=True)
         return (v - mu) / np.sqrt(v.var(axis=-1, keepdims=True) + 1e-5) * gamma + beta
 
     def layernorm(h, name):
-        return (norm(h.real, p[f"{name}.gamma.re"], p[f"{name}.beta.re"])
-                + 1j * norm(h.imag, p[f"{name}.gamma.im"], p[f"{name}.beta.im"]))
+        gamma, beta = p[f"{name}.gamma"], p[f"{name}.beta"]
+        return norm(h.real, gamma[0], beta[0]) + 1j * norm(h.imag, gamma[1], beta[1])
 
     def crelu(h):
         return np.maximum(h.real, 0.0) + 1j * np.maximum(h.imag, 0.0)
@@ -592,6 +613,83 @@ class TestCheckpoint:
         assert "meta" in names
 
 
+def legacy_entries(config, rng):
+    """A checkpoint's arrays in the file format: a random real array per
+    incentive buffer and per part (``.re``/``.im``) of each complex one."""
+    entries = {}
+    for name, shape in param_shapes(config).items():
+        if name.startswith("incentive."):
+            entries[name] = rng.standard_normal(shape)
+        else:
+            for part in ("re", "im"):
+                entries[f"{name}.{part}"] = rng.standard_normal(shape[:-2] + shape[-1:])
+    meta = (config.to_lines() + "ssl=True\n").encode()
+    entries["meta"] = np.frombuffer(meta, dtype=np.uint8)
+    return entries
+
+
+class TestCheckpointFormat:
+    """The file keeps one entry per part of each complex buffer; memory
+    holds one packed buffer."""
+
+    def test_pair_entries_load_bitwise_into_packed_buffers(self, tmp_path):
+        config = tiny_config(num_layers=1)
+        entries = legacy_entries(config, np.random.default_rng(3))
+        path = tmp_path / "legacy.npz"
+        write_arrays(path, entries)
+        params = load_checkpoint(path).params
+        assert set(params) == set(param_shapes(config))
+        for name, arr in params.items():
+            assert arr.dtype == np.float64 and arr.shape == param_shapes(config)[name]
+            if name.startswith("incentive."):
+                assert arr.tobytes() == entries[name].tobytes(), name
+            else:
+                for i, part in enumerate(("re", "im")):
+                    got = np.ascontiguousarray(arr[..., i, :])
+                    assert got.tobytes() == entries[f"{name}.{part}"].tobytes(), (name, part)
+
+    def test_save_writes_the_pair_entries_in_file_order(self, tmp_path):
+        config = tiny_config(num_layers=1)
+        entries = legacy_entries(config, np.random.default_rng(4))
+        write_arrays(tmp_path / "legacy.npz", entries)
+        path = tmp_path / "again.npz"
+        save_checkpoint(path, load_checkpoint(tmp_path / "legacy.npz"))
+        with zipfile.ZipFile(path) as zf:
+            order = [n.removesuffix(".npy") for n in zf.namelist()]
+        incentive = [n for n in param_shapes(config) if n.startswith("incentive.")]
+        block = [f"block0.{n}" for n in ("ln1.gamma", "ln1.beta", "token1.weight",
+                                         "token2.weight", "ln2.gamma", "ln2.beta",
+                                         "channel1.weight", "channel2.weight")]
+        heads = ["head.weight", "head.bias", "ssl_head.weight", "ssl_head.bias"]
+        # each layer's real parts, then its imaginary parts
+        assert order == incentive + [
+            f"{name}.{part}" for group in (["patch_embed.weight", "patch_embed.bias"], block, heads)
+            for part in ("re", "im") for name in group
+        ] + ["meta"]
+        written = read_arrays(path)
+        for name in order[:-1]:
+            want = entries[name]
+            assert written[name].shape == want.shape, name
+            assert written[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("entry", ["head.bias.im", "patch_embed.weight.re"])
+    def test_missing_part_is_a_format_error_naming_it(self, tmp_path, entry):
+        entries = legacy_entries(tiny_config(num_layers=1), np.random.default_rng(5))
+        del entries[entry]
+        path = tmp_path / "partial.npz"
+        write_arrays(path, entries)
+        with pytest.raises(FormatError, match=re.escape(repr(entry))):
+            load_checkpoint(path)
+
+    def test_part_of_the_wrong_shape_is_a_dimension_error(self, tmp_path):
+        entries = legacy_entries(tiny_config(num_layers=1), np.random.default_rng(6))
+        entries["block0.ln1.gamma.im"] = entries["block0.ln1.gamma.im"][:-1]
+        path = tmp_path / "bad.npz"
+        write_arrays(path, entries)
+        with pytest.raises(DimensionError, match="block0.ln1.gamma.im"):
+            load_checkpoint(path)
+
+
 TOGGLE_SETS = [
     Toggles(),
     Toggles(ssl=False),
@@ -630,24 +728,19 @@ class TestCheckpointToggles:
         assert evaluate(loaded, bundle, Split.TEST, rng=np.random.default_rng(3)) == want_report
 
     def test_meta_without_toggle_lines_loads_defaults(self, tmp_path):
-        from cmixer.npzio import write_arrays
-
-        model = CMixerModel(tiny_config(), rng=np.random.default_rng(0))
+        config = tiny_config()
         path = tmp_path / "old.npz"
-        meta = np.frombuffer(model.config.to_lines().encode(), dtype=np.uint8)
-        write_arrays(path, {**model.params, "meta": meta})
+        meta = np.frombuffer(config.to_lines().encode(), dtype=np.uint8)
+        write_arrays(path, {**legacy_entries(config, np.random.default_rng(0)), "meta": meta})
         loaded = load_checkpoint(path)
-        assert loaded.config == model.config
+        assert loaded.config == config
         assert loaded.toggles == Toggles()
 
     def test_malformed_bool_in_meta_is_format_error(self, tmp_path):
-        from cmixer.errors import FormatError
-        from cmixer.npzio import write_arrays
-
-        model = CMixerModel(tiny_config(), rng=np.random.default_rng(0))
+        config = tiny_config()
         path = tmp_path / "bad.npz"
-        text = model.config.to_lines() + "p_i=maybe\n"
-        write_arrays(path, {**model.params,
+        text = config.to_lines() + "p_i=maybe\n"
+        write_arrays(path, {**legacy_entries(config, np.random.default_rng(0)),
                             "meta": np.frombuffer(text.encode(), dtype=np.uint8)})
         with pytest.raises(FormatError, match="p_i"):
             load_checkpoint(path)
