@@ -60,7 +60,8 @@ def check_labels(y, n: int) -> np.ndarray:
 
 
 class CMixerClassifier:
-    """Complex-mixer image classifier with the sklearn estimator API."""
+    """Complex-mixer image classifier with the sklearn estimator API;
+    ``warmup_steps`` is the warmup of both pre-training and fine-tuning."""
 
     def __init__(
         self,
@@ -124,6 +125,7 @@ class CMixerClassifier:
             pretrain_epochs=self.pretrain_epochs,
             pretrain_batch_size=self.pretrain_batch_size,
             pretrain_lr=self.pretrain_learning_rate,
+            pretrain_warmup_steps=self.warmup_steps,
             epochs=self.epochs,
             batch_size=self.batch_size,
             lr=self.learning_rate,

@@ -119,6 +119,27 @@ class TestEstimatorFit:
         est.fit(X_train, y_train)
         assert hasattr(est, "model_")
 
+    def test_pretraining_schedule_reaches_its_peak_then_decays(self, monkeypatch):
+        """``warmup_steps`` bounds the pre-training warmup too: 16 steps
+        with a warmup of 8 peak at step 8 and decay after it."""
+        import cmixer.train as train_module
+
+        rates = []
+        real_step = train_module.adamw_step
+
+        def recording_step(state, params, grads, lr):
+            rates.append(lr)
+            real_step(state, params, grads, lr)
+
+        monkeypatch.setattr(train_module, "adamw_step", recording_step)
+        bundle = synth_dataset(2, 128, 8, np.random.default_rng(0))
+        CMixerClassifier(num_layers=1, hidden=4, epochs=1, batch_size=32, warmup_steps=8,
+                         pretrain_epochs=2, pretrain_batch_size=32,
+                         pretrain_learning_rate=1e-3).fit(bundle.images, bundle.labels[:, 0])
+        assert len(rates) == 16
+        assert rates.index(max(rates)) == 8 and max(rates) == 1e-3
+        assert all(a > b for a, b in zip(rates[8:], rates[9:]))
+
 
 # base settings that every parameter reaches: one pre-training epoch of
 # 2+ steps (so the EMA shadow feeds a later target), 3+ fine-tune steps,
