@@ -593,8 +593,10 @@ def complex_affine(
             # the derivative at the kink (pre-activation exactly 0) is 0
             g = np.where(product > 0.0, g, 0.0)
         gw = rows(z.data, 2 * n).T @ g
-        w._accumulate(np.stack((gw[:n, :m].T + gw[n:, m:].T, gw[:n, m:].T - gw[n:, :m].T),
-                               axis=1))
+        gw_t = np.empty((2, n, m))  # the (m, 2, n) weight gradient, transposed
+        np.add(gw[:n, :m], gw[n:, m:], out=gw_t[0])
+        np.subtract(gw[:n, m:], gw[n:, :m], out=gw_t[1])
+        w._accumulate(gw_t.transpose(2, 0, 1))
         gh = g @ _real_form(w.data)
         z._accumulate(gh.reshape(t_shape[:-1] + (n,)).transpose(inverse))
         if bias is not None:

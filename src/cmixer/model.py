@@ -212,8 +212,7 @@ def _complex_groups(config: CMixerConfig) -> list[dict[str, tuple]]:
 
 
 def param_shapes(config: CMixerConfig) -> dict[str, tuple]:
-    """Every stored buffer and its shape, in a fixed order; a complex buffer
-    of logical shape ``(..., n)`` is stored as ``(..., 2, n)``."""
+    """Every stored buffer and its shape, in a fixed order; complex ones are ``(..., 2, n)``."""
     h = INCENTIVE_HIDDEN
     shapes = {"incentive.hidden.weight": (config.flat_dim, h), "incentive.hidden.bias": (h,),
               "incentive.mu.weight": (h, 1), "incentive.mu.bias": (1,),
@@ -501,11 +500,9 @@ class CMixerModel:
 
 
 def save_checkpoint(path, model: CMixerModel, params: dict[str, np.ndarray] | None = None) -> None:
-    """Write parameters, the architecture config and the toggles to one NPZ file.
-
-    Each real buffer is one entry, each complex one two (``<name>.re``, ``<name>.im``);
-    the ``CMixerConfig`` and ``Toggles`` fields follow as ``meta`` key=value lines.
-    """
+    """Write parameters, the architecture config and the toggles to one NPZ file:
+    one entry per real buffer, ``<name>.re`` and ``<name>.im`` per complex one,
+    and the ``CMixerConfig`` and ``Toggles`` fields as ``meta`` key=value lines."""
     src = params if params is not None else model.params
     arrays = {name: v for name, v in src.items() if name.startswith("incentive.")}
     for group in _complex_groups(model.config):
