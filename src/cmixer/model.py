@@ -198,8 +198,7 @@ def parse_lines(text: str, types: dict[str, type]) -> dict:
 def _complex_groups(config: CMixerConfig) -> list[dict[str, tuple]]:
     """The complex buffers' logical shapes, one group per layer, in the order
     that ``init_params`` draws them and a checkpoint lists their parts."""
-    c, s = config.hidden, config.seq
-    ds, dc = config.token_hidden, config.channel_hidden
+    c, s, ds, dc = config.hidden, config.seq, config.token_hidden, config.channel_hidden
     block = {"ln1.gamma": (c,), "ln1.beta": (c,), "token1.weight": (ds, s),
              "token2.weight": (s, ds), "ln2.gamma": (c,), "ln2.beta": (c,),
              "channel1.weight": (dc, c), "channel2.weight": (c, dc)}
@@ -514,9 +513,8 @@ def save_checkpoint(path, model: CMixerModel, params: dict[str, np.ndarray] | No
 
 
 def load_checkpoint(path) -> CMixerModel:
-    """Read a ``save_checkpoint`` file, joining each ``.re``/``.im`` pair into one
-    buffer as it pops them. A ``meta`` without toggle lines (an older
-    checkpoint) loads with the default ``Toggles()``."""
+    """Read a ``save_checkpoint`` file, popping each ``.re``/``.im`` pair into one buffer.
+    A ``meta`` without toggle lines (an older checkpoint) loads with ``Toggles()``."""
     arrays = read_arrays(path)
     if "meta" not in arrays:
         raise FormatError(f"{path}: checkpoint is missing its 'meta' entry")
@@ -525,6 +523,8 @@ def load_checkpoint(path) -> CMixerModel:
     config = CMixerConfig(**{k: v for k, v in meta.items() if k in config_types})
     for group in _complex_groups(config):
         for name, shape in group.items():
+            if name in arrays:  # the join would overwrite it unread
+                raise FormatError(f"{path}: checkpoint entry {name!r} is not split into .re/.im")
             for entry in (f"{name}.re", f"{name}.im"):
                 if entry not in arrays:
                     raise FormatError(f"{path}: checkpoint is missing its {entry!r} entry")

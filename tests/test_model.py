@@ -660,10 +660,11 @@ class TestCheckpointFormat:
         block = [f"block0.{n}" for n in ("ln1.gamma", "ln1.beta", "token1.weight",
                                          "token2.weight", "ln2.gamma", "ln2.beta",
                                          "channel1.weight", "channel2.weight")]
+        embed = ["patch_embed.weight", "patch_embed.bias"]
         heads = ["head.weight", "head.bias", "ssl_head.weight", "ssl_head.bias"]
         # each layer's real parts, then its imaginary parts
         assert order == incentive + [
-            f"{name}.{part}" for group in (["patch_embed.weight", "patch_embed.bias"], block, heads)
+            f"{name}.{part}" for group in (embed, block, heads)
             for part in ("re", "im") for name in group
         ] + ["meta"]
         written = read_arrays(path)
@@ -679,6 +680,15 @@ class TestCheckpointFormat:
         path = tmp_path / "partial.npz"
         write_arrays(path, entries)
         with pytest.raises(FormatError, match=re.escape(repr(entry))):
+            load_checkpoint(path)
+
+    def test_unsplit_complex_entry_is_a_format_error_naming_it(self, tmp_path):
+        config = tiny_config(num_layers=1)
+        entries = legacy_entries(config, np.random.default_rng(7))
+        entries["head.bias"] = np.zeros(param_shapes(config)["head.bias"])
+        path = tmp_path / "unsplit.npz"
+        write_arrays(path, entries)
+        with pytest.raises(FormatError, match="'head.bias' is not split"):
             load_checkpoint(path)
 
     def test_part_of_the_wrong_shape_is_a_dimension_error(self, tmp_path):
