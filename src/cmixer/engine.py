@@ -37,8 +37,8 @@ Conventions baked into this module:
   and ``model._open_unit``
 * a complex op is one node over ``z``: ``complex_affine``, ``crelu``, ``layernorm``
   over the last axis, the residual add and the mean each build exactly one node;
-  only packing two real tensors (``ComplexTensor(re, im)``) and reading a part
-  (``.re``/``.im``) add a node of their own
+  ``ComplexTensor.packed`` (every complex parameter) adds none, and only packing two
+  real tensors (``ComplexTensor(re, im)``) and reading a part (``.re``/``.im``) add one
 * ``complex_affine``, ``layernorm``, ``crelu`` and the loss ops ``softmax``,
   ``log_softmax`` and ``sub`` are fused ops with hand-written backward passes,
   one node each; ``complex_affine`` is one block-form GEMM, which beat Gauss's

@@ -26,7 +26,7 @@ from .train import bce_with_logits, cross_entropy, ssl_loss
 __all__ = ["OpResult", "SuiteResult", "run_suite", "TOLERANCE"]
 
 TOLERANCE = 1e-4
-_FULL_MODEL_SAMPLE = 80  # entries probed per leaf, complex ones both parts, in whole-model checks
+_FULL_MODEL_SAMPLE = 80  # entries probed per leaf in whole-model checks; a complex leaf has 2 parts
 
 
 @dataclass
