@@ -6,7 +6,7 @@ import pytest
 from cmixer import engine
 from cmixer.data import AugmentSpec, MaskSpec, Split, augment_target, random_mask, synth_dataset
 from cmixer.engine import Tape, Tensor, grad_check
-from cmixer.errors import ContractError
+from cmixer.errors import ContractError, NumericError
 from cmixer.model import CMixerConfig, CMixerModel, Toggles, field_types
 from cmixer.train import (
     ADAM_BETA1,
@@ -234,6 +234,21 @@ class TestOptimizers:
         sgd_momentum_step(state, params, {"w": np.ones(1)}, lr=1.0)
         # v1=1, v2=1.5 -> p = -(1 + 1.5)
         assert params["w"][0] == pytest.approx(-2.5)
+
+    @pytest.mark.parametrize("step,init", [(adamw_step, AdamWState.init),
+                                           (sgd_momentum_step, SgdMomentumState.init)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_names_the_buffer(self, step, init, bad):
+        params = {"a": np.zeros(2), "b": np.zeros(2)}
+        with pytest.raises(NumericError, match="non-finite gradient for b"):
+            step(init(params), params, {"a": np.zeros(2), "b": np.array([0.0, bad])}, lr=0.1)
+
+    @pytest.mark.parametrize("step,init", [(adamw_step, AdamWState.init),
+                                           (sgd_momentum_step, SgdMomentumState.init)])
+    def test_wrong_shape_gradient_names_the_buffer(self, step, init):
+        params = {"a": np.zeros(2), "b": np.zeros(2)}
+        with pytest.raises(ContractError, match="gradient for b has wrong shape"):
+            step(init(params), params, {"a": np.zeros(2), "b": np.zeros(3)}, lr=0.1)
 
 
 def reference_adamw(state, params, grads, lr):
