@@ -29,6 +29,8 @@ __all__ = [
     "DatasetBundle",
     "MaskSpec",
     "AugmentSpec",
+    "infer_task",
+    "label_columns",
     "load_npz",
     "write_npz",
     "make_semi",
@@ -161,22 +163,51 @@ def _normalize_images(images: np.ndarray, entry: str) -> np.ndarray:
     return images
 
 
-def _infer_task(labels: np.ndarray) -> tuple[TaskKind, int]:
-    if labels.shape[1] > 1:
-        return TaskKind.MULTILABEL, labels.shape[1]
-    num_classes = int(labels.max()) + 1
-    if num_classes <= 1:
-        num_classes = 2
-    task = TaskKind.BINARY if num_classes == 2 else TaskKind.MULTICLASS
+def infer_task(labels: np.ndarray, task: TaskKind | str | None = None) -> tuple[TaskKind, int]:
+    """The task kind and class count of an (N, L) label array.
+
+    Unset, the kind is multilabel for width > 1, binary for two classes
+    and multiclass otherwise; ordinal cannot be inferred. A multilabel
+    task has one class per column, an index task ``max + 1`` classes and
+    at least 2. Under ``binary`` a label outside {0, 1} is a ``FormatError``.
+    """
+    if task is not None:
+        task = TaskKind(task)
+    elif labels.shape[1] > 1:
+        task = TaskKind.MULTILABEL
+    if task is TaskKind.MULTILABEL:
+        return task, labels.shape[1]
+    num_classes = max(int(labels.max()) + 1, 2)
+    if task is TaskKind.BINARY and (num_classes > 2 or labels.min() < 0):
+        raise FormatError(
+            f"task 'binary' needs labels in {{0, 1}}, saw [{labels.min()}, {labels.max()}]"
+        )
+    if task is None:
+        task = TaskKind.BINARY if num_classes == 2 else TaskKind.MULTICLASS
     return task, num_classes
+
+
+def label_columns(labels, task: TaskKind, k: int) -> np.ndarray:
+    """The (N, k) 0/1 class columns of a label array.
+
+    Multilabel labels already are them; index labels become one-hot float
+    rows, and an index outside [0, k) is a ``ContractError``.
+    """
+    y = np.asarray(labels)
+    if TaskKind(task) is TaskKind.MULTILABEL:
+        return y
+    y = y.reshape(-1)
+    if y.min(initial=0) < 0 or y.max(initial=0) >= k:
+        raise ContractError(f"labels outside [0, {k})")
+    return (y[:, None] == np.arange(k)).astype(np.float64)
 
 
 def load_npz(path, task: TaskKind | None = None) -> DatasetBundle:
     """Read a train/val/test archive into a bundle.
 
-    The task kind is inferred from the label array (width > 1 means
-    multilabel, two classes means binary) unless given explicitly;
-    ordinal regression cannot be inferred and must be passed in.
+    The task kind and class count come from ``infer_task``: the kind is
+    inferred from the label array unless given explicitly; ordinal
+    regression cannot be inferred and must be passed in.
     """
     arrays = read_arrays(path)
     for entry in _REQUIRED_ENTRIES:
@@ -208,15 +239,7 @@ def load_npz(path, task: TaskKind | None = None) -> DatasetBundle:
             np.full(len(parts[2][0]), int(Split.TEST), dtype=np.uint8),
         ]
     )
-    if task is None:
-        task, num_classes = _infer_task(labels)
-    else:
-        task = TaskKind(task)
-        if task is TaskKind.MULTILABEL:
-            num_classes = labels.shape[1]
-        else:
-            num_classes = int(labels.max()) + 1
-    return DatasetBundle(images, labels, tags, task, num_classes)
+    return DatasetBundle(images, labels, tags, *infer_task(labels, task))
 
 
 def write_npz(bundle: DatasetBundle, path) -> None:
@@ -392,11 +415,7 @@ def synth_dataset(
     tags = np.full(n_per_class, int(Split.TEST), dtype=np.uint8)
     tags[:n_train] = int(Split.TRAIN_LABELED)
     tags[n_train:n_train + n_val] = int(Split.VAL)
-    task = TaskKind.BINARY if num_classes == 2 else TaskKind.MULTICLASS
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)[:, None]
     return DatasetBundle(
-        np.concatenate(images),
-        np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)[:, None],
-        np.tile(tags, num_classes),
-        task,
-        num_classes,
+        np.concatenate(images), labels, np.tile(tags, num_classes), *infer_task(labels)
     )

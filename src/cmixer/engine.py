@@ -159,29 +159,11 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(op={self._op!r}, shape={self.shape})"
@@ -333,8 +315,6 @@ def transpose(a, axes) -> Tensor:
 def _norm_axis(axis, ndim: int):
     if axis is None:
         return None
-    if isinstance(axis, (tuple, list)):
-        return tuple(ax % ndim for ax in axis)
     return (axis % ndim,)
 
 

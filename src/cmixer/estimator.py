@@ -16,7 +16,7 @@ import inspect
 import numpy as np
 
 from . import engine
-from .data import DatasetBundle, Split, TaskKind
+from .data import DatasetBundle, Split, TaskKind, infer_task
 from .errors import ContractError, DimensionError
 from .metrics import predictions_for_task
 from .model import CMixerConfig, CMixerModel
@@ -144,18 +144,14 @@ class CMixerClassifier:
         self.classes_, encoded = np.unique(labels, return_inverse=True)
         if len(self.classes_) < 2:
             raise ContractError("fit needs at least two classes")
-        task = TaskKind.BINARY if len(self.classes_) == 2 else TaskKind.MULTICLASS
-        bundle = DatasetBundle(
-            images=images,
-            labels=encoded[:, None].astype(np.int64),
-            splits=np.full(len(images), int(Split.TRAIN_LABELED), dtype=np.uint8),
-            task=task,
-            num_classes=len(self.classes_),
-        )
+        encoded = encoded[:, None].astype(np.int64)
+        task, num_classes = infer_task(encoded)
+        splits = np.full(len(images), int(Split.TRAIN_LABELED), dtype=np.uint8)
+        bundle = DatasetBundle(images, encoded, splits, task, num_classes)
         config = CMixerConfig.small(
             image_side=images.shape[1],
             in_channels=images.shape[3],
-            num_classes=len(self.classes_),
+            num_classes=num_classes,
             num_layers=self.num_layers,
             hidden=self.hidden,
             patch=self.patch,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetBundle, Split, TaskKind
+from .data import DatasetBundle, Split, TaskKind, label_columns
 from .errors import ContractError, DimensionError, UndefinedMetricError
 from .model import CMixerModel
 from .train import _to_model_layout
@@ -113,16 +113,12 @@ def auc_task(score_matrix, labels, task: TaskKind) -> float:
         return auc_binary(scores[:, 1], y.reshape(-1))
     parts = []
     skipped = []
-    width = scores.shape[1]
-    for k in range(width):
-        if task is TaskKind.MULTILABEL:
-            col = y[:, k]
-        else:
-            col = (y.reshape(-1) == k).astype(int)
-        if col.min() == col.max():
+    cols = label_columns(y, task, scores.shape[1])
+    for k in range(scores.shape[1]):
+        if cols[:, k].min() == cols[:, k].max():
             skipped.append(k)
             continue
-        parts.append(auc_binary(scores[:, k], col))
+        parts.append(auc_binary(scores[:, k], cols[:, k]))
     if skipped:
         warnings.warn(f"AUC skipped single-class columns {skipped}", stacklevel=2)
     if not parts:
@@ -171,23 +167,15 @@ def evaluate(
     auc = auc_task(scores, labels, bundle.task)
 
     per_class: dict[int, dict[str, float]] = {}
+    cols = label_columns(labels, bundle.task, bundle.num_classes)
+    hits = label_columns(preds, bundle.task, bundle.num_classes) == cols
     for k in range(bundle.num_classes):
-        if bundle.task is TaskKind.MULTILABEL:
-            col = labels[:, k]
-            if col.min() == col.max():
-                continue
-            per_class[k] = {
-                "acc": float(np.mean(preds[:, k] == col)),
-                "auc": auc_binary(scores[:, k], col),
-            }
-        else:
-            mask = labels.reshape(-1) == k
-            if not mask.any() or mask.all():
-                continue
-            per_class[k] = {
-                "acc": float(np.mean(preds[mask] == k)),
-                "auc": auc_binary(scores[:, k], mask.astype(int)),
-            }
+        col = cols[:, k]
+        if col.min() == col.max():
+            continue
+        # a label's ACC is its agreement over all samples, a class's its recall
+        agree = hits[:, k] if bundle.task is TaskKind.MULTILABEL else hits[col == 1, k]
+        per_class[k] = {"acc": float(np.mean(agree)), "auc": auc_binary(scores[:, k], col)}
     return EvalReport(acc=float(acc), auc=float(auc), per_class=per_class, n=len(idx))
 
 

@@ -292,7 +292,7 @@ def incentive_mu_sigma(
 
 def sample_incentive(
     images: Tensor | np.ndarray,
-    params: dict[str, Tensor],
+    params: dict[str, Tensor | np.ndarray],
     epsilon: np.ndarray,
 ) -> ComplexTensor:
     """Fuse a (batch, ch, H, W) image batch with its learned noise sample.
@@ -333,19 +333,21 @@ def patchify(h: ComplexTensor, patch: int) -> ComplexTensor:
     return ComplexTensor.packed(z.reshape((b, hp * wp, 2, ch * patch * patch)))
 
 
-def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor], prefix: str) -> ComplexTensor:
+def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor | np.ndarray],
+                       prefix: str) -> ComplexTensor:
     # re and im are normalized independently, each by its row of the (2, n) gain and shift
     return ComplexTensor.packed(engine.layernorm(x.z, p[f"{prefix}.gamma"], p[f"{prefix}.beta"]))
 
 
-def _affine(x: ComplexTensor, p: dict[str, Tensor], prefix: str,
+def _affine(x: ComplexTensor, p: dict[str, Tensor | np.ndarray], prefix: str,
             bias: bool = False, axis: int = -2, crelu: bool = False) -> ComplexTensor:
-    b = ComplexTensor.packed(p[f"{prefix}.bias"]) if bias else None
-    return complex_affine(ComplexTensor.packed(p[f"{prefix}.weight"]), x, bias=b,
-                          axis=axis, crelu=crelu)
+    b = ComplexTensor.packed(engine.constant(p[f"{prefix}.bias"])) if bias else None
+    return complex_affine(ComplexTensor.packed(engine.constant(p[f"{prefix}.weight"])), x,
+                          bias=b, axis=axis, crelu=crelu)
 
 
-def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor], prefix: str) -> ComplexTensor:
+def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor | np.ndarray],
+                        prefix: str) -> ComplexTensor:
     """One mixer layer on a (..., S, C) complex sequence.
 
     Token mixing acts across the patch sequence of each channel, channel
@@ -443,9 +445,11 @@ class CMixerModel:
         is drawn from ``rng``. ``params`` substitutes a foreign buffer set
         for ``self.params`` (an EMA shadow, or leaf tensors a caller made).
         With ``tape`` given, every buffer is registered on it as a leaf,
-        so ``params`` must then hold arrays; without one, arrays become
-        constants and tensors are used as they are. Either way the graph
-        is built unless the call runs inside ``engine.no_grad``.
+        so ``params`` must then hold arrays; without one, each op that
+        reads a buffer makes an array a checked constant and uses a tensor
+        as it is, so a head the pass does not read is never checked.
+        Either way the graph is built unless the call runs inside
+        ``engine.no_grad``.
         """
         if head not in ("classify", "ssl"):  # before any of the trunk's work
             raise ContractError(f"unknown head {head!r}")
@@ -455,11 +459,9 @@ class CMixerModel:
             raise DimensionError(
                 f"expected (batch, {cfg.in_channels}, {cfg.image_side}, {cfg.image_side}), got {x.shape}"
             )
-        raw = params if params is not None else self.params
-        if tape is None:
-            p = {k: engine.constant(v) for k, v in raw.items()}
-        else:
-            p = {k: tape.leaf(k, v) for k, v in raw.items()}
+        p = params if params is not None else self.params
+        if tape is not None:
+            p = {k: tape.leaf(k, v) for k, v in p.items()}
 
         if self.toggles.il:
             if eps is None:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .data import AugmentSpec, DatasetBundle, MaskSpec, Split, TaskKind, augment_target, random_mask
+from .data import (AugmentSpec, DatasetBundle, MaskSpec, Split, TaskKind, augment_target,
+                   label_columns, random_mask)
 from .engine import Tape, Tensor
 from .errors import ContractError, NumericError
 from .model import CMixerModel, field_types
@@ -147,13 +148,6 @@ def bce_with_logits(logits, targets) -> Tensor:
     return engine.tmean(engine.sub(engine.softplus(logits), engine.mul(logits, t)))
 
 
-def _onehot(labels, k: int) -> np.ndarray:
-    y = np.asarray(labels).reshape(-1)
-    onehot = np.zeros((len(y), k))
-    onehot[np.arange(len(y)), y] = 1.0
-    return onehot
-
-
 def _soft_cross_entropy(logits: Tensor, q: np.ndarray) -> Tensor:
     """Mean over rows of H(q, softmax(logits)); the targets ``q`` are constants."""
     logp = engine.log_softmax(logits, axis=1)
@@ -169,9 +163,7 @@ def cross_entropy(logits, labels) -> Tensor:
     n, k = logits.shape
     if y.shape[0] != n:
         raise ContractError(f"{y.shape[0]} labels for {n} rows of logits")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= k:
-        raise ContractError(f"labels outside [0, {k})")
-    return _soft_cross_entropy(logits, _onehot(y, k))
+    return _soft_cross_entropy(logits, label_columns(y, TaskKind.MULTICLASS, k))
 
 
 def ssl_loss(anchor_out, target_out, temperature: float = 0.5) -> Tensor:
@@ -353,12 +345,10 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def loss_for_task(task: TaskKind, logits: Tensor, labels: np.ndarray, num_classes: int) -> Tensor:
-    """Multilabel and binary tasks use BCE (binary as one-hot two-label);
-    multiclass and ordinal use softmax cross-entropy."""
-    if task is TaskKind.MULTILABEL:
-        return bce_with_logits(logits, labels)
-    if task is TaskKind.BINARY:
-        return bce_with_logits(logits, _onehot(labels, num_classes))
+    """Multilabel and binary tasks use BCE on the label columns (binary as
+    one-hot two-label); multiclass and ordinal use softmax cross-entropy."""
+    if task in (TaskKind.MULTILABEL, TaskKind.BINARY):
+        return bce_with_logits(logits, label_columns(labels, task, num_classes))
     return cross_entropy(logits, labels)
 
 

@@ -4,9 +4,11 @@ its per-class report, each checked against a computation written out here."""
 import numpy as np
 import pytest
 
-from cmixer.data import DatasetBundle, Split, TaskKind, load_npz, synth_dataset
+from cmixer.data import (DatasetBundle, Split, TaskKind, infer_task, label_columns, load_npz,
+                         synth_dataset)
 from cmixer.engine import Tensor
-from cmixer.metrics import auc_pairwise, evaluate, predictions_for_task
+from cmixer.errors import ContractError, FormatError, NumericError
+from cmixer.metrics import auc_pairwise, auc_task, evaluate, predictions_for_task
 from cmixer.model import CMixerConfig, CMixerModel
 from cmixer.npzio import write_arrays
 from cmixer.train import (
@@ -21,6 +23,57 @@ from cmixer.train import (
 
 def _same(a, b):
     return a.data.tobytes() == b.data.tobytes()
+
+
+def _col(*labels):
+    return np.array(labels, dtype=np.int64)[:, None]
+
+
+class TestInferTask:
+    @pytest.mark.parametrize("labels,task,classes", [
+        (_col(0, 1, 1), TaskKind.BINARY, 2),
+        (_col(0, 0, 0), TaskKind.BINARY, 2),
+        (_col(0, 2, 1), TaskKind.MULTICLASS, 3),
+        (np.array([[0, 1], [1, 1]]), TaskKind.MULTILABEL, 2),
+    ])
+    def test_inferred(self, labels, task, classes):
+        assert infer_task(labels) == (task, classes)
+
+    @pytest.mark.parametrize("task", [TaskKind.MULTICLASS, TaskKind.ORDINAL, TaskKind.BINARY])
+    def test_explicit_index_task_has_at_least_two_classes(self, task):
+        assert infer_task(_col(0, 0), task) == (task, 2)
+
+    @pytest.mark.parametrize("labels", [_col(0, 1, 2), _col(-1, 0, 1)])
+    def test_binary_needs_labels_in_zero_one(self, labels):
+        with pytest.raises(FormatError, match="binary"):
+            infer_task(labels, TaskKind.BINARY)
+
+    def test_explicit_multilabel_has_one_class_per_column(self):
+        assert infer_task(_col(0, 1), "multilabel") == (TaskKind.MULTILABEL, 1)
+
+
+class TestLabelColumns:
+    def test_index_labels_become_one_hot_rows(self):
+        cols = label_columns(_col(2, 0, 1), TaskKind.MULTICLASS, 4)
+        np.testing.assert_array_equal(cols, [[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
+        assert cols.dtype == np.float64
+
+    def test_multilabel_labels_are_their_own_columns(self):
+        labels = np.array([[0, 1, 1], [1, 0, 0]])
+        assert label_columns(labels, TaskKind.MULTILABEL, 3) is labels
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]])
+    def test_index_outside_the_columns_rejected(self, labels):
+        with pytest.raises(ContractError, match=r"outside \[0, 2\)"):
+            label_columns(labels, TaskKind.BINARY, 2)
+
+    def test_auc_task_rejects_a_label_without_a_score_column(self):
+        with pytest.raises(ContractError, match="outside"):
+            auc_task(np.zeros((3, 2)), _col(0, 1, 2), TaskKind.MULTICLASS)
+
+    def test_auc_task_binary_keeps_its_zero_one_check(self):
+        with pytest.raises(ContractError, match="0 or 1"):
+            auc_task(np.zeros((3, 2)), _col(0, 1, 2), TaskKind.BINARY)
 
 
 class TestLossForTask:
@@ -139,7 +192,28 @@ class TestExplicitTask:
         bundle = load_npz(_archive(tmp_path, labels), task=task)
         assert bundle.task is TaskKind(task) and bundle.num_classes == classes
 
+    @pytest.mark.parametrize("task", [TaskKind.BINARY, TaskKind.MULTICLASS])
+    def test_all_zero_labels_give_two_classes(self, tmp_path, task):
+        bundle = load_npz(_archive(tmp_path, ([0, 0], [0], [0])), task=task)
+        assert bundle.task is task and bundle.num_classes == 2
+
+    def test_binary_on_three_classes_is_a_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="binary"):
+            load_npz(_archive(tmp_path, ([0, 1, 2], [0], [1])), task=TaskKind.BINARY)
+
     def test_explicit_task_overrides_the_inferred_one(self, tmp_path):
         path = _archive(tmp_path, ([0, 1, 1], [0], [1]))
         assert load_npz(path).task is TaskKind.BINARY
         assert load_npz(path, task=TaskKind.ORDINAL).task is TaskKind.ORDINAL
+
+
+class TestUnusedHead:
+    def test_scoring_never_checks_the_head_it_does_not_read(self):
+        model = CMixerModel(CMixerConfig.small(image_side=8, hidden=4, num_layers=1),
+                            rng=np.random.default_rng(0))
+        x, eps = np.full((2, 1, 8, 8), 0.5), np.random.default_rng(1).standard_normal((2, 1, 8, 8))
+        want = model.scores(x, eps=eps)
+        model.params["ssl_head.weight"][0, 0, 0] = np.nan
+        assert model.scores(x, eps=eps).tobytes() == want.tobytes()
+        with pytest.raises(NumericError):
+            model.scores(x, eps=eps, head="ssl")
