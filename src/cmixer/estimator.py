@@ -145,13 +145,12 @@ class CMixerClassifier:
         if len(self.classes_) < 2:
             raise ContractError("fit needs at least two classes")
         encoded = encoded[:, None].astype(np.int64)
-        task, num_classes = infer_task(encoded)
         splits = np.full(len(images), int(Split.TRAIN_LABELED), dtype=np.uint8)
-        bundle = DatasetBundle(images, encoded, splits, task, num_classes)
+        bundle = DatasetBundle(images, encoded, splits, *infer_task(encoded))
         config = CMixerConfig.small(
             image_side=images.shape[1],
             in_channels=images.shape[3],
-            num_classes=num_classes,
+            num_classes=bundle.num_classes,
             num_layers=self.num_layers,
             hidden=self.hidden,
             patch=self.patch,

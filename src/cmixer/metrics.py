@@ -169,8 +169,7 @@ def evaluate(
     per_class: dict[int, dict[str, float]] = {}
     cols = label_columns(labels, bundle.task, bundle.num_classes)
     hits = label_columns(preds, bundle.task, bundle.num_classes) == cols
-    for k in range(bundle.num_classes):
-        col = cols[:, k]
+    for k, col in enumerate(cols.T):
         if col.min() == col.max():
             continue
         # a label's ACC is its agreement over all samples, a class's its recall
