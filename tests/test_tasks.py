@@ -48,9 +48,6 @@ class TestInferTask:
         with pytest.raises(FormatError, match="binary"):
             infer_task(labels, TaskKind.BINARY)
 
-    def test_explicit_multilabel_has_one_class_per_column(self):
-        assert infer_task(_col(0, 1), "multilabel") == (TaskKind.MULTILABEL, 1)
-
 
 class TestLabelColumns:
     def test_index_labels_become_one_hot_rows(self):
@@ -200,11 +197,6 @@ class TestExplicitTask:
     def test_binary_on_three_classes_is_a_format_error(self, tmp_path):
         with pytest.raises(FormatError, match="binary"):
             load_npz(_archive(tmp_path, ([0, 1, 2], [0], [1])), task=TaskKind.BINARY)
-
-    def test_explicit_task_overrides_the_inferred_one(self, tmp_path):
-        path = _archive(tmp_path, ([0, 1, 1], [0], [1]))
-        assert load_npz(path).task is TaskKind.BINARY
-        assert load_npz(path, task=TaskKind.ORDINAL).task is TaskKind.ORDINAL
 
 
 class TestUnusedHead:
