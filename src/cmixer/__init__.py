@@ -3,9 +3,7 @@ masked self-supervised pre-training, on a self-contained float64
 reverse-mode autodiff engine."""
 
 from .data import (
-    AugmentSpec,
     DatasetBundle,
-    MaskSpec,
     Split,
     TaskKind,
     load_npz,
@@ -28,14 +26,12 @@ from .train import TrainConfig, finetune, pretrain
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentSpec",
     "CMixerClassifier",
     "CMixerConfig",
     "CMixerModel",
     "ComplexTensor",
     "DatasetBundle",
     "EvalReport",
-    "MaskSpec",
     "Split",
     "Tape",
     "TaskKind",

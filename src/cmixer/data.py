@@ -3,13 +3,14 @@
 Datasets arrive as NPZ archives with the six entries ``train_images``,
 ``train_labels``, ``val_images``, ``val_labels``, ``test_images``,
 ``test_labels`` (images uint8, labels integer, label arrays N or Nx1
-for index tasks and NxL for multilabel). Internally everything lives in
+for index tasks and NxL of 0/1 for multilabel). Internally everything lives in
 a ``DatasetBundle``: one image block plus a per-sample split tag, so
 derived constructions (semi-supervised, label corruption) are tag
 rewrites instead of array shuffles.
 
 All transforms are pure: they return new bundles or new image arrays
-and never touch their inputs.
+and never touch their inputs. The pre-training views follow one fixed
+recipe: only ``random_mask``'s rate is passed in.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "TaskKind",
     "Split",
     "DatasetBundle",
-    "MaskSpec",
-    "AugmentSpec",
     "infer_task",
     "label_columns",
     "load_npz",
@@ -63,6 +62,10 @@ _REQUIRED_ENTRIES = (
     "test_images",
     "test_labels",
 )
+
+# fixed, not settings: the target view's pad, flip probability and contrast
+# factor range (the paper's one recipe), and synth_dataset's noise std
+CROP_PADDING, HFLIP_PROB, CONTRAST_RANGE, SYNTH_NOISE = 3, 0.5, (0.8, 1.25), 20.0
 
 
 @dataclass
@@ -100,45 +103,12 @@ class DatasetBundle:
     def n(self) -> int:
         return len(self.images)
 
-    @property
-    def image_shape(self) -> tuple:
-        return self.images.shape[1:]
-
     def indices(self, *splits: Split) -> np.ndarray:
         mask = np.isin(self.splits, [int(s) for s in splits])
         return np.flatnonzero(mask)
 
     def split_counts(self) -> dict[str, int]:
         return {s.name.lower(): int((self.splits == int(s)).sum()) for s in Split}
-
-
-@dataclass
-class MaskSpec:
-    """Pixelwise Bernoulli masking: zero each pixel with probability ``rate``."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ContractError(f"mask rate must be in [0,1], got {self.rate}")
-
-
-@dataclass
-class AugmentSpec:
-    """Target-view augmentation: pad-and-crop, horizontal flip, contrast jitter."""
-
-    crop_padding: int = 3
-    hflip_prob: float = 0.5
-    contrast_range: tuple[float, float] = (0.8, 1.25)
-
-    def __post_init__(self):
-        if not 0.0 <= self.hflip_prob <= 1.0:
-            raise ContractError("hflip probability must be in [0,1]")
-        lo, hi = self.contrast_range
-        if lo <= 0 or hi < lo:
-            raise ContractError("contrast range must be positive and ordered")
-        if self.crop_padding < 0:
-            raise ContractError("crop padding must be nonnegative")
 
 
 def _normalize_labels(labels: np.ndarray, entry: str) -> np.ndarray:
@@ -169,19 +139,23 @@ def infer_task(labels: np.ndarray, task: TaskKind | str | None = None) -> tuple[
     Unset, the kind is multilabel for width > 1, binary for two classes
     and multiclass otherwise; ordinal cannot be inferred. A multilabel
     task has one class per column, an index task ``max + 1`` classes and
-    at least 2. Under ``binary`` a label outside {0, 1} is a ``FormatError``.
+    at least 2. A ``FormatError`` names the task for an index task on
+    labels wider than one column, and for a label outside {0, 1} under
+    ``binary`` or multilabel.
     """
     if task is not None:
         task = TaskKind(task)
     elif labels.shape[1] > 1:
         task = TaskKind.MULTILABEL
+    if task is not TaskKind.MULTILABEL and labels.shape[1] > 1:
+        raise FormatError(f"task '{task.value}' needs one label column, got {labels.shape[1]}")
+    if task in (TaskKind.BINARY, TaskKind.MULTILABEL) and not np.isin(labels, (0, 1)).all():
+        raise FormatError(
+            f"task '{task.value}' needs labels in {{0, 1}}, saw [{labels.min()}, {labels.max()}]"
+        )
     if task is TaskKind.MULTILABEL:
         return task, labels.shape[1]
     num_classes = max(int(labels.max()) + 1, 2)
-    if task is TaskKind.BINARY and (num_classes > 2 or labels.min() < 0):
-        raise FormatError(
-            f"task 'binary' needs labels in {{0, 1}}, saw [{labels.min()}, {labels.max()}]"
-        )
     if task is None:
         task = TaskKind.BINARY if num_classes == 2 else TaskKind.MULTICLASS
     return task, num_classes
@@ -343,43 +317,39 @@ def corrupt_labels(
     return replace(bundle, labels=labels), chosen
 
 
-def augment_target(
-    image: np.ndarray, spec: AugmentSpec, rng: np.random.Generator
-) -> np.ndarray:
+def augment_target(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Pad-and-crop, maybe flip, and contrast-jitter one (H, W, ch) image.
 
-    Contrast scales deviations from the image mean: ``m + f*(v - m)``,
-    clamped to [0, 255]. Output shape and dtype match the input.
+    Zero-pad by ``CROP_PADDING`` and crop at a uniform offset, flip with
+    probability ``HFLIP_PROB``, then scale deviations from the mean ``m`` by
+    ``f`` uniform in ``CONTRAST_RANGE``: ``m + f*(v - m)``, clamped to
+    [0, 255]. Output shape and dtype match the input.
     """
     h, w, _ = image.shape
-    out = image
-    pad = spec.crop_padding
-    if pad > 0:
-        padded = np.pad(out, ((pad, pad), (pad, pad), (0, 0)))
-        y = int(rng.integers(0, 2 * pad + 1))
-        x = int(rng.integers(0, 2 * pad + 1))
-        out = padded[y : y + h, x : x + w]
-    if spec.hflip_prob > 0 and rng.random() < spec.hflip_prob:
+    pad = CROP_PADDING
+    padded = np.pad(image, ((pad, pad), (pad, pad), (0, 0)))
+    y = int(rng.integers(0, 2 * pad + 1))
+    x = int(rng.integers(0, 2 * pad + 1))
+    out = padded[y : y + h, x : x + w]
+    if rng.random() < HFLIP_PROB:
         out = out[:, ::-1]
-    lo, hi = spec.contrast_range
-    if (lo, hi) != (1.0, 1.0):
-        f = rng.uniform(lo, hi)
-        m = out.mean()
-        jittered = np.clip(m + f * (out.astype(np.float64) - m), 0.0, 255.0)
-        out = np.rint(jittered) if image.dtype.kind in "ui" else jittered
+    f = rng.uniform(*CONTRAST_RANGE)
+    m = out.mean()
+    jittered = np.clip(m + f * (out.astype(np.float64) - m), 0.0, 255.0)
+    out = np.rint(jittered) if image.dtype.kind in "ui" else jittered
     return np.ascontiguousarray(out).astype(image.dtype)
 
 
-def random_mask(
-    image: np.ndarray, spec: MaskSpec, rng: np.random.Generator
-) -> np.ndarray:
-    """Zero each pixel independently with probability ``spec.rate``.
+def random_mask(image: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Zero each pixel independently with probability ``rate``, in [0, 1].
 
     The mask is drawn per pixel position and shared across the channel
     axis (the trailing one). Accepts a single (H, W, ch) image or any
     batch (..., H, W, ch); shape and dtype are preserved.
     """
-    keep = rng.random(image.shape[:-1]) >= spec.rate
+    if not 0.0 <= rate <= 1.0:
+        raise ContractError(f"mask rate must be in [0,1], got {rate}")
+    keep = rng.random(image.shape[:-1]) >= rate
     out = image * keep[..., None]
     return out.astype(image.dtype)
 
@@ -389,7 +359,6 @@ def synth_dataset(
     n_per_class: int = 100,
     side: int = 16,
     rng: np.random.Generator | None = None,
-    noise: float = 20.0,
 ) -> DatasetBundle:
     """Generate a separable desk-scale dataset of blob images.
 
@@ -408,7 +377,7 @@ def synth_dataset(
         cx = side / 2 + (side / 4) * np.cos(angle)
         sigma = side / 8.0
         blob = 180.0 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
-        noisy = blob + rng.normal(0.0, noise, size=(n_per_class, side, side)) + 30.0
+        noisy = blob + rng.normal(0.0, SYNTH_NOISE, size=(n_per_class, side, side)) + 30.0
         images.append(np.clip(noisy, 0, 255).astype(np.uint8)[..., None])
     n_train = int(0.7 * n_per_class)
     n_val = int(0.1 * n_per_class)

@@ -87,6 +87,11 @@ __all__ = [
 ]
 
 
+# fixed, not settings: layernorm's variance floor, and grad_check's difference step
+# and the relative one-sided disagreement that marks a kink
+LAYERNORM_EPS, FD_STEP, KINK_TOL = 1e-5, 1e-5, 1e-3
+
+
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
@@ -156,8 +161,8 @@ class Tensor:
     def transpose(self, axes) -> "Tensor":
         return transpose(self, axes)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None) -> "Tensor":
+        return tsum(self, axis=axis)
 
     def __add__(self, other):
         return add(self, other)
@@ -318,20 +323,20 @@ def _norm_axis(axis, ndim: int):
     return (axis % ndim,)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = constant(a)
     axes = _norm_axis(axis, a.ndim)
-    out_data = np.sum(a.data, axis=axes, keepdims=keepdims)
+    out_data = np.sum(a.data, axis=axes)
 
     def backprop(g):
-        if axes is not None and not keepdims:
+        if axes is not None:
             g = np.expand_dims(g, axes)
         a._accumulate(np.broadcast_to(g, a.shape))
 
     return Tensor(out_data, (a,), backprop, "sum")
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = constant(a)
     axes = _norm_axis(axis, a.ndim)
     if axes is None:
@@ -341,80 +346,77 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     if count == 0:
         raise DimensionError("mean over an empty axis")
     scale = 1.0 / count
-    out_data = np.sum(a.data, axis=axes, keepdims=keepdims) * scale
+    out_data = np.sum(a.data, axis=axes) * scale
 
     def backprop(g):
         g = g * scale
-        if axes is not None and not keepdims:
+        if axes is not None:
             g = np.expand_dims(g, axes)
         a._accumulate(np.broadcast_to(g, a.shape))
 
     return Tensor(out_data, (a,), backprop, "mean")
 
 
-def _shifted_exp(x: np.ndarray, axis: int):
-    """``x`` less its max along ``axis``, its exponentials ``e`` and their sum ``s``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def _shifted_exp(x: np.ndarray):
+    """``x`` less its max along the last axis, its exponentials ``e`` and their sum ``s``."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return shifted, e, np.sum(e, axis=axis, keepdims=True)
+    return shifted, e, np.sum(e, axis=-1, keepdims=True)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, ``e / s``. One node; the backward is
+def softmax(a) -> Tensor:
+    """Softmax along the last axis, ``e / s``. One node; the backward is
     ``y * (g - sum(g * y))``."""
     a = constant(a)
-    _, e, s = _shifted_exp(a.data, axis)
+    _, e, s = _shifted_exp(a.data)
     out_data = e / s
 
     def backprop(g):
-        a._accumulate(out_data * (g - np.sum(g * out_data, axis=axis, keepdims=True)))
+        a._accumulate(out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
 
     return Tensor(out_data, (a,), backprop, "softmax")
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Log-softmax along ``axis``, ``shifted - log(s)``. One node; the
+def log_softmax(a) -> Tensor:
+    """Log-softmax along the last axis, ``shifted - log(s)``. One node; the
     backward is ``g - (sum(g) / s) * e``, rounded as ``g + (-sum(g) / s) * e``."""
     a = constant(a)
-    shifted, e, s = _shifted_exp(a.data, axis)
+    shifted, e, s = _shifted_exp(a.data)
     out_data = shifted - np.log(s)
 
     def backprop(g):
-        a._accumulate(g + (-np.sum(g, axis=axis, keepdims=True) / s) * e)
+        a._accumulate(g + (-np.sum(g, axis=-1, keepdims=True) / s) * e)
 
     return Tensor(out_data, (a,), backprop, "log_softmax")
 
 
-def layernorm(x, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis``, then scale and shift.
+def layernorm(x, gamma, beta) -> Tensor:
+    """Normalize to zero mean / unit variance along the last axis, then scale and shift.
 
-    ``gamma`` and ``beta`` share one shape: that of the ``gamma.ndim`` axes
-    of ``x`` ending at ``axis``, so a vector matches the normalized axis
+    ``gamma`` and ``beta`` share one shape: that of the trailing
+    ``gamma.ndim`` axes of ``x``, so a vector matches the normalized axis
     and a ``(2, n)`` pair gives each part of a packed complex tensor its
-    own gain and shift. The ``eps`` guard keeps a zero-variance slice
-    finite (it collapses to ``beta``). One node: the backward is the
-    closed form ``inv * (g' - mean(g') - xhat * mean(g' * xhat))`` with
-    ``g' = g * gamma``.
+    own gain and shift. ``LAYERNORM_EPS``, added to the variance, keeps a
+    zero-variance slice finite (it collapses to ``beta``). One node: the
+    backward is the closed form ``inv * (g' - mean(g') - xhat * mean(g' * xhat))``
+    with ``g' = g * gamma``.
     """
     x, gamma, beta = constant(x), constant(gamma), constant(beta)
-    if eps <= 0:
-        raise ContractError("layernorm: eps must be positive")
-    ax = axis % x.ndim
-    n = x.shape[ax]
+    n = x.shape[-1]
     if n == 0:
         raise DimensionError("layernorm: zero-length axis")
     k = max(gamma.ndim, 1)
-    covered = x.shape[max(ax + 1 - k, 0):ax + 1]
+    covered = x.shape[-k:]
     for name, t in (("gamma", gamma), ("beta", beta)):
         if t.shape != covered:
             raise DimensionError(
                 f"layernorm: {name} has shape {t.shape}, expected {covered}"
             )
-    others = tuple(i for i in range(x.ndim) if not ax - k < i <= ax)
+    others = tuple(range(x.ndim - k))
     scale = np.expand_dims(gamma.data, others)
-    mu = np.sum(x.data, axis=ax, keepdims=True) * (1.0 / n)
+    mu = np.sum(x.data, axis=-1, keepdims=True) * (1.0 / n)
     out_data = x.data - mu
-    inv = (np.sum(out_data * out_data, axis=ax, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    inv = (np.sum(out_data * out_data, axis=-1, keepdims=True) * (1.0 / n) + LAYERNORM_EPS) ** -0.5
     out_data *= inv
     out_data *= scale
     out_data += np.expand_dims(beta.data, others)
@@ -422,8 +424,8 @@ def layernorm(x, gamma, beta, axis: int = -1, eps: float = 1e-5) -> Tensor:
     def backprop(g):
         xhat = (x.data - mu) * inv
         gx = g * scale
-        x._accumulate(inv * (gx - gx.mean(axis=ax, keepdims=True)
-                             - xhat * (gx * xhat).mean(axis=ax, keepdims=True)))
+        x._accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
+                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
         gamma._accumulate(np.sum(g * xhat, axis=others))
         beta._accumulate(np.sum(g, axis=others))
 
@@ -686,19 +688,17 @@ def _eval_value(f, arrays: dict[str, np.ndarray]) -> float:
 def grad_check_report(
     f,
     leaves: dict[str, np.ndarray],
-    eps: float = 1e-5,
-    kink_tol: float = 1e-3,
     sample: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients of ``f`` against central differences.
 
     ``f`` maps a dict of leaf tensors to a scalar tensor and must be
-    deterministic (freeze any noise before calling). Entries where the
-    two one-sided differences disagree are sitting on a kink; they are
-    skipped rather than failed. ``sample`` bounds the number of entries
-    probed per leaf (deterministic choice via ``rng``), for checks on
-    models too large to enumerate.
+    deterministic (freeze any noise before calling). Each entry is probed
+    at ``± FD_STEP``; where the two one-sided differences disagree by more
+    than ``KINK_TOL`` it sits on a kink and is skipped rather than failed.
+    ``sample`` bounds the number of entries probed per leaf (a deterministic
+    choice via ``rng``), for checks on models too large to enumerate.
     """
     tape = Tape()
     tensors = {k: tape.leaf(k, v) for k, v in leaves.items()}
@@ -723,15 +723,15 @@ def grad_check_report(
         leaf_err = 0.0
         for i in indices:
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_STEP
             fp = _eval_value(f, work)
-            flat[i] = orig - eps
+            flat[i] = orig - FD_STEP
             fm = _eval_value(f, work)
             flat[i] = orig
-            fd = (fp - fm) / (2.0 * eps)
-            fwd = (fp - base) / eps
-            bwd = (base - fm) / eps
-            if abs(fwd - bwd) > kink_tol * max(1.0, abs(fwd), abs(bwd)):
+            fd = (fp - fm) / (2.0 * FD_STEP)
+            fwd = (fp - base) / FD_STEP
+            bwd = (base - fm) / FD_STEP
+            if abs(fwd - bwd) > KINK_TOL * max(1.0, abs(fwd), abs(bwd)):
                 skipped += 1
                 continue
             checked += 1
@@ -745,9 +745,8 @@ def grad_check_report(
 def grad_check(
     f,
     leaves: dict[str, np.ndarray],
-    eps: float = 1e-5,
     sample: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    return grad_check_report(f, leaves, eps=eps, sample=sample, rng=rng).max_rel_error
+    return grad_check_report(f, leaves, sample=sample, rng=rng).max_rel_error

@@ -180,7 +180,7 @@ class CMixerClassifier:
         return self.model_.scores(x, rng=np.random.default_rng(self.random_state))
 
     def predict_proba(self, X) -> np.ndarray:
-        return engine.softmax(self.decision_function(X), axis=1).data
+        return engine.softmax(self.decision_function(X)).data
 
     def predict(self, X) -> np.ndarray:
         scores = self.decision_function(X)

@@ -146,8 +146,11 @@ def evaluate(
     The model scores under its own ``toggles``. Noise is sampled fresh
     from ``rng`` per batch (with the no-noise toggle the pass is
     deterministic); passing a seeded generator freezes the evaluation.
-    A class count other than the bundle's is a ``DimensionError``.
+    A class count other than the bundle's is a ``DimensionError``, and a
+    ``batch_size`` below 1 a ``ContractError``.
     """
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     if model.config.num_classes != bundle.num_classes:
         raise DimensionError(
             f"model has {model.config.num_classes} classes, data has {bundle.num_classes}"

@@ -151,13 +151,6 @@ class CMixerConfig:
             image_side=image_side,
         )
 
-    def to_lines(self) -> str:
-        return to_lines(self)
-
-    @classmethod
-    def from_lines(cls, text: str) -> "CMixerConfig":
-        return cls(**parse_lines(text, field_types(cls)))
-
 
 def to_lines(obj) -> str:
     """A dataclass as ``key=value`` lines, one per field."""

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .data import (AugmentSpec, DatasetBundle, MaskSpec, Split, TaskKind, augment_target,
-                   label_columns, random_mask)
+from .data import DatasetBundle, Split, TaskKind, augment_target, label_columns, random_mask
 from .engine import Tape, Tensor
 from .errors import ContractError, NumericError
 from .model import CMixerModel, field_types
@@ -48,15 +47,19 @@ __all__ = [
     "FinetuneResult",
 ]
 
-# fixed, not settings: AdamW's moment decays and floor, and pretrain's target-view augmentation
+# fixed, not settings: AdamW's moment decays and floor
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-_AUGMENT = AugmentSpec()
 
 
 @dataclass
 class TrainConfig:
     """Settings for one pretrain+finetune run. The ablation toggles are not
-    settings of a run: they live on the model (``CMixerModel.toggles``)."""
+    settings of a run: they live on the model (``CMixerModel.toggles``).
+
+    ``seed`` seeds only ``finetune``'s validation noise, ``default_rng(seed + epoch)``;
+    batch order, noise, masks and augmentations come from the generator the
+    caller passes (the CLI and the estimator make it from ``seed`` too).
+    """
 
     pretrain_epochs: int = 10
     pretrain_batch_size: int = 500
@@ -150,7 +153,7 @@ def bce_with_logits(logits, targets) -> Tensor:
 
 def _soft_cross_entropy(logits: Tensor, q: np.ndarray) -> Tensor:
     """Mean over rows of H(q, softmax(logits)); the targets ``q`` are constants."""
-    logp = engine.log_softmax(logits, axis=1)
+    logp = engine.log_softmax(logits)
     return engine.mul(engine.tsum(engine.mul(logp, q)), -1.0 / logits.shape[0])
 
 
@@ -179,7 +182,7 @@ def ssl_loss(anchor_out, target_out, temperature: float = 0.5) -> Tensor:
     target = target_out.data if isinstance(target_out, Tensor) else np.asarray(target_out)
     if target.shape != anchor_out.shape:
         raise ContractError(f"target {target.shape} != anchor {anchor_out.shape}")
-    q = engine.softmax(target / temperature, axis=1).data
+    q = engine.softmax(target / temperature).data
     return _soft_cross_entropy(engine.mul(anchor_out, 1.0 / temperature), q)
 
 
@@ -384,17 +387,16 @@ def pretrain(
         total_steps,
     )
     opt = AdamWState.init(model.params, weight_decay=config.pretrain_weight_decay)
-    mask = MaskSpec(config.mask_rate)
     losses: list[float] = []
     rows: list[LogRow] = []
     step = 0
     for epoch in range(config.pretrain_epochs):
         for batch in _batches(len(train_idx), config.pretrain_batch_size, rng):
             anchor = bundle.images[train_idx[batch]]
-            target = np.stack([augment_target(img, _AUGMENT, rng) for img in anchor])
+            target = np.stack([augment_target(img, rng) for img in anchor])
             if model.toggles.rm:
-                anchor = random_mask(anchor, mask, rng)
-                target = random_mask(target, mask, rng)
+                anchor = random_mask(anchor, config.mask_rate, rng)
+                target = random_mask(target, config.mask_rate, rng)
             # zeroing a uint8 pixel before the division gives the same float
             anchor = _to_model_layout(anchor)
             target = _to_model_layout(target)

@@ -17,7 +17,6 @@ import pytest
 from cmixer.cli import main
 from cmixer.data import (
     DatasetBundle,
-    MaskSpec,
     Split,
     TaskKind,
     load_npz,
@@ -189,7 +188,7 @@ def test_c07_masking_statistics():
     3-sigma binomial interval."""
     rng = np.random.default_rng(22)
     images = np.ones((100, 28, 28, 1), dtype=np.uint8)
-    masked = random_mask(images, MaskSpec(0.2), rng)
+    masked = random_mask(images, 0.2, rng)
     zeroed = int((masked == 0).sum())
     n, p = 100 * 28 * 28, 0.2
     spread = 3.0 * np.sqrt(n * p * (1 - p))

@@ -372,6 +372,29 @@ class TestConfigHandling:
         assert settings["epochs"] == 3
 
 
+class TestLabelChecks:
+    @pytest.mark.parametrize("task, labels", [
+        # index labels on three columns, read as one multiclass index
+        ("multiclass", [[0, 1, 1], [1, 0, 0], [0, 0, 1], [1, 1, 0]] * 5),
+        # a multilabel archive with one label of 2
+        (None, [[0, 1, 1], [1, 0, 0], [0, 0, 1], [1, 1, 0]] * 4 + [[0, 2, 1]] * 4),
+    ])
+    def test_bad_labels_exit_3_before_out_exists(self, tmp_path, capsys, task, labels):
+        labels = np.array(labels, dtype=np.int64)
+        arrays = {}
+        for kind, part in (("train", labels[:14]), ("val", labels[14:16]), ("test", labels[16:])):
+            arrays[f"{kind}_images"] = np.zeros((len(part), 16, 16), dtype=np.uint8)
+            arrays[f"{kind}_labels"] = part
+        write_arrays(tmp_path / "labels.npz", arrays)
+        cfg = tmp_path / "labels.cfg"
+        cfg.write_text(f"data={tmp_path / 'labels.npz'}\n" + (f"task={task}\n" if task else ""))
+        code = main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "data error" in err and (task or "multilabel") in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSettingsSchema:
     def test_every_train_config_scalar_is_a_typed_key(self, tmp_path):
         fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)

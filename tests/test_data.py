@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from cmixer.data import (
-    AugmentSpec,
     DatasetBundle,
-    MaskSpec,
     Split,
     TaskKind,
     augment_target,
@@ -58,12 +56,12 @@ class TestLoadNpz:
         bundle = load_npz(path)
         c = bundle.split_counts()
         assert c["train_labeled"] == 546 and c["val"] == 78 and c["test"] == 156
-        assert bundle.image_shape == (8, 8, 1)
+        assert bundle.images.shape[1:] == (8, 8, 1)
 
     def test_rgb_channels(self, tmp_path):
         path = tiny_archive(tmp_path, ch=3)
         bundle = load_npz(path)
-        assert bundle.image_shape == (8, 8, 3)
+        assert bundle.images.shape[1:] == (8, 8, 3)
 
     def test_round_trip(self, tmp_path):
         bundle = load_npz(tiny_archive(tmp_path))
@@ -214,53 +212,60 @@ class TestCorruptLabels:
             assert np.abs(out.labels[i] - bundle.labels[i]).sum() == 1
 
 
+def _augment_reference(image, rng):
+    """The paper's target-view augmentation written out pixel by pixel: pad 3
+    with zeros and crop back at offset (y, x), flip left-right when
+    ``random() < 0.5``, then ``m + f*(v - m)`` with ``f`` uniform in
+    [0.8, 1.25], clamped to [0, 255] and rounded."""
+    h, w, ch = image.shape
+    y, x = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+    flip = rng.random() < 0.5
+    f = rng.uniform(0.8, 1.25)
+    crop = np.zeros((h, w, ch))
+    for i in range(h):
+        for j in range(w):
+            si, sj = i + y - 3, j + x - 3
+            if 0 <= si < h and 0 <= sj < w:
+                crop[i, w - 1 - j if flip else j] = image[si, sj]
+    m = crop.mean()
+    return np.rint(np.clip(m + f * (crop - m), 0.0, 255.0)).astype(image.dtype)
+
+
 class TestAugment:
-    def test_zero_spec_identity(self):
-        rng = np.random.default_rng(0)
-        image = rng.integers(0, 256, (8, 8, 1), dtype=np.uint8)
-        spec = AugmentSpec(crop_padding=0, hflip_prob=0.0, contrast_range=(1.0, 1.0))
-        out = augment_target(image, spec, np.random.default_rng(5))
-        np.testing.assert_array_equal(out, image)
-
-    def test_forced_flip_is_mirror_and_involution(self):
-        rng = np.random.default_rng(0)
-        image = rng.integers(0, 256, (6, 6, 2), dtype=np.uint8)
-        spec = AugmentSpec(crop_padding=0, hflip_prob=1.0, contrast_range=(1.0, 1.0))
-        once = augment_target(image, spec, np.random.default_rng(0))
-        np.testing.assert_array_equal(once, image[:, ::-1])
-        twice = augment_target(once, spec, np.random.default_rng(0))
-        np.testing.assert_array_equal(twice, image)
-
-    def test_contrast_formula(self):
-        image = np.array([[[10], [200]], [[60], [130]]], dtype=np.uint8)
-        spec = AugmentSpec(crop_padding=0, hflip_prob=0.0, contrast_range=(2.0, 2.0))
-        out = augment_target(image, spec, np.random.default_rng(0))
-        m = image.mean()
-        expected = np.clip(m + 2.0 * (image.astype(float) - m), 0, 255)
-        np.testing.assert_array_equal(out, np.rint(expected).astype(np.uint8))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_independent_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        image = rng.integers(0, 256, (9, 7, 1 + seed % 3), dtype=np.uint8)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = augment_target(image, got_rng)
+        want = _augment_reference(image, want_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        # the same four draws: both generators are left in one state
+        assert got_rng.random() == want_rng.random()
 
     def test_shape_and_dtype_preserved(self):
         rng = np.random.default_rng(2)
         image = rng.integers(0, 256, (12, 12, 3), dtype=np.uint8)
-        out = augment_target(image, AugmentSpec(), np.random.default_rng(7))
+        out = augment_target(image, np.random.default_rng(7))
         assert out.shape == image.shape and out.dtype == image.dtype
 
 
 class TestRandomMask:
     def test_rate_zero_identity(self):
         image = np.full((8, 8, 1), 7, dtype=np.uint8)
-        out = random_mask(image, MaskSpec(0.0), np.random.default_rng(0))
+        out = random_mask(image, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, image)
 
     def test_rate_one_all_zero(self):
         image = np.full((8, 8, 1), 7, dtype=np.uint8)
-        out = random_mask(image, MaskSpec(1.0), np.random.default_rng(0))
+        out = random_mask(image, 1.0, np.random.default_rng(0))
         assert out.sum() == 0
 
     def test_binomial_interval(self):
         image = np.ones((28, 28, 1), dtype=np.uint8)
         zeroed = [
-            (random_mask(image, MaskSpec(0.2), np.random.default_rng(seed)) == 0).sum()
+            (random_mask(image, 0.2, np.random.default_rng(seed)) == 0).sum()
             for seed in range(30)
         ]
         n, p = 28 * 28, 0.2
@@ -271,18 +276,18 @@ class TestRandomMask:
 
     def test_mask_shared_across_channels(self):
         image = np.full((16, 16, 3), 9, dtype=np.uint8)
-        out = random_mask(image, MaskSpec(0.5), np.random.default_rng(3))
+        out = random_mask(image, 0.5, np.random.default_rng(3))
         per_pixel = out.reshape(-1, 3)
         assert all(len(set(row.tolist())) == 1 for row in per_pixel)
 
     def test_shape_dtype_preserved_float(self):
         image = np.random.default_rng(0).random((4, 4, 1))
-        out = random_mask(image, MaskSpec(0.3), np.random.default_rng(0))
+        out = random_mask(image, 0.3, np.random.default_rng(0))
         assert out.shape == image.shape and out.dtype == image.dtype
 
     def test_bad_rate(self):
         with pytest.raises(ContractError):
-            MaskSpec(1.5)
+            random_mask(np.ones((4, 4, 1)), 1.5, np.random.default_rng(0))
 
 
 class TestSynthDataset:

@@ -226,6 +226,12 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(model, replace(bundle, splits=tags), Split.VAL)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, setup, batch_size):
+        bundle, model = setup
+        with pytest.raises(ContractError, match="batch_size"):
+            evaluate(model, bundle, Split.TEST, rng=np.random.default_rng(1), batch_size=batch_size)
+
     def test_report_rows_schema(self, setup):
         bundle, model = setup
         report = evaluate(model, bundle, Split.TEST, rng=np.random.default_rng(1))

@@ -13,15 +13,18 @@ from cmixer.model import (
     CMixerConfig,
     CMixerModel,
     Toggles,
+    field_types,
     init_params,
     load_checkpoint,
     mixer_block_forward,
     param_count,
     param_shapes,
+    parse_lines,
     patchify,
     pearson_project,
     sample_incentive,
     save_checkpoint,
+    to_lines,
 )
 from cmixer.npzio import read_arrays, write_arrays
 from cmixer.train import cross_entropy, loss_for_task, ssl_loss
@@ -584,7 +587,7 @@ class TestConfig:
 
     def test_round_trip_lines(self):
         config = tiny_config()
-        again = CMixerConfig.from_lines(config.to_lines())
+        again = CMixerConfig(**parse_lines(to_lines(config), field_types(CMixerConfig)))
         assert again == config
 
 
@@ -623,7 +626,7 @@ def legacy_entries(config, rng):
         else:
             for part in ("re", "im"):
                 entries[f"{name}.{part}"] = rng.standard_normal(shape[:-2] + shape[-1:])
-    meta = (config.to_lines() + "ssl=True\n").encode()
+    meta = (to_lines(config) + "ssl=True\n").encode()
     entries["meta"] = np.frombuffer(meta, dtype=np.uint8)
     return entries
 
@@ -740,7 +743,7 @@ class TestCheckpointToggles:
     def test_meta_without_toggle_lines_loads_defaults(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "old.npz"
-        meta = np.frombuffer(config.to_lines().encode(), dtype=np.uint8)
+        meta = np.frombuffer(to_lines(config).encode(), dtype=np.uint8)
         write_arrays(path, {**legacy_entries(config, np.random.default_rng(0)), "meta": meta})
         loaded = load_checkpoint(path)
         assert loaded.config == config
@@ -749,7 +752,7 @@ class TestCheckpointToggles:
     def test_malformed_bool_in_meta_is_format_error(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "bad.npz"
-        text = config.to_lines() + "p_i=maybe\n"
+        text = to_lines(config) + "p_i=maybe\n"
         write_arrays(path, {**legacy_entries(config, np.random.default_rng(0)),
                             "meta": np.frombuffer(text.encode(), dtype=np.uint8)})
         with pytest.raises(FormatError, match="p_i"):

@@ -48,6 +48,17 @@ class TestInferTask:
         with pytest.raises(FormatError, match="binary"):
             infer_task(labels, TaskKind.BINARY)
 
+    @pytest.mark.parametrize("task", [TaskKind.MULTICLASS, TaskKind.ORDINAL, TaskKind.BINARY])
+    def test_index_task_needs_one_label_column(self, task):
+        with pytest.raises(FormatError, match=f"task '{task.value}' needs one label column"):
+            infer_task(np.array([[0, 1, 0], [1, 0, 1]]), task)
+
+    @pytest.mark.parametrize("task", [None, TaskKind.MULTILABEL])
+    @pytest.mark.parametrize("labels", [[[0, 2], [1, 0]], [[0, -1], [1, 1]]])
+    def test_multilabel_needs_labels_in_zero_one(self, task, labels):
+        with pytest.raises(FormatError, match="multilabel"):
+            infer_task(np.array(labels), task)
+
 
 class TestLabelColumns:
     def test_index_labels_become_one_hot_rows(self):
@@ -197,6 +208,16 @@ class TestExplicitTask:
     def test_binary_on_three_classes_is_a_format_error(self, tmp_path):
         with pytest.raises(FormatError, match="binary"):
             load_npz(_archive(tmp_path, ([0, 1, 2], [0], [1])), task=TaskKind.BINARY)
+
+    def test_multiclass_on_three_label_columns_is_a_format_error(self, tmp_path):
+        wide = ([[0, 1, 1]] * 14, [[1, 0, 0]] * 2, [[0, 0, 1]] * 4)
+        with pytest.raises(FormatError, match="multiclass"):
+            load_npz(_archive(tmp_path, wide), task=TaskKind.MULTICLASS)
+
+    def test_multilabel_label_of_two_is_a_format_error(self, tmp_path):
+        labels = ([[0, 1, 1]] * 13 + [[0, 2, 1]], [[1, 0, 0]] * 2, [[0, 0, 1]] * 4)
+        with pytest.raises(FormatError, match="multilabel"):
+            load_npz(_archive(tmp_path, labels))
 
 
 class TestUnusedHead:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmixer import engine
-from cmixer.data import AugmentSpec, MaskSpec, Split, augment_target, random_mask, synth_dataset
+from cmixer.data import Split, augment_target, random_mask, synth_dataset
 from cmixer.engine import Tape, Tensor, grad_check
 from cmixer.errors import ContractError, NumericError
 from cmixer.model import CMixerConfig, CMixerModel, Toggles, field_types
@@ -496,16 +496,15 @@ def reference_views(bundle, config, seed, rm):
     train_idx = bundle.indices(Split.TRAIN_LABELED, Split.TRAIN_UNLABELED)
     order = rng.permutation(len(train_idx))
     views = []
-    mask = MaskSpec(config.mask_rate)
     for start in range(0, len(order), config.pretrain_batch_size):
         raw = bundle.images[train_idx[order[start : start + config.pretrain_batch_size]]]
         anchor = raw.astype(np.float64) / 255.0
         target = np.stack(
-            [augment_target(img, AugmentSpec(), rng) for img in raw]
+            [augment_target(img, rng) for img in raw]
         ).astype(np.float64) / 255.0
         if rm:
-            anchor = random_mask(anchor, mask, rng)
-            target = random_mask(target, mask, rng)
+            anchor = random_mask(anchor, config.mask_rate, rng)
+            target = random_mask(target, config.mask_rate, rng)
         anchor = np.transpose(anchor, (0, 3, 1, 2))
         target = np.transpose(target, (0, 3, 1, 2))
         views += [(anchor, rng.standard_normal(anchor.shape)),
