@@ -231,7 +231,40 @@ def _augment_reference(image, rng):
     return np.rint(np.clip(m + f * (crop - m), 0.0, 255.0)).astype(image.dtype)
 
 
+class _FixedDraws:
+    """Stands in for the generator with chosen draws: a centred crop, a flip
+    when ``flip`` is set, and the contrast factor ``f``."""
+
+    def __init__(self, flip, f):
+        self.flip, self.f = flip, f
+
+    def integers(self, low, high):
+        return (low + high - 1) // 2
+
+    def random(self):
+        return 0.0 if self.flip else 1.0
+
+    def uniform(self, low, high):
+        assert low <= self.f <= high
+        return self.f
+
+
 class TestAugment:
+    def test_forced_flip_is_mirror_and_involution(self):
+        rng = np.random.default_rng(0)
+        image = rng.integers(0, 256, (6, 6, 2), dtype=np.uint8)
+        once = augment_target(image, _FixedDraws(flip=True, f=1.0))
+        np.testing.assert_array_equal(once, image[:, ::-1])
+        twice = augment_target(once, _FixedDraws(flip=True, f=1.0))
+        np.testing.assert_array_equal(twice, image)
+
+    def test_contrast_formula(self):
+        image = np.array([[[10], [200]], [[60], [130]]], dtype=np.uint8)
+        out = augment_target(image, _FixedDraws(flip=False, f=1.25))
+        m = image.mean()
+        expected = np.clip(m + 1.25 * (image.astype(float) - m), 0, 255)
+        np.testing.assert_array_equal(out, np.rint(expected).astype(np.uint8))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_independent_reference(self, seed):
         rng = np.random.default_rng(100 + seed)
