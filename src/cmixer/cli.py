@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
 from .data import Split, TaskKind, corrupt_labels, load_npz, make_semi, write_npz
 from .errors import CMixerError, ConfigError, ContractError, FormatError
 from .gradcheck import run_suite
@@ -348,9 +347,8 @@ def cmd_noise_stats(settings: dict) -> int:
     if len(idx) < n:
         idx = np.arange(n)
     images = _to_model_layout(bundle.images[idx])
-    with engine.no_grad():
-        mu, sigma = incentive_mu_sigma(images, model.params)
-    mu, sigma = mu.data.ravel(), sigma.data.ravel()
+    _, mu, _, sigma = incentive_mu_sigma(images, model.params)
+    mu, sigma = mu.ravel(), sigma.ravel()
     rng = np.random.default_rng(settings["seed"])
     with OutputDir(settings) as out:
         path = out.file("noise_stats.csv")

@@ -33,15 +33,16 @@ Conventions baked into this module:
 
 * every op validates its output once for NaN/Inf and raises ``NumericError`` naming
   itself, except those built by ``_exempt``, which cannot make NaN/Inf from finite inputs:
-  ``relu``/``crelu``, ``reshape``, ``transpose``, ``.re``/``.im``, ``ComplexTensor(re, im)``
-  and ``model._open_unit``
+  ``relu``/``crelu``, ``transpose``, ``.re``/``.im`` and ``ComplexTensor(re, im)``
 * a complex op is one node over ``z``: ``complex_affine``, ``crelu``, ``layernorm``
   over the last axis, the residual add and the mean each build exactly one node;
   ``ComplexTensor.packed`` (every complex parameter) adds none, and only packing two
   real tensors (``ComplexTensor(re, im)``) and reading a part (``.re``/``.im``) add one
-* ``complex_affine``, ``layernorm``, ``crelu`` and the loss ops ``softmax``,
-  ``log_softmax`` and ``sub`` are fused ops with hand-written backward passes,
-  one node each; ``complex_affine`` is one block-form GEMM, which beat Gauss's
+* ``complex_affine``, ``layernorm``, ``crelu`` and the loss ops ``softmax`` and
+  ``log_softmax`` are fused ops with hand-written backward passes, one node each
+  (``sub`` is a plain broadcast op; the model's noisy input, ``sample_incentive``,
+  and its head, ``pearson_project``, are built the same way as the fused ops);
+  ``complex_affine`` is one block-form GEMM, which beat Gauss's
   3-multiply form on the model's shapes (its extra elementwise passes cost more).
   With ``crelu=True`` it also applies the CReLU in place on its output and takes
   the ReLU mask off that output, so a CReLU after an affine stores no
@@ -71,8 +72,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "matmul",
-    "tanh",
     "relu",
     "softplus",
     "softmax",
@@ -155,9 +154,6 @@ class Tensor:
             # first arrival in one pass: -0.0 becomes +0.0 and the layout is data's
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
 
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
     def transpose(self, axes) -> "Tensor":
         return transpose(self, axes)
 
@@ -235,29 +231,6 @@ def mul(a, b) -> Tensor:
     return Tensor(out_data, (a, b), backprop, "mul")
 
 
-def matmul(a, b) -> Tensor:
-    """Product of two matrices."""
-    a, b = constant(a), constant(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: cannot multiply {a.shape} @ {b.shape}")
-
-    def backprop(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
-
-    return Tensor(a.data @ b.data, (a, b), backprop, "matmul")
-
-
-def tanh(a) -> Tensor:
-    a = constant(a)
-    out_data = np.tanh(a.data)
-
-    def backprop(g):
-        a._accumulate(g * (1.0 - out_data * out_data))
-
-    return Tensor(out_data, (a,), backprop, "tanh")
-
-
 def relu(a) -> Tensor:
     a = constant(a)
     out_data = np.maximum(a.data, 0.0)
@@ -287,20 +260,6 @@ def softplus(a) -> Tensor:
         a._accumulate(g * _sigmoid(a.data))
 
     return Tensor(out_data, (a,), backprop, "softplus")
-
-
-def reshape(a, shape) -> Tensor:
-    a = constant(a)
-    shape = tuple(int(s) for s in shape)
-    try:
-        out_data = a.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}") from None
-
-    def backprop(g):
-        a._accumulate(g.reshape(a.shape))
-
-    return _exempt(out_data, (a,), backprop, "reshape")
 
 
 def transpose(a, axes) -> Tensor:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine
 from .engine import ComplexTensor, Tensor, complex_affine, crelu, grad_check_report
-from .model import CMixerConfig, CMixerModel, init_params, sample_incentive
+from .model import CMixerConfig, CMixerModel, init_params, pearson_project, sample_incentive
 from .train import bce_with_logits, cross_entropy, ssl_loss
 
 __all__ = ["OpResult", "SuiteResult", "run_suite", "TOLERANCE"]
@@ -190,10 +190,15 @@ def _suite_entries():
         {"x": extra.standard_normal((2, 3, 4)), "g": extra.standard_normal(4),
          "b": extra.standard_normal(4)},
     ))
-    op("matmul", lambda: (
-        lambda lv: engine.tanh(engine.matmul(lv["x"], lv["y"])).sum(),
-        {"x": rng.standard_normal((3, 4)), "y": rng.standard_normal((4, 3))},
-    ))
+    # the head, on each part selection; the three draw 24, 8 and 8 values
+    # from rng at these two places, which keeps the inputs of the entries
+    # after them
+    def head(keep, w):
+        return lambda lv: engine.mul(
+            pearson_project(ComplexTensor.packed(lv["z"]), *keep), w).sum()
+
+    op("pearson_project", lambda: (head((True, True), a44[:3]),
+                                   {"z": rng.standard_normal((3, 2, 4))}))
     op("softmax", lambda: (
         lambda lv: engine.mul(engine.softmax(lv["x"]), b44).sum(),
         {"x": rng.standard_normal((4, 4))},
@@ -202,10 +207,10 @@ def _suite_entries():
         lambda lv: engine.mul(engine.log_softmax(lv["x"]), b44).sum(),
         {"x": rng.standard_normal((4, 4))},
     ))
-    op("tanh", lambda: (
-        lambda lv: engine.tanh(lv["x"]).sum(),
-        {"x": rng.standard_normal((4, 4))},
-    ))
+    op("pearson_project_real", lambda: (head((True, False), b44[:2, :2]),
+                                        {"z": rng.standard_normal((2, 2, 2))}))
+    op("pearson_project_imag", lambda: (head((False, True), b44[:2, :2]),
+                                        {"z": rng.standard_normal((2, 2, 2))}))
     # b is the first row of a 4x4 draw, broadcast over a's rows; the two
     # full draws keep the inputs of the entries after this one
     op("sub_broadcast", lambda: (
@@ -221,7 +226,7 @@ def _suite_entries():
         {"x": rng.standard_normal((4, 4))},
     ))
 
-    # the incentive sampler with frozen noise
+    # the incentive sampler with frozen noise, cut into four 2x2 patches
     eps = rng.standard_normal((2, 1, 4, 4))
     images = rng.random((2, 1, 4, 4))
     inc = {
@@ -235,7 +240,7 @@ def _suite_entries():
     op("incentive_sampler", lambda: (
         lambda lv: (
             lambda h: engine.mul(h.im, h.im).sum()
-        )(sample_incentive(Tensor(images), lv, eps)),
+        )(sample_incentive(images, lv, eps, 2)),
         {k: v.copy() for k, v in inc.items()},
     ))
 

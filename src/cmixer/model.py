@@ -42,7 +42,6 @@ __all__ = [
     "CMixerModel",
     "incentive_mu_sigma",
     "sample_incentive",
-    "patchify",
     "mixer_block_forward",
     "pearson_project",
     "param_shapes",
@@ -254,76 +253,99 @@ def param_count(config: CMixerConfig) -> int:
     return int(sum(np.prod(s) for s in param_shapes(config).values()))
 
 
-def incentive_mu_sigma(
-    images: Tensor | np.ndarray, params: dict[str, Tensor | np.ndarray]
-) -> tuple[Tensor, Tensor]:
-    """The incentive MLP: per-image ``mu = tanh(.)`` and ``sigma = 0.5*(1 + tanh(.))``.
+_INCENTIVE = ("incentive.hidden.weight", "incentive.hidden.bias", "incentive.mu.weight",
+              "incentive.mu.bias", "incentive.sigma.weight", "incentive.sigma.bias")
 
-    ``images`` is a (batch, ...) stack; each image is read flattened.
-    Both outputs have shape (batch, 1).
+
+def incentive_mu_sigma(images: np.ndarray, params: dict[str, np.ndarray]) -> tuple:
+    """The incentive MLP in numpy: per-image ``mu = tanh(.)`` and ``sigma = 0.5*(1 + tanh(.))``.
+
+    ``images`` is a (batch, ...) stack, each image read flattened, and
+    ``params`` holds the six ``incentive.*`` arrays. Returns the ReLU hidden
+    layer, ``mu``, the tanh inside ``sigma``, and ``sigma``; the last three
+    are (batch, 1). The ReLU maps -Inf to 0 and tanh maps +-Inf to +-1,
+    so a non-finite hidden pre-activation or logit raises ``NumericError``
+    naming ``sample_incentive``, the op this kernel is the forward of.
     """
-    images = engine.constant(images)
     b = images.shape[0]
-    flat = images.reshape((b, images.size // b))
-    hidden = engine.relu(
-        engine.matmul(flat, params["incentive.hidden.weight"])
-        + params["incentive.hidden.bias"]
-    )
-    mu = engine.tanh(
-        engine.matmul(hidden, params["incentive.mu.weight"]) + params["incentive.mu.bias"]
-    )
-    sigma = engine.mul(
-        engine.tanh(
-            engine.matmul(hidden, params["incentive.sigma.weight"])
-            + params["incentive.sigma.bias"]
-        )
-        + 1.0,
-        0.5,
-    )
-    return mu, sigma
+    hidden = (images.reshape((b, images.size // b)) @ params["incentive.hidden.weight"]
+              + params["incentive.hidden.bias"])
+    engine._ensure_finite(hidden, "sample_incentive")
+    np.maximum(hidden, 0.0, out=hidden)
+    mu = hidden @ params["incentive.mu.weight"] + params["incentive.mu.bias"]
+    t = hidden @ params["incentive.sigma.weight"] + params["incentive.sigma.bias"]
+    for logit in (mu, t):
+        engine._ensure_finite(logit, "sample_incentive")
+        np.tanh(logit, out=logit)
+    return hidden, mu, t, (t + 1.0) * 0.5
 
 
-def sample_incentive(
-    images: Tensor | np.ndarray,
-    params: dict[str, Tensor | np.ndarray],
-    epsilon: np.ndarray,
-) -> ComplexTensor:
-    """Fuse a (batch, ch, H, W) image batch with its learned noise sample.
+def _patches(re: np.ndarray, im: np.ndarray, patch: int) -> np.ndarray:
+    """The complex (batch, ch, H, W) batch ``re + i*im`` as row-major sequences of patches.
+
+    Output is (batch, S, 2, ch*patch*patch) with S = (H/P)*(W/P), the packed
+    layout of a ``ComplexTensor``: each row is one patch, each part of it
+    flattened in (ch, P, P) order. Each part is one copy into a view.
+    """
+    b, ch, hgt, wid = re.shape
+    hp, wp = hgt // patch, wid // patch
+    out = np.empty((b, hp * wp, 2, ch * patch * patch))
+    view = out.reshape((b, hp, wp, 2, ch, patch, patch))
+    for part, arr in enumerate((re, im)):
+        view[:, :, :, part] = arr.reshape((b, ch, hp, patch, wp, patch)).transpose(0, 2, 4, 1, 3, 5)
+    return out
+
+
+def sample_incentive(images: np.ndarray, params: dict[str, Tensor | np.ndarray],
+                     eps: np.ndarray, patch: int) -> ComplexTensor:
+    """A (batch, ch, H, W) image batch with its learned noise, cut into patches.
 
     The real part is the image; the imaginary part is ``mu + sigma*eps``
-    with per-image scalars mu and sigma broadcast over all pixels, so
-    gradients flow to the generator through the reparameterized sample.
-    ``epsilon`` must be standard normal, drawn by the caller, and shaped
-    like the batch.
+    with per-image scalars mu and sigma from ``incentive_mu_sigma``,
+    broadcast over all pixels, so gradients flow to the generator through
+    the reparameterized sample. ``eps`` must be standard normal, drawn by
+    the caller, and shaped like the batch. The result has the layout of
+    ``_patches``, (batch, S, 2, ch*patch*patch).
+
+    One node, whose parents are the six ``incentive.*`` buffers; the image
+    and ``eps`` are constants. A non-finite image or ``eps`` raises
+    ``NumericError`` naming the op: the image is the real part as it is,
+    and ``sigma * eps`` is non-finite for any non-finite ``eps``, so the
+    output check sees both.
     """
-    images = engine.constant(images)
-    if images.ndim != 4:
-        raise DimensionError(f"expected (batch, ch, H, W) images, got {images.shape}")
-    eps = np.asarray(epsilon, dtype=np.float64)
-    if eps.shape != images.shape:
-        raise DimensionError(f"epsilon shape {eps.shape} != image shape {images.shape}")
-    b = images.shape[0]
-    mu, sigma = incentive_mu_sigma(images, params)
-    imag = mu.reshape((b, 1, 1, 1)) + sigma.reshape((b, 1, 1, 1)) * Tensor(eps)
-    return ComplexTensor(images, imag)
-
-
-def patchify(h: ComplexTensor, patch: int) -> ComplexTensor:
-    """Cut a (batch, ch, H, W) batch into row-major sequences of flattened patches.
-
-    Output is (batch, S, patch*patch*ch) with S = (H/P)*(W/P); each row
-    is one patch flattened in (ch, P, P) order.
-    """
-    z = h.z  # (batch, ch, H, 2, W)
-    if z.ndim != 5:
-        raise DimensionError(f"expected (batch, ch, H, W), got {h.shape}")
-    b, ch, hgt, _, wid = z.shape
+    x = np.asarray(images, dtype=np.float64)
+    if x.ndim != 4:
+        raise DimensionError(f"expected (batch, ch, H, W) images, got {x.shape}")
+    b, ch, hgt, wid = x.shape
     if hgt % patch or wid % patch:
         raise DimensionError(f"image {hgt}x{wid} not divisible by patch {patch}")
-    hp, wp = hgt // patch, wid // patch
-    z = z.reshape((b, ch, hp, patch, 2, wp, patch))
-    z = z.transpose((0, 2, 5, 4, 1, 3, 6))
-    return ComplexTensor.packed(z.reshape((b, hp * wp, 2, ch * patch * patch)))
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != x.shape:
+        raise DimensionError(f"epsilon shape {eps.shape} != image shape {x.shape}")
+    leaves = tuple(engine.constant(params[name]) for name in _INCENTIVE)
+    w1, b1, w_mu, b_mu, w_sig, b_sig = leaves
+    hidden, mu, t, sigma = incentive_mu_sigma(x, {n: v.data for n, v in zip(_INCENTIVE, leaves)})
+    imag = mu.reshape((b, 1, 1, 1)) + sigma.reshape((b, 1, 1, 1)) * eps
+
+    def backprop(g):
+        hp, wp = hgt // patch, wid // patch
+        # the imaginary part's gradient, gathered into a contiguous image-shaped
+        # array: numpy's reduction order follows the memory layout, so this
+        # fixes the order, and the rounding, of the sums below
+        gim = np.empty(x.shape)
+        gim.reshape((b, ch, hp, patch, wp, patch))[...] = (
+            g.reshape((b, hp, wp, 2, ch, patch, patch))[:, :, :, 1].transpose(0, 3, 1, 4, 2, 5))
+        g_mu = gim.sum(axis=(1, 2, 3)).reshape((b, 1)) * (1.0 - mu * mu)
+        g_sig = ((gim * eps).sum(axis=(1, 2, 3)).reshape((b, 1)) * 0.5) * (1.0 - t * t)
+        g_hidden = (g_mu @ w_mu.data.T + g_sig @ w_sig.data.T) * (hidden > 0.0)
+        w1._accumulate(x.reshape((b, x.size // b)).T @ g_hidden)
+        b1._accumulate(g_hidden.sum(axis=0))
+        for w, bias, g_logit in ((w_mu, b_mu, g_mu), (w_sig, b_sig, g_sig)):
+            w._accumulate(hidden.T @ g_logit)
+            bias._accumulate(g_logit.sum(axis=0))
+
+    return ComplexTensor.packed(
+        Tensor(_patches(x, imag, patch), leaves, backprop, "sample_incentive"))
 
 
 def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor | np.ndarray],
@@ -362,28 +384,34 @@ def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor | np.ndarray]
     )
 
 
-def _open_unit(t: Tensor) -> Tensor:
-    # float64 tanh rounds to exactly +-1 for |x| beyond ~19; nudge one ulp
-    # inside so the open-interval contract holds. The true derivative
-    # there is ~4e-16, so passing the gradient through unchanged is exact
-    # to working precision.
-    hi = np.nextafter(1.0, 0.0)
-    return engine._exempt(np.clip(t.data, -hi, hi), (t,), t._accumulate, "open_unit")
+_OPEN_UNIT = np.nextafter(1.0, 0.0)
 
 
 def pearson_project(y: ComplexTensor, use_real: bool = True, use_imag: bool = True) -> Tensor:
     """Map complex features to bounded real scores via tanh.
 
     The full head is ``tanh(re + im)``; the ablated variants keep only
-    one part. Output is strictly inside (-1, 1).
+    one part. Output is strictly inside (-1, 1): float64 tanh rounds to
+    exactly +-1 for |x| beyond ~19, so the output is clamped one ulp
+    inside. The true derivative there is ~4e-16, so the backward
+    ``g * (1 - t*t)`` takes the unclamped ``t``. One node; tanh maps an
+    Inf to a finite value, so a non-finite input to it raises
+    ``NumericError`` naming the op.
     """
-    if use_real and use_imag:
-        return _open_unit(engine.tanh(y.z.sum(axis=-2)))  # re + im, one op
-    if use_real:
-        return _open_unit(engine.tanh(y.re))
-    if use_imag:
-        return _open_unit(engine.tanh(y.im))
-    raise ContractError("projection must keep at least one part")
+    if not (use_real or use_imag):
+        raise ContractError("projection must keep at least one part")
+    z = y.z
+    keep = slice(0 if use_real else 1, 2 if use_imag else 1)
+    s = np.sum(z.data, axis=-2) if use_real and use_imag else z.data[..., keep.start, :]
+    engine._ensure_finite(s, "pearson_project")
+    t = np.tanh(s)
+
+    def backprop(g):
+        gz = np.zeros_like(z.data)
+        gz[..., keep, :] = np.expand_dims(g * (1.0 - t * t), -2)
+        z._accumulate(gz)
+
+    return Tensor(np.clip(t, -_OPEN_UNIT, _OPEN_UNIT), (z,), backprop, "pearson_project")
 
 
 class CMixerModel:
@@ -461,11 +489,9 @@ class CMixerModel:
                 if rng is None:
                     raise ContractError("forward needs eps or rng to sample noise")
                 eps = rng.standard_normal(x.shape)
-            h = sample_incentive(Tensor(x), p, eps)
+            h = sample_incentive(x, p, eps, cfg.patch)
         else:
-            h = ComplexTensor(Tensor(x), Tensor(np.zeros_like(x)))
-
-        h = patchify(h, cfg.patch)
+            h = ComplexTensor.packed(Tensor(_patches(x, np.zeros_like(x), cfg.patch)))
         h = _affine(h, p, "patch_embed", bias=True, axis=-1)
         for i in range(cfg.num_layers):
             h = mixer_block_forward(h, p, f"block{i}")

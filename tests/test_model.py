@@ -4,23 +4,26 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cmixer import engine
 from cmixer.engine import ComplexTensor, Tape, Tensor
 from cmixer.data import TaskKind
-from cmixer.errors import ContractError, DimensionError, FormatError
+from cmixer.errors import ContractError, DimensionError, FormatError, NumericError
 from cmixer.model import (
     CMixerConfig,
     CMixerModel,
     Toggles,
     field_types,
+    incentive_mu_sigma,
     init_params,
     load_checkpoint,
     mixer_block_forward,
     param_count,
     param_shapes,
     parse_lines,
-    patchify,
     pearson_project,
     sample_incentive,
     save_checkpoint,
@@ -60,6 +63,24 @@ def wrap(params):
     return {k: Tensor(v) for k, v in params.items()}
 
 
+def patch_rows(re, im, patch):
+    """The patch layout of ``re + i*im`` by reshape/transpose/reshape of the
+    stacked (batch, ch, H, 2, W) parts: rows in row-major patch order, each
+    part of a row in (ch, P, P) order."""
+    z = np.stack((re, im), axis=-2)
+    b, ch, hgt, _, wid = z.shape
+    hp, wp = hgt // patch, wid // patch
+    z = z.reshape((b, ch, hp, patch, 2, wp, patch)).transpose((0, 2, 5, 4, 1, 3, 6))
+    return z.reshape((b, hp * wp, 2, ch * patch * patch))
+
+
+def patched(re, patch, im=None):
+    """``sample_incentive`` on ``re`` with mu = 0 and sigma = 0.5, so that the
+    imaginary part is exactly ``im`` (zero if not given)."""
+    eps = np.zeros_like(re) if im is None else 2.0 * im
+    return sample_incentive(re, wrap(bare_incentive(re[0].size)), eps, patch)
+
+
 class TestSampleIncentive:
     def test_degenerate_sigma_means_pure_image(self):
         config = tiny_config()
@@ -68,16 +89,15 @@ class TestSampleIncentive:
         rng = np.random.default_rng(1)
         image = rng.random((1, config.in_channels, 16, 16))
         eps = rng.standard_normal(image.shape)
-        h = sample_incentive(Tensor(image), wrap(params), eps)
-        np.testing.assert_array_equal(h.re.data, image)
-        np.testing.assert_array_equal(h.im.data, np.zeros_like(image))
+        h = sample_incentive(image, wrap(params), eps, 4)
+        np.testing.assert_array_equal(h.z.data, patch_rows(image, np.zeros_like(image), 4))
 
     def test_constant_imaginary_at_zero_sigma(self):
         config = tiny_config()
         params = forced_incentive(config, mu_raw=np.arctanh(0.5), sigma_raw=-50.0)
         image = np.zeros((1, config.in_channels, 16, 16))
         eps = np.random.default_rng(0).standard_normal(image.shape)
-        h = sample_incentive(Tensor(image), wrap(params), eps)
+        h = sample_incentive(image, wrap(params), eps, 4)
         np.testing.assert_allclose(h.im.data, 0.5, atol=1e-12)
 
     def test_monte_carlo_statistics(self):
@@ -89,7 +109,7 @@ class TestSampleIncentive:
         rng = np.random.default_rng(7)
         images = np.zeros((64, 1, 128, 128))
         eps = rng.standard_normal(images.shape)
-        h = sample_incentive(Tensor(images), wrap(params), eps)
+        h = sample_incentive(images, wrap(params), eps, 16)
         draws = h.im.data.ravel()
         assert draws.size >= 10**6
         assert abs(draws.mean() - 0.2) < 3 * 0.3 / 1000
@@ -99,14 +119,12 @@ class TestSampleIncentive:
         config = tiny_config()
         params = wrap(forced_incentive(config))
         with pytest.raises(DimensionError):
-            sample_incentive(
-                Tensor(np.zeros((1, 1, 16, 16))), params, np.zeros((1, 1, 8, 8))
-            )
+            sample_incentive(np.zeros((1, 1, 16, 16)), params, np.zeros((1, 1, 8, 8)), 4)
 
     def test_unbatched_image_raises(self):
         params = wrap(forced_incentive(tiny_config()))
         with pytest.raises(DimensionError, match="batch"):
-            sample_incentive(Tensor(np.zeros((1, 16, 16))), params, np.zeros((1, 16, 16)))
+            sample_incentive(np.zeros((1, 16, 16)), params, np.zeros((1, 16, 16)), 4)
 
     def test_gradient_reaches_generator(self):
         # a sigma-dependent loss must produce nonzero incentive gradients;
@@ -121,33 +139,73 @@ class TestSampleIncentive:
         eps = rng.standard_normal(images.shape)
         tape = Tape()
         leaves = {k: tape.leaf(k, v) for k, v in params.items()}
-        h = sample_incentive(Tensor(images), leaves, eps)
+        h = sample_incentive(images, leaves, eps, 4)
         loss = engine.mul(h.im, h.im).sum()
         grads = tape.backward(loss)
         assert np.abs(grads["incentive.sigma.weight"]).max() > 0
         assert np.abs(grads["incentive.mu.weight"]).max() > 0
         assert np.abs(grads["incentive.hidden.weight"]).max() > 0
 
+    def test_one_node_over_the_incentive_buffers(self):
+        params = {k: Tensor(v) for k, v in bare_incentive(64).items()}
+        h = sample_incentive(np.zeros((2, 1, 8, 8)), params, np.zeros((2, 1, 8, 8)), 4)
+        assert h.z._op == "sample_incentive"
+        assert set(map(id, h.z._parents)) == set(map(id, params.values()))
+
+    def test_zero_eps_gives_the_shared_mu_per_image(self):
+        """At eps = 0 the imaginary part is the mu of ``incentive_mu_sigma``
+        (the kernel ``noise-stats`` reads), broadcast over each image."""
+        config = tiny_config(in_channels=2)
+        params = init_params(config, np.random.default_rng(8))
+        params["incentive.mu.weight"] = np.random.default_rng(9).standard_normal((128, 1))
+        images = np.random.default_rng(10).random((3, 2, 16, 16))
+        h = sample_incentive(images, params, np.zeros_like(images), 4)
+        _, mu, _, _ = incentive_mu_sigma(images, params)
+        assert len(np.unique(mu)) == 3
+        assert h.im.data.tobytes() == np.broadcast_to(mu[:, :, None], h.im.shape).tobytes()
+
+    @given(ch=st.integers(1, 3), side_patch=st.sampled_from(
+        [(side, p) for side in range(1, 13) for p in range(1, side + 1) if side % p == 0]),
+        batch=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_layout_is_the_stacked_parts_cut_into_patches(self, ch, side_patch, batch, seed):
+        side, patch = side_patch
+        config = CMixerConfig.small(image_side=side, in_channels=ch, patch=patch,
+                                    num_layers=0, hidden=2)
+        model = CMixerModel(config, rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        x = rng.random((batch, ch, side, side))
+        eps = rng.standard_normal(x.shape)
+        _, mu, _, sigma = incentive_mu_sigma(x, model.params)
+        imag = mu.reshape((batch, 1, 1, 1)) + sigma.reshape((batch, 1, 1, 1)) * eps
+        h = sample_incentive(x, model.params, eps, patch)
+        assert h.z.data.tobytes() == patch_rows(x, imag, patch).tobytes()
+        # with the noise off, the input is one constant in the same layout
+        model.toggles = Toggles(il=False)
+        nodes = engine.topo_order(model.forward(x, tape=Tape()))
+        inputs = [n for n in nodes if n._op == "const" and n.ndim == 4]
+        assert len(inputs) == 1
+        assert inputs[0].data.tobytes() == patch_rows(x, np.zeros_like(x), patch).tobytes()
+
 
 class TestPatchify:
+    """The patch layout of ``sample_incentive``'s output."""
+
     def test_28x28_patch4_gives_49_rows(self):
-        h = ComplexTensor(Tensor(np.zeros((1, 1, 28, 28))), Tensor(np.zeros((1, 1, 28, 28))))
-        out = patchify(h, 4)
+        out = patched(np.zeros((1, 1, 28, 28)), 4)
         assert out.shape == (1, 49, 16)
 
     def test_whole_image_patch_is_flatten(self):
         rng = np.random.default_rng(0)
         re = rng.random((1, 1, 6, 6))
-        h = ComplexTensor(Tensor(re), Tensor(np.zeros_like(re)))
-        out = patchify(h, 6)
+        out = patched(re, 6)
         assert out.shape == (1, 1, 36)
         np.testing.assert_array_equal(out.re.data[0, 0], re.ravel())
 
     def test_is_a_permutation_of_its_input(self):
         # distinct entries, so equal sorted parts mean each entry lands once
         re = np.arange(4 * 3 * 8 * 8, dtype=np.float64).reshape((4, 3, 8, 8))
-        h = ComplexTensor(Tensor(re), Tensor(-1.0 - re))
-        out = patchify(h, 4)
+        out = patched(re, 4, im=-1.0 - re)
         assert out.shape == (4, 4, 48)
         np.testing.assert_array_equal(np.sort(out.re.data, axis=None), re.ravel())
         np.testing.assert_array_equal(np.sort(-1.0 - out.im.data, axis=None), re.ravel())
@@ -156,21 +214,18 @@ class TestPatchify:
             np.testing.assert_array_equal(np.sort(out.re.data[b], axis=None), re[b].ravel())
 
     def test_unbatched_image_raises(self):
-        h = ComplexTensor(Tensor(np.zeros((1, 8, 8))), Tensor(np.zeros((1, 8, 8))))
         with pytest.raises(DimensionError, match="batch"):
-            patchify(h, 4)
+            patched(np.zeros((1, 8, 8)), 4)
 
     def test_indivisible_raises(self):
-        h = ComplexTensor(Tensor(np.zeros((1, 1, 9, 9))), Tensor(np.zeros((1, 1, 9, 9))))
         with pytest.raises(DimensionError):
-            patchify(h, 4)
+            patched(np.zeros((1, 1, 9, 9)), 4)
 
     def test_patch_order_row_major(self):
         # put a marker in the second patch of the first patch row
         img = np.zeros((1, 1, 8, 8))
         img[0, 0, 0, 4] = 1.0
-        h = ComplexTensor(Tensor(img), Tensor(np.zeros_like(img)))
-        out = patchify(h, 4).re.data[0]
+        out = patched(img, 4).re.data[0]
         assert out[1].sum() == 1.0 and out[0].sum() == 0.0
 
 
@@ -241,6 +296,24 @@ class TestPearson:
         imag_only = pearson_project(h, use_real=False, use_imag=True)
         assert real_only.data == pytest.approx(np.tanh(0.7))
         assert imag_only.data == pytest.approx(np.tanh(-0.2))
+
+    @given(hnp.arrays(np.float64, (2, 2, 3),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.full((2, 2, 3), 1e308))
+    @settings(max_examples=60)
+    def test_strictly_inside_the_open_unit_interval(self, z):
+        """tanh rounds to +-1 far out, so the output is clamped just inside; a
+        part sum that overflows is an error, not a score of +-1."""
+        h = ComplexTensor.packed(Tensor(z))
+        for keep in ((True, False), (False, True)):
+            assert np.all(np.abs(pearson_project(h, *keep).data) < 1.0)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(z.sum(axis=-2)).all()
+            if not finite:
+                with pytest.raises(NumericError, match="op 'pearson_project'"):
+                    pearson_project(h)
+        if finite:
+            assert np.all(np.abs(pearson_project(h).data) < 1.0)
 
     def test_neither_part_raises(self):
         with pytest.raises(ContractError):
@@ -348,7 +421,7 @@ class TestForward:
         def trunk(*args, **kwargs):
             raise AssertionError("the trunk ran before the head was checked")
 
-        for name in ("sample_incentive", "patchify", "mixer_block_forward"):
+        for name in ("sample_incentive", "_patches", "mixer_block_forward"):
             monkeypatch.setattr(model_module, name, trunk)
         x = np.zeros((2, config.in_channels, config.image_side, config.image_side))
         with pytest.raises(ContractError, match="unknown head 'bogus'"):
@@ -371,15 +444,15 @@ class TestForward:
             out = model.forward(x, eps=eps, head=head, tape=Tape())
             return len(engine.topo_order(loss(out)))
 
-        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 77
-        assert nodes(lambda out: cross_entropy(out, labels)) == 78
-        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 80
+        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 52
+        assert nodes(lambda out: cross_entropy(out, labels)) == 53
+        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 55
 
     def test_training_step_packs_no_parameter(self):
         """Each complex parameter is one packed leaf: the fit-tiny BCE step
-        has one leaf per buffer the classify head reads (26) and one packing
-        node, the noisy input; a pair of ``.re``/``.im`` leaves would add a
-        leaf and a packing node each."""
+        has one leaf per buffer the classify head reads (26) and no packing
+        node, since the noisy input is made in its packed layout; a pair of
+        ``.re``/``.im`` leaves would add a leaf and a packing node each."""
         config = CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
         model = CMixerModel(config, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
@@ -387,11 +460,69 @@ class TestForward:
         out = model.forward(x, eps=rng.standard_normal(x.shape), tape=Tape())
         nodes = engine.topo_order(loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2))
         ops = [n._op for n in nodes]
-        assert ops.count("complex") == 1
+        assert ops.count("complex") == 0
         leaves = {op for op in ops if op.startswith("leaf:")}
         assert leaves == {f"leaf:{name}" for name in model.params
                           if not name.startswith("ssl_head.")}
         assert len(leaves) == 26
+
+
+def _overflow_hidden(params, eps):
+    # every pre-activation overflows to +Inf, which the positive output
+    # weights carry into both logits, where tanh would map it to 1
+    params["incentive.hidden.weight"][:] = 1e307
+    params["incentive.mu.weight"][:] = 1.0
+    params["incentive.sigma.weight"][:] = 1.0
+
+
+def _overflow_hidden_negative(params, eps):
+    # every pre-activation overflows to -Inf, which the ReLU maps to 0
+    params["incentive.hidden.weight"][:] = -1e307
+
+
+def _overflow_logits(params, eps):
+    # the hidden layer is finite, both logits overflow in front of their tanh
+    params["incentive.mu.weight"][:] = 1e308
+    params["incentive.sigma.weight"][:] = 1e308
+
+
+def _overflow_head(params, eps):
+    # both parts of the head output are finite, their sum is not
+    params["head.bias"][:] = 1e308
+
+
+def _nan_eps(params, eps):
+    eps[0, 0, 0, 0] = np.nan
+
+
+class TestNumericFailures:
+    """Each fused op checks the values that its tanh or ReLU would hide, so a
+    bad value is named in a taped step and in ``scores`` alike."""
+
+    @pytest.mark.parametrize("corrupt, op", [
+        (_overflow_hidden, "sample_incentive"),
+        (_overflow_hidden_negative, "sample_incentive"),
+        (_overflow_logits, "sample_incentive"),
+        (_overflow_head, "pearson_project"),
+        (_nan_eps, "sample_incentive"),
+    ], ids=["hidden-overflow", "hidden-negative-overflow", "logit-overflow", "head-overflow",
+        "nan-eps"])
+    @pytest.mark.parametrize("taped", [True, False], ids=["step", "scores"])
+    def test_names_the_fused_op(self, corrupt, op, taped):
+        config = tiny_config()
+        params = init_params(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = np.ones((2, 1, 16, 16))
+        eps = rng.standard_normal(x.shape)
+        corrupt(params, eps)
+        model = CMixerModel(config, params=params)
+        with pytest.raises(NumericError, match=f"op '{op}'"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            if taped:
+                tape = Tape()
+                tape.backward(cross_entropy(model.forward(x, eps=eps, tape=tape), [0, 1]))
+            else:
+                model.scores(x, eps=eps)
 
 
 def fit_tiny_config():
