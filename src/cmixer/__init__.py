@@ -10,7 +10,7 @@ from .data import (
     synth_dataset,
     write_npz,
 )
-from .engine import ComplexTensor, Tape, Tensor, grad_check
+from .engine import Tape, Tensor, grad_check
 from .estimator import CMixerClassifier
 from .metrics import EvalReport, accuracy, auc_binary, auc_task, evaluate
 from .model import (
@@ -29,7 +29,6 @@ __all__ = [
     "CMixerClassifier",
     "CMixerConfig",
     "CMixerModel",
-    "ComplexTensor",
     "DatasetBundle",
     "EvalReport",
     "Split",

@@ -4,12 +4,11 @@ Everything is float64. A ``Tensor`` is one node of a computation graph:
 it holds the forward value, references to its parents, and a closure
 that pushes an incoming gradient into them. A complex value of logical
 shape ``(..., n)``, activation or parameter, is one real tensor ``z`` of
-shape ``(..., 2, n)`` (``ComplexTensor``): index 0 on the pair axis is the
-real part, index 1 the imaginary part, so a weight ``A + iB`` (m, n) is one
-``(m, 2, n)`` buffer. Differentiation is plain real-valued reverse mode
-over that buffer; no Wirtinger calculus is involved because every
-operation in the network is already written in separated real/imaginary
-form.
+shape ``(..., 2, n)``: index 0 on the pair axis is the real part, index 1
+the imaginary part, so a weight ``A + iB`` (m, n) is one ``(m, 2, n)``
+buffer. Differentiation is plain real-valued reverse mode over that
+buffer; no Wirtinger calculus is involved because every operation in the
+network is already written in separated real/imaginary form.
 
 A ``Tape`` is the registry of trainable leaves for one training step.
 ``Tape.backward(loss)`` walks the graph once, in reverse topological
@@ -32,13 +31,11 @@ without a tape.
 Conventions baked into this module:
 
 * every op validates its output once for NaN/Inf and raises ``NumericError`` naming
-  itself, except those built by ``_exempt``, which cannot make NaN/Inf from finite inputs:
-  ``relu``/``crelu``, ``transpose``, ``.re``/``.im`` and ``ComplexTensor(re, im)``
-* a complex op is one node over ``z``: ``complex_affine``, ``crelu``, ``layernorm``
-  over the last axis, the residual add and the mean each build exactly one node;
-  ``ComplexTensor.packed`` (every complex parameter) adds none, and only packing two
-  real tensors (``ComplexTensor(re, im)``) and reading a part (``.re``/``.im``) add one
-* ``complex_affine``, ``layernorm``, ``crelu`` and the loss ops ``softmax`` and
+  itself; an axis outside the input's rank is a ``DimensionError`` naming the op
+* a complex op is one node over the packed ``z``: ``complex_affine``, ``layernorm``
+  over the last axis, and ``relu``, ``add`` and ``tmean`` over a packed tensor (the
+  CReLU, the residual add and the mean over a logical axis before the pair axis)
+* ``complex_affine``, ``layernorm`` and the loss ops ``softmax`` and
   ``log_softmax`` are fused ops with hand-written backward passes, one node each
   (``sub`` is a plain broadcast op; the model's noisy input, ``sample_incentive``,
   and its head, ``pearson_project``, are built the same way as the fused ops);
@@ -65,7 +62,6 @@ from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
     "Tensor",
-    "ComplexTensor",
     "Tape",
     "no_grad",
     "constant",
@@ -77,7 +73,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "layernorm",
-    "crelu",
     "complex_affine",
     "topo_order",
     "grad_check",
@@ -126,14 +121,10 @@ class Tensor:
                  _backprop: Callable[[np.ndarray], None] | None = None, _op: str = "const"):
         arr = np.asarray(data, dtype=np.float64)
         _ensure_finite(arr, _op)
-        self._link(arr, _parents, _backprop, _op)
-
-    def _link(self, arr: np.ndarray, parents: tuple, backprop, op: str) -> "Tensor":
         if not _grad_enabled:
-            parents, backprop = (), None
-        self.data, self.grad, self._op = arr, None, op
-        self._parents, self._backprop = parents, backprop
-        return self
+            _parents, _backprop = (), None
+        self.data, self.grad, self._op = arr, None, _op
+        self._parents, self._backprop = _parents, _backprop
 
     @property
     def shape(self) -> tuple:
@@ -172,11 +163,6 @@ class Tensor:
 
 def constant(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _exempt(data: np.ndarray, parents: tuple, backprop, op: str) -> Tensor:
-    """A node without the finite check; only for the exempt ops of the module docstring."""
-    return Tensor.__new__(Tensor)._link(np.asarray(data, dtype=np.float64), parents, backprop, op)
 
 
 def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
@@ -239,7 +225,7 @@ def relu(a) -> Tensor:
         # derivative at the kink (input exactly 0) is defined as 0
         a._accumulate(g * (a.data > 0.0))
 
-    return _exempt(out_data, (a,), backprop, "relu")
+    return Tensor(out_data, (a,), backprop, "relu")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -273,18 +259,20 @@ def transpose(a, axes) -> Tensor:
     def backprop(g):
         a._accumulate(g.transpose(inverse))
 
-    return _exempt(out_data, (a,), backprop, "transpose")
+    return Tensor(out_data, (a,), backprop, "transpose")
 
 
-def _norm_axis(axis, ndim: int):
+def _norm_axis(axis, ndim: int, op: str):
     if axis is None:
         return None
+    if not -ndim <= axis < ndim:
+        raise DimensionError(f"{op}: axis {axis} is out of range for rank {ndim}")
     return (axis % ndim,)
 
 
 def tsum(a, axis=None) -> Tensor:
     a = constant(a)
-    axes = _norm_axis(axis, a.ndim)
+    axes = _norm_axis(axis, a.ndim, "sum")
     out_data = np.sum(a.data, axis=axes)
 
     def backprop(g):
@@ -297,7 +285,7 @@ def tsum(a, axis=None) -> Tensor:
 
 def tmean(a, axis=None) -> Tensor:
     a = constant(a)
-    axes = _norm_axis(axis, a.ndim)
+    axes = _norm_axis(axis, a.ndim, "mean")
     if axes is None:
         count = a.size
     else:
@@ -391,77 +379,6 @@ def layernorm(x, gamma, beta) -> Tensor:
     return Tensor(out_data, (x, gamma, beta), backprop, "layernorm")
 
 
-class ComplexTensor:
-    """A complex array of logical shape ``(..., n)``, held as one real tensor.
-
-    ``z`` has shape ``(..., 2, n)``: ``z[..., 0, :]`` is the real part and
-    ``z[..., 1, :]`` the imaginary part. ``ComplexTensor(re, im)`` packs
-    two real tensors of identical shape into a new ``z`` node;
-    ``ComplexTensor.packed(z)`` wraps an existing one. ``.re`` and ``.im``
-    are slice nodes, so a gradient through one part reaches only that
-    part of ``z``.
-    """
-
-    __slots__ = ("z",)
-
-    def __init__(self, re, im):
-        re, im = constant(re), constant(im)
-        if re.shape != im.shape:
-            raise DimensionError(f"complex tensor: re {re.shape} != im {im.shape}")
-        if re.ndim == 0:
-            raise DimensionError("complex tensor: parts must have at least one axis")
-
-        def backprop(g):
-            re._accumulate(g[..., 0, :])
-            im._accumulate(g[..., 1, :])
-
-        self.z = _exempt(np.stack((re.data, im.data), axis=-2), (re, im), backprop, "complex")
-
-    @classmethod
-    def packed(cls, z: Tensor) -> "ComplexTensor":
-        """Wrap a ``(..., 2, n)`` tensor without copying it."""
-        if z.ndim < 2 or z.shape[-2] != 2:
-            raise DimensionError(f"packed complex tensor needs shape (..., 2, n), got {z.shape}")
-        out = cls.__new__(cls)
-        out.z = z
-        return out
-
-    @property
-    def shape(self) -> tuple:
-        return self.z.shape[:-2] + self.z.shape[-1:]
-
-    @property
-    def re(self) -> Tensor:
-        return self._part(0)
-
-    @property
-    def im(self) -> Tensor:
-        return self._part(1)
-
-    def _part(self, i: int) -> Tensor:
-        z = self.z
-
-        def backprop(g):
-            if z.grad is None:
-                z.grad = np.zeros_like(z.data)
-            z.grad[..., i, :] += g
-
-        return _exempt(z.data[..., i, :], (z,), backprop, "re" if i == 0 else "im")
-
-    def mean(self, axis: int) -> "ComplexTensor":
-        """Mean over one logical axis."""
-        ax = axis % len(self.shape)
-        return ComplexTensor.packed(tmean(self.z, ax if ax < self.z.ndim - 2 else -1))
-
-    def __add__(self, other: "ComplexTensor") -> "ComplexTensor":
-        return ComplexTensor.packed(add(self.z, other.z))
-
-
-def crelu(h: ComplexTensor) -> ComplexTensor:
-    """ReLU applied independently to the real and imaginary parts: one ``relu`` over ``z``."""
-    return ComplexTensor.packed(relu(h.z))
-
-
 def _real_form(w: np.ndarray) -> np.ndarray:
     """``[[A, -B], [B, A]]`` of the packed (m, 2, n) ``A + iB``; rebuilt, not kept in the graph."""
     m, _, n = w.shape
@@ -472,36 +389,41 @@ def _real_form(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_affine(
-    W: ComplexTensor, h: ComplexTensor, bias: ComplexTensor | None = None, axis: int = -2,
-    crelu: bool = False,
-) -> ComplexTensor:
-    """Apply the complex weight ``W = A + iB`` (m, n) along logical ``axis`` of ``h``.
+def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False) -> Tensor:
+    """Apply the packed complex weight ``W = A + iB`` along logical ``axis`` of ``h``.
 
-    Each length-n slice ``a + ib`` becomes ``(Aa - Bb) + i(Ba + Ab)`` plus the
-    optional (m,) bias; ``axis=-2`` is ``W @ h``. ``W.z`` (m, 2, n) gets one gradient.
+    ``W`` is (m, 2, n), ``h`` is packed, (..., 2, k), with logical shape
+    ``h.shape[:-2] + h.shape[-1:]``, and the optional bias is (2, m); a pair
+    axis that is not 2 is a ``DimensionError``. Each length-n slice
+    ``a + ib`` becomes ``(Aa - Bb) + i(Ba + Ab)`` plus the bias; ``axis=-2``
+    is ``W @ h``. ``W`` gets one gradient.
     The op is one real GEMM of rows ``[a | b]`` against the block form ``[[A, -B], [B, A]]``.
-    On the last axis those rows are ``h.z`` reshaped to ``(-1, 2n)``, and the
+    On the last axis those rows are ``h`` reshaped to ``(-1, 2n)``, and the
     output is the product reshaped back, with no copy either way. On any
-    other axis the rows are one transposed copy of ``h.z`` (none if ``h.z``
+    other axis the rows are one transposed copy of ``h`` (none if ``h``
     already is such a view), and the output is a transposed view of the
     product in the packed shape. One node; its backward mirrors
     the forward and recomputes the rows and the block form instead of
     keeping them in the graph.
 
-    With ``crelu`` the op also applies ``crelu``, in place on the product,
-    with bitwise the values of ``crelu(complex_affine(...))``. The backward
-    reads the ReLU mask off the output (``out > 0`` exactly where the
-    pre-activation is), so the pre-activation is never stored.
+    With ``crelu`` the op also applies the CReLU (``relu`` of the packed
+    output), in place on the product, with bitwise the values of
+    ``relu(complex_affine(...))``. The backward reads the ReLU mask off the
+    output (``out > 0`` exactly where the pre-activation is), so the
+    pre-activation is never stored.
     """
-    w = W.z
-    if w.ndim != 3:
-        raise DimensionError("complex_affine: weights must be matrices")
-    m, n = W.shape
-    z = h.z
-    rank = z.ndim - 1
-    if rank < 2 or h.shape[axis] != n:
-        raise DimensionError(f"complex_affine: weight {W.shape} vs axis {axis} of input {h.shape}")
+    w, z = constant(W), constant(h)
+    if w.ndim != 3 or w.shape[1] != 2:
+        raise DimensionError(f"complex_affine: weight needs shape (m, 2, n), got {w.shape}")
+    m, _, n = w.shape
+    if z.ndim < 3 or z.shape[-2] != 2:
+        raise DimensionError(f"complex_affine: input needs shape (..., 2, n), got {z.shape}")
+    shape = z.shape[:-2] + z.shape[-1:]
+    rank = len(shape)
+    if not -rank <= axis < rank:
+        raise DimensionError(f"complex_affine: axis {axis} is out of range for input {shape}")
+    if shape[axis] != n:
+        raise DimensionError(f"complex_affine: weight {(m, n)} vs axis {axis} of input {shape}")
     # rows [a | b]: every other axis of z first, then the pair axis, then the
     # mixed one; on the last axis this is z's own order
     mixed = axis % rank if axis % rank < rank - 1 else rank
@@ -515,12 +437,13 @@ def complex_affine(
     out = rows(z.data, 2 * n) @ _real_form(w.data).T
     parents = (w, z)
     if bias is not None:
-        if bias.shape != (m,):
+        bias = constant(bias)
+        if bias.shape != (2, m):
             raise DimensionError(
-                f"complex_affine: bias has shape {bias.shape}, expected ({m},)"
+                f"complex_affine: bias has shape {bias.shape}, expected (2, {m})"
             )
-        out += bias.z.data.reshape(2 * m)
-        parents += (bias.z,)
+        out += bias.data.reshape(2 * m)
+        parents += (bias,)
     if crelu:
         np.maximum(out, 0.0, out=out)
     product = out
@@ -541,9 +464,9 @@ def complex_affine(
         gh = g @ _real_form(w.data)
         z._accumulate(gh.reshape(t_shape[:-1] + (n,)).transpose(inverse))
         if bias is not None:
-            bias.z._accumulate(g.sum(axis=0).reshape(2, m))
+            bias._accumulate(g.sum(axis=0).reshape(2, m))
 
-    return ComplexTensor.packed(Tensor(out, parents, backprop, "complex_affine"))
+    return Tensor(out, parents, backprop, "complex_affine")
 
 
 def topo_order(root: Tensor) -> list[Tensor]:

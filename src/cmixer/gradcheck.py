@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import ComplexTensor, Tensor, complex_affine, crelu, grad_check_report
+from .engine import Tensor, complex_affine, grad_check_report
 from .model import CMixerConfig, CMixerModel, init_params, pearson_project, sample_incentive
 from .train import bce_with_logits, cross_entropy, ssl_loss
 
@@ -102,63 +102,60 @@ def _suite_entries():
     # generator, so the entries drawing from rng keep their inputs
     extra = np.random.default_rng(43)
 
+    def pack(re, im):
+        return np.stack((re, im), axis=-2)
+
     def weighted(out, w):
-        return engine.add(engine.mul(out.re, w[0]).sum(), engine.mul(out.im, w[1]).sum())
+        return engine.mul(out, pack(w[0], w[1])).sum()
 
     def complex_leaves(m, n, h_shape):
         return {
-            "A": extra.standard_normal((m, n)), "B": extra.standard_normal((m, n)),
-            "hre": extra.standard_normal(h_shape), "him": extra.standard_normal(h_shape),
-            "bre": extra.standard_normal(m), "bim": extra.standard_normal(m),
+            "W": pack(extra.standard_normal((m, n)), extra.standard_normal((m, n))),
+            "h": pack(extra.standard_normal(h_shape), extra.standard_normal(h_shape)),
+            "bias": pack(extra.standard_normal(m), extra.standard_normal(m)),
         }
 
     op("complex_affine", lambda: (
-        lambda lv: (
-            lambda out: engine.add(out.re.sum(), out.im.sum())
-        )(complex_affine(ComplexTensor(lv["A"], lv["B"]), ComplexTensor(lv["hre"], lv["him"]),
-                         bias=ComplexTensor(lv["bre"], lv["bim"]))),
+        lambda lv: complex_affine(lv["W"], lv["h"], bias=lv["bias"]).sum(),
         {
-            "A": rng.standard_normal((3, 4)), "B": rng.standard_normal((3, 4)),
-            "hre": rng.standard_normal((4, 2)), "him": rng.standard_normal((4, 2)),
-            "bre": rng.standard_normal(3), "bim": rng.standard_normal(3),
+            "W": pack(rng.standard_normal((3, 4)), rng.standard_normal((3, 4))),
+            "h": pack(rng.standard_normal((4, 2)), rng.standard_normal((4, 2))),
+            "bias": pack(rng.standard_normal(3), rng.standard_normal(3)),
         },
     ))
     w_crelu = extra.standard_normal((2, 4, 4))
     op("crelu", lambda: (
-        lambda lv: weighted(crelu(ComplexTensor(lv["re"], lv["im"])), w_crelu),
-        {"re": rng.standard_normal((4, 4)) + 0.3, "im": rng.standard_normal((4, 4)) - 0.3},
+        lambda lv: weighted(engine.relu(lv["z"]), w_crelu),
+        {"z": pack(rng.standard_normal((4, 4)) + 0.3, rng.standard_normal((4, 4)) - 0.3)},
     ))
     op("layernorm", lambda: (
         lambda lv: engine.mul(engine.layernorm(lv["x"], lv["g"], lv["b"]), a44).sum(),
         {"x": rng.standard_normal((4, 4)), "g": gamma.copy(), "b": beta.copy()},
     ))
-    # the batched, biased and strided paths the model runs
+    # the batched, biased and strided paths the model runs; the strided one
+    # feeds a transposed view of the packed leaf
     w_batched = extra.standard_normal((2, 2, 5, 3))
     op("complex_affine_batched", lambda: (
-        lambda lv: weighted(complex_affine(
-            ComplexTensor(lv["A"], lv["B"]), ComplexTensor(lv["hre"], lv["him"]),
-            bias=ComplexTensor(lv["bre"], lv["bim"])), w_batched),
+        lambda lv: weighted(complex_affine(lv["W"], lv["h"], bias=lv["bias"]), w_batched),
         complex_leaves(5, 4, (2, 4, 3)),
     ))
     w_strided = extra.standard_normal((2, 2, 3, 5))
     op("complex_affine_strided", lambda: (
         lambda lv: weighted(complex_affine(
-            ComplexTensor(lv["A"], lv["B"]),
-            ComplexTensor(lv["hre"].transpose((0, 2, 1)), lv["him"].transpose((0, 2, 1))),
-            bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-1), w_strided),
+            lv["W"], engine.transpose(lv["h"], (0, 3, 2, 1)), bias=lv["bias"], axis=-1),
+            w_strided),
         complex_leaves(5, 4, (2, 4, 3)),
     ))
-    # token mixing on a packed 3-D batch, the model's axis=-2 path with no
-    # packing node in front; its own generator keeps the other inputs as they were
+    # token mixing on a packed 3-D batch, the model's axis=-2 path; its own
+    # generator keeps the other inputs as they were
     tok = np.random.default_rng(44)
     w_token = tok.standard_normal((2, 4, 2, 3))
     op("complex_affine_token", lambda: (
-        lambda lv: engine.mul(complex_affine(
-            ComplexTensor(lv["A"], lv["B"]), ComplexTensor.packed(lv["z"]),
-            bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-2).z, w_token).sum(),
-        {"A": tok.standard_normal((4, 5)), "B": tok.standard_normal((4, 5)),
+        lambda lv: engine.mul(
+            complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=-2), w_token).sum(),
+        {"W": pack(tok.standard_normal((4, 5)), tok.standard_normal((4, 5))),
          "z": tok.standard_normal((2, 5, 2, 3)),
-         "bre": tok.standard_normal(4), "bim": tok.standard_normal(4)},
+         "bias": pack(tok.standard_normal(4), tok.standard_normal(4))},
     ))
     # the affine with its CReLU fused in, as token1 and channel1 run it: the
     # last axis with a bias, and the token axis of a packed 3-D batch; each
@@ -166,23 +163,20 @@ def _suite_entries():
     fused = np.random.default_rng(45)
     w_fused = fused.standard_normal((2, 2, 5, 3))
     op("complex_affine_crelu", lambda: (
-        lambda lv: weighted(complex_affine(
-            ComplexTensor(lv["A"], lv["B"]), ComplexTensor(lv["hre"], lv["him"]),
-            bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-1, crelu=True), w_fused),
-        {"A": fused.standard_normal((3, 4)), "B": fused.standard_normal((3, 4)),
-         "hre": fused.standard_normal((2, 5, 4)), "him": fused.standard_normal((2, 5, 4)),
-         "bre": fused.standard_normal(3), "bim": fused.standard_normal(3)},
+        lambda lv: weighted(
+            complex_affine(lv["W"], lv["h"], bias=lv["bias"], axis=-1, crelu=True), w_fused),
+        {"W": pack(fused.standard_normal((3, 4)), fused.standard_normal((3, 4))),
+         "h": pack(fused.standard_normal((2, 5, 4)), fused.standard_normal((2, 5, 4))),
+         "bias": pack(fused.standard_normal(3), fused.standard_normal(3))},
     ))
     fused_tok = np.random.default_rng(46)
     w_fused_tok = fused_tok.standard_normal((2, 4, 2, 3))
     op("complex_affine_crelu_token", lambda: (
         lambda lv: engine.mul(complex_affine(
-            ComplexTensor(lv["A"], lv["B"]), ComplexTensor.packed(lv["z"]),
-            bias=ComplexTensor(lv["bre"], lv["bim"]), axis=-2, crelu=True).z,
-            w_fused_tok).sum(),
-        {"A": fused_tok.standard_normal((4, 5)), "B": fused_tok.standard_normal((4, 5)),
+            lv["W"], lv["z"], bias=lv["bias"], axis=-2, crelu=True), w_fused_tok).sum(),
+        {"W": pack(fused_tok.standard_normal((4, 5)), fused_tok.standard_normal((4, 5))),
          "z": fused_tok.standard_normal((2, 5, 2, 3)),
-         "bre": fused_tok.standard_normal(4), "bim": fused_tok.standard_normal(4)},
+         "bias": pack(fused_tok.standard_normal(4), fused_tok.standard_normal(4))},
     ))
     w_ln = extra.standard_normal((2, 3, 4))
     op("layernorm_3d", lambda: (
@@ -194,8 +188,7 @@ def _suite_entries():
     # from rng at these two places, which keeps the inputs of the entries
     # after them
     def head(keep, w):
-        return lambda lv: engine.mul(
-            pearson_project(ComplexTensor.packed(lv["z"]), *keep), w).sum()
+        return lambda lv: engine.mul(pearson_project(lv["z"], *keep), w).sum()
 
     op("pearson_project", lambda: (head((True, True), a44[:3]),
                                    {"z": rng.standard_normal((3, 2, 4))}))
@@ -226,7 +219,8 @@ def _suite_entries():
         {"x": rng.standard_normal((4, 4))},
     ))
 
-    # the incentive sampler with frozen noise, cut into four 2x2 patches
+    # the incentive sampler with frozen noise, cut into four 2x2 patches; the
+    # loss is the sum of the squared imaginary part
     eps = rng.standard_normal((2, 1, 4, 4))
     images = rng.random((2, 1, 4, 4))
     inc = {
@@ -237,9 +231,10 @@ def _suite_entries():
         "incentive.sigma.weight": 0.3 * rng.standard_normal((8, 1)),
         "incentive.sigma.bias": np.zeros(1),
     }
+    imag_only = np.array([[0.0], [1.0]])
     op("incentive_sampler", lambda: (
         lambda lv: (
-            lambda h: engine.mul(h.im, h.im).sum()
+            lambda h: engine.mul(engine.mul(h, h), imag_only).sum()
         )(sample_incentive(images, lv, eps, 2)),
         {k: v.copy() for k, v in inc.items()},
     ))

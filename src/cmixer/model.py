@@ -1,8 +1,9 @@
 """The complex mixer network and its learned-noise input stage.
 
-The classifier runs entirely on complex features, each a packed
-``engine.ComplexTensor`` whose ``(..., 2, n)`` buffer holds the real and
-the imaginary part side by side, so every complex step is one engine op:
+The classifier runs entirely on complex features. A complex feature of
+logical shape ``(..., n)`` is one real ``engine.Tensor`` of shape
+``(..., 2, n)`` that holds the real and the imaginary part side by side
+(the packed layout), so every complex step is one engine op:
 
 1. a small real MLP reads the flattened image and emits two scalars,
    mapped to ``mu = tanh(.)`` and ``sigma = 0.5*(1 + tanh(.))``;
@@ -13,14 +14,16 @@ the imaginary part side by side, so every complex step is one engine op:
 3. the complex image is cut into non-overlapping patches, linearly
    embedded, and passed through mixer blocks that alternate mixing
    across the patch sequence and across channels, with CReLU
-   activations and per-part layer norms (one ``engine.layernorm`` over
-   the packed buffer, with the two parts' gains and shifts packed too);
+   activations (``engine.relu`` of the packed buffer, fused into the
+   affine before it) and per-part layer norms (one ``engine.layernorm``
+   over the packed buffer, with the two parts' gains and shifts packed
+   too);
 4. a bounded real score comes out of ``tanh(re + im)`` applied to the
    head output, so every logit lives in (-1, 1).
 
 Parameters are kept in a flat ``{name: ndarray}`` dict, which makes
 optimizers and EMA shadows trivial dict operations. Each complex one is a
-single buffer in the ``(..., 2, n)`` layout of a ``ComplexTensor``; only
+single buffer in the packed ``(..., 2, n)`` layout; only
 the six ``incentive.*`` buffers are real. A checkpoint file stores the
 parts of a complex buffer as two entries, ``<name>.re`` and ``<name>.im``.
 """
@@ -32,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import engine
-from .engine import ComplexTensor, Tape, Tensor, complex_affine
+from .engine import Tape, Tensor, complex_affine
 from .errors import ContractError, DimensionError, FormatError
 from .npzio import read_arrays, write_arrays
 
@@ -283,8 +286,8 @@ def incentive_mu_sigma(images: np.ndarray, params: dict[str, np.ndarray]) -> tup
 def _patches(re: np.ndarray, im: np.ndarray, patch: int) -> np.ndarray:
     """The complex (batch, ch, H, W) batch ``re + i*im`` as row-major sequences of patches.
 
-    Output is (batch, S, 2, ch*patch*patch) with S = (H/P)*(W/P), the packed
-    layout of a ``ComplexTensor``: each row is one patch, each part of it
+    Output is (batch, S, 2, ch*patch*patch) with S = (H/P)*(W/P), in the
+    packed layout: each row is one patch, each part of it
     flattened in (ch, P, P) order. Each part is one copy into a view.
     """
     b, ch, hgt, wid = re.shape
@@ -297,7 +300,7 @@ def _patches(re: np.ndarray, im: np.ndarray, patch: int) -> np.ndarray:
 
 
 def sample_incentive(images: np.ndarray, params: dict[str, Tensor | np.ndarray],
-                     eps: np.ndarray, patch: int) -> ComplexTensor:
+                     eps: np.ndarray, patch: int) -> Tensor:
     """A (batch, ch, H, W) image batch with its learned noise, cut into patches.
 
     The real part is the image; the imaginary part is ``mu + sigma*eps``
@@ -344,25 +347,17 @@ def sample_incentive(images: np.ndarray, params: dict[str, Tensor | np.ndarray],
             w._accumulate(hidden.T @ g_logit)
             bias._accumulate(g_logit.sum(axis=0))
 
-    return ComplexTensor.packed(
-        Tensor(_patches(x, imag, patch), leaves, backprop, "sample_incentive"))
+    return Tensor(_patches(x, imag, patch), leaves, backprop, "sample_incentive")
 
 
-def _complex_layernorm(x: ComplexTensor, p: dict[str, Tensor | np.ndarray],
-                       prefix: str) -> ComplexTensor:
-    # re and im are normalized independently, each by its row of the (2, n) gain and shift
-    return ComplexTensor.packed(engine.layernorm(x.z, p[f"{prefix}.gamma"], p[f"{prefix}.beta"]))
+def _affine(x: Tensor, p: dict[str, Tensor | np.ndarray], prefix: str,
+            bias: bool = False, axis: int = -2, crelu: bool = False) -> Tensor:
+    return complex_affine(p[f"{prefix}.weight"], x, bias=p[f"{prefix}.bias"] if bias else None,
+                          axis=axis, crelu=crelu)
 
 
-def _affine(x: ComplexTensor, p: dict[str, Tensor | np.ndarray], prefix: str,
-            bias: bool = False, axis: int = -2, crelu: bool = False) -> ComplexTensor:
-    b = ComplexTensor.packed(engine.constant(p[f"{prefix}.bias"])) if bias else None
-    return complex_affine(ComplexTensor.packed(engine.constant(p[f"{prefix}.weight"])), x,
-                          bias=b, axis=axis, crelu=crelu)
-
-
-def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor | np.ndarray],
-                        prefix: str) -> ComplexTensor:
+def mixer_block_forward(x: Tensor, params: dict[str, Tensor | np.ndarray],
+                        prefix: str) -> Tensor:
     """One mixer layer on a (..., S, C) complex sequence.
 
     Token mixing acts across the patch sequence of each channel, channel
@@ -371,36 +366,38 @@ def mixer_block_forward(x: ComplexTensor, params: dict[str, Tensor | np.ndarray]
     """
     # no intermediate is bound to a name, so without a graph each one is
     # freed as soon as the next op has read it; token1 and channel1 apply
-    # their CReLU inside the affine, so no pre-activation is stored
-    u = x + _affine(
-        _affine(_complex_layernorm(x, params, f"{prefix}.ln1"), params, f"{prefix}.token1",
-                crelu=True),
+    # their CReLU inside the affine, so no pre-activation is stored; each layer
+    # norm gives re and im their own row of the (2, C) gain and shift
+    ln1 = (params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
+    ln2 = (params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
+    u = engine.add(x, _affine(
+        _affine(engine.layernorm(x, *ln1), params, f"{prefix}.token1", crelu=True),
         params, f"{prefix}.token2",
-    )
-    return u + _affine(
-        _affine(_complex_layernorm(u, params, f"{prefix}.ln2"), params, f"{prefix}.channel1",
-                axis=-1, crelu=True),
+    ))
+    return engine.add(u, _affine(
+        _affine(engine.layernorm(u, *ln2), params, f"{prefix}.channel1", axis=-1, crelu=True),
         params, f"{prefix}.channel2", axis=-1,
-    )
+    ))
 
 
 _OPEN_UNIT = np.nextafter(1.0, 0.0)
 
 
-def pearson_project(y: ComplexTensor, use_real: bool = True, use_imag: bool = True) -> Tensor:
-    """Map complex features to bounded real scores via tanh.
+def pearson_project(z: Tensor, use_real: bool = True, use_imag: bool = True) -> Tensor:
+    """Map packed complex features ``z`` (..., 2, n) to bounded real scores via tanh.
 
     The full head is ``tanh(re + im)``; the ablated variants keep only
-    one part. Output is strictly inside (-1, 1): float64 tanh rounds to
-    exactly +-1 for |x| beyond ~19, so the output is clamped one ulp
-    inside. The true derivative there is ~4e-16, so the backward
-    ``g * (1 - t*t)`` takes the unclamped ``t``. One node; tanh maps an
-    Inf to a finite value, so a non-finite input to it raises
-    ``NumericError`` naming the op.
+    one part. A pair axis that is not 2 is a ``DimensionError``. Output is
+    strictly inside (-1, 1): float64 tanh rounds to exactly +-1 for |x|
+    beyond ~19, so the output is clamped one ulp inside. The true
+    derivative there is ~4e-16, so the backward ``g * (1 - t*t)`` takes the
+    unclamped ``t``. One node; tanh maps an Inf to a finite value, so a
+    non-finite input to it raises ``NumericError`` naming the op.
     """
     if not (use_real or use_imag):
         raise ContractError("projection must keep at least one part")
-    z = y.z
+    if z.ndim < 2 or z.shape[-2] != 2:
+        raise DimensionError(f"pearson_project: input needs shape (..., 2, n), got {z.shape}")
     keep = slice(0 if use_real else 1, 2 if use_imag else 1)
     s = np.sum(z.data, axis=-2) if use_real and use_imag else z.data[..., keep.start, :]
     engine._ensure_finite(s, "pearson_project")
@@ -491,11 +488,11 @@ class CMixerModel:
                 eps = rng.standard_normal(x.shape)
             h = sample_incentive(x, p, eps, cfg.patch)
         else:
-            h = ComplexTensor.packed(Tensor(_patches(x, np.zeros_like(x), cfg.patch)))
+            h = Tensor(_patches(x, np.zeros_like(x), cfg.patch))
         h = _affine(h, p, "patch_embed", bias=True, axis=-1)
         for i in range(cfg.num_layers):
             h = mixer_block_forward(h, p, f"block{i}")
-        pooled = h.mean(axis=1)  # over the patch sequence
+        pooled = engine.tmean(h, 1)  # over the patch sequence
         prefix = "head" if head == "classify" else "ssl_head"
         out = _affine(pooled, p, prefix, bias=True, axis=-1)
         return pearson_project(out, use_real=self.toggles.p_r, use_imag=self.toggles.p_i)

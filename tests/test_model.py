@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cmixer import engine
-from cmixer.engine import ComplexTensor, Tape, Tensor
+from cmixer.engine import Tape, Tensor
 from cmixer.data import TaskKind
 from cmixer.errors import ContractError, DimensionError, FormatError, NumericError
 from cmixer.model import (
@@ -90,7 +90,7 @@ class TestSampleIncentive:
         image = rng.random((1, config.in_channels, 16, 16))
         eps = rng.standard_normal(image.shape)
         h = sample_incentive(image, wrap(params), eps, 4)
-        np.testing.assert_array_equal(h.z.data, patch_rows(image, np.zeros_like(image), 4))
+        np.testing.assert_array_equal(h.data, patch_rows(image, np.zeros_like(image), 4))
 
     def test_constant_imaginary_at_zero_sigma(self):
         config = tiny_config()
@@ -98,7 +98,7 @@ class TestSampleIncentive:
         image = np.zeros((1, config.in_channels, 16, 16))
         eps = np.random.default_rng(0).standard_normal(image.shape)
         h = sample_incentive(image, wrap(params), eps, 4)
-        np.testing.assert_allclose(h.im.data, 0.5, atol=1e-12)
+        np.testing.assert_allclose(h.data[..., 1, :], 0.5, atol=1e-12)
 
     def test_monte_carlo_statistics(self):
         # mu=0.2, sigma=0.3 via the inverse of the tanh mappings; a batch
@@ -110,7 +110,7 @@ class TestSampleIncentive:
         images = np.zeros((64, 1, 128, 128))
         eps = rng.standard_normal(images.shape)
         h = sample_incentive(images, wrap(params), eps, 16)
-        draws = h.im.data.ravel()
+        draws = h.data[..., 1, :].ravel()
         assert draws.size >= 10**6
         assert abs(draws.mean() - 0.2) < 3 * 0.3 / 1000
         assert abs(draws.std() - 0.3) / 0.3 < 0.01
@@ -140,7 +140,7 @@ class TestSampleIncentive:
         tape = Tape()
         leaves = {k: tape.leaf(k, v) for k, v in params.items()}
         h = sample_incentive(images, leaves, eps, 4)
-        loss = engine.mul(h.im, h.im).sum()
+        loss = engine.mul(h, h).sum()  # the real part, the image, takes no gradient
         grads = tape.backward(loss)
         assert np.abs(grads["incentive.sigma.weight"]).max() > 0
         assert np.abs(grads["incentive.mu.weight"]).max() > 0
@@ -149,8 +149,8 @@ class TestSampleIncentive:
     def test_one_node_over_the_incentive_buffers(self):
         params = {k: Tensor(v) for k, v in bare_incentive(64).items()}
         h = sample_incentive(np.zeros((2, 1, 8, 8)), params, np.zeros((2, 1, 8, 8)), 4)
-        assert h.z._op == "sample_incentive"
-        assert set(map(id, h.z._parents)) == set(map(id, params.values()))
+        assert h._op == "sample_incentive"
+        assert set(map(id, h._parents)) == set(map(id, params.values()))
 
     def test_zero_eps_gives_the_shared_mu_per_image(self):
         """At eps = 0 the imaginary part is the mu of ``incentive_mu_sigma``
@@ -162,7 +162,8 @@ class TestSampleIncentive:
         h = sample_incentive(images, params, np.zeros_like(images), 4)
         _, mu, _, _ = incentive_mu_sigma(images, params)
         assert len(np.unique(mu)) == 3
-        assert h.im.data.tobytes() == np.broadcast_to(mu[:, :, None], h.im.shape).tobytes()
+        imag = h.data[..., 1, :]
+        assert imag.tobytes() == np.broadcast_to(mu[:, :, None], imag.shape).tobytes()
 
     @given(ch=st.integers(1, 3), side_patch=st.sampled_from(
         [(side, p) for side in range(1, 13) for p in range(1, side + 1) if side % p == 0]),
@@ -179,7 +180,7 @@ class TestSampleIncentive:
         _, mu, _, sigma = incentive_mu_sigma(x, model.params)
         imag = mu.reshape((batch, 1, 1, 1)) + sigma.reshape((batch, 1, 1, 1)) * eps
         h = sample_incentive(x, model.params, eps, patch)
-        assert h.z.data.tobytes() == patch_rows(x, imag, patch).tobytes()
+        assert h.data.tobytes() == patch_rows(x, imag, patch).tobytes()
         # with the noise off, the input is one constant in the same layout
         model.toggles = Toggles(il=False)
         nodes = engine.topo_order(model.forward(x, tape=Tape()))
@@ -193,25 +194,26 @@ class TestPatchify:
 
     def test_28x28_patch4_gives_49_rows(self):
         out = patched(np.zeros((1, 1, 28, 28)), 4)
-        assert out.shape == (1, 49, 16)
+        assert out.shape == (1, 49, 2, 16)
 
     def test_whole_image_patch_is_flatten(self):
         rng = np.random.default_rng(0)
         re = rng.random((1, 1, 6, 6))
         out = patched(re, 6)
-        assert out.shape == (1, 1, 36)
-        np.testing.assert_array_equal(out.re.data[0, 0], re.ravel())
+        assert out.shape == (1, 1, 2, 36)
+        np.testing.assert_array_equal(out.data[0, 0, 0], re.ravel())
 
     def test_is_a_permutation_of_its_input(self):
         # distinct entries, so equal sorted parts mean each entry lands once
         re = np.arange(4 * 3 * 8 * 8, dtype=np.float64).reshape((4, 3, 8, 8))
         out = patched(re, 4, im=-1.0 - re)
-        assert out.shape == (4, 4, 48)
-        np.testing.assert_array_equal(np.sort(out.re.data, axis=None), re.ravel())
-        np.testing.assert_array_equal(np.sort(-1.0 - out.im.data, axis=None), re.ravel())
+        assert out.shape == (4, 4, 2, 48)
+        real, imag = out.data[..., 0, :], out.data[..., 1, :]
+        np.testing.assert_array_equal(np.sort(real, axis=None), re.ravel())
+        np.testing.assert_array_equal(np.sort(-1.0 - imag, axis=None), re.ravel())
         # each image's entries stay in that image's sequence
         for b in range(4):
-            np.testing.assert_array_equal(np.sort(out.re.data[b], axis=None), re[b].ravel())
+            np.testing.assert_array_equal(np.sort(real[b], axis=None), re[b].ravel())
 
     def test_unbatched_image_raises(self):
         with pytest.raises(DimensionError, match="batch"):
@@ -225,7 +227,7 @@ class TestPatchify:
         # put a marker in the second patch of the first patch row
         img = np.zeros((1, 1, 8, 8))
         img[0, 0, 0, 4] = 1.0
-        out = patched(img, 4).re.data[0]
+        out = patched(img, 4).data[0, :, 0]
         assert out[1].sum() == 1.0 and out[0].sum() == 0.0
 
 
@@ -241,22 +243,15 @@ class TestMixerBlock:
         config = tiny_config()
         params = wrap(self.zero_block(config, np.random.default_rng(0)))
         rng = np.random.default_rng(5)
-        x = ComplexTensor(
-            Tensor(rng.standard_normal((2, config.seq, config.hidden))),
-            Tensor(rng.standard_normal((2, config.seq, config.hidden))),
-        )
+        x = Tensor(rng.standard_normal((2, config.seq, 2, config.hidden)))
         y = mixer_block_forward(x, params, "block0")
-        np.testing.assert_array_equal(y.re.data, x.re.data)
-        np.testing.assert_array_equal(y.im.data, x.im.data)
+        np.testing.assert_array_equal(y.data, x.data)
 
     def test_shape_preserved(self):
         config = tiny_config()
         params = wrap(init_params(config, np.random.default_rng(1)))
         rng = np.random.default_rng(6)
-        x = ComplexTensor(
-            Tensor(rng.standard_normal((3, config.seq, config.hidden))),
-            Tensor(rng.standard_normal((3, config.seq, config.hidden))),
-        )
+        x = Tensor(rng.standard_normal((3, config.seq, 2, config.hidden)))
         y = mixer_block_forward(x, params, "block0")
         assert y.shape == x.shape
 
@@ -271,27 +266,26 @@ class TestMixerBlock:
         for k in params:
             if k.startswith("block0.") and k.endswith(".weight"):
                 params[k] = np.ones_like(params[k])
-        x = ComplexTensor(Tensor([[[1.0]]]), Tensor(np.zeros((1, 1, 1))))
+        x = Tensor([[[[1.0], [0.0]]]])  # 1 + 0i, packed (1, 1, 2, 1)
         y = mixer_block_forward(x, wrap(params), "block0")
-        np.testing.assert_allclose(y.re.data, [[[1.0]]], atol=1e-12)
-        np.testing.assert_allclose(y.im.data, [[[0.0]]], atol=1e-12)
+        np.testing.assert_allclose(y.data, [[[[1.0], [0.0]]]], atol=1e-12)
 
 
 class TestPearson:
     def test_zero(self):
-        out = pearson_project(ComplexTensor(Tensor([0.0]), Tensor([0.0])))
+        out = pearson_project(Tensor([[0.0], [0.0]]))
         assert out.data == pytest.approx(0.0)
 
     def test_cancellation(self):
-        out = pearson_project(ComplexTensor(Tensor([3.0]), Tensor([-3.0])))
+        out = pearson_project(Tensor([[3.0], [-3.0]]))
         assert out.data == pytest.approx(0.0)
 
     def test_tanh_of_two(self):
-        out = pearson_project(ComplexTensor(Tensor([1.0]), Tensor([1.0])))
+        out = pearson_project(Tensor([[1.0], [1.0]]))
         assert out.data == pytest.approx(np.tanh(2.0), abs=1e-12)
 
     def test_ablated_parts(self):
-        h = ComplexTensor(Tensor([0.7]), Tensor([-0.2]))
+        h = Tensor([[0.7], [-0.2]])
         real_only = pearson_project(h, use_real=True, use_imag=False)
         imag_only = pearson_project(h, use_real=False, use_imag=True)
         assert real_only.data == pytest.approx(np.tanh(0.7))
@@ -304,7 +298,7 @@ class TestPearson:
     def test_strictly_inside_the_open_unit_interval(self, z):
         """tanh rounds to +-1 far out, so the output is clamped just inside; a
         part sum that overflows is an error, not a score of +-1."""
-        h = ComplexTensor.packed(Tensor(z))
+        h = Tensor(z)
         for keep in ((True, False), (False, True)):
             assert np.all(np.abs(pearson_project(h, *keep).data) < 1.0)
         with np.errstate(over="ignore"):
@@ -317,8 +311,7 @@ class TestPearson:
 
     def test_neither_part_raises(self):
         with pytest.raises(ContractError):
-            pearson_project(ComplexTensor(Tensor([0.0]), Tensor([0.0])),
-                            use_real=False, use_imag=False)
+            pearson_project(Tensor([[0.0], [0.0]]), use_real=False, use_imag=False)
 
 
 class TestForward:
@@ -450,18 +443,15 @@ class TestForward:
 
     def test_training_step_packs_no_parameter(self):
         """Each complex parameter is one packed leaf: the fit-tiny BCE step
-        has one leaf per buffer the classify head reads (26) and no packing
-        node, since the noisy input is made in its packed layout; a pair of
-        ``.re``/``.im`` leaves would add a leaf and a packing node each."""
+        has one leaf per buffer the classify head reads (26); a pair of
+        ``.re``/``.im`` leaves would add a leaf each."""
         config = CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
         model = CMixerModel(config, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
         x = rng.random((32, 1, 8, 8))
         out = model.forward(x, eps=rng.standard_normal(x.shape), tape=Tape())
         nodes = engine.topo_order(loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2))
-        ops = [n._op for n in nodes]
-        assert ops.count("complex") == 0
-        leaves = {op for op in ops if op.startswith("leaf:")}
+        leaves = {n._op for n in nodes if n._op.startswith("leaf:")}
         assert leaves == {f"leaf:{name}" for name in model.params
                           if not name.startswith("ssl_head.")}
         assert len(leaves) == 26
