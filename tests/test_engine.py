@@ -444,6 +444,24 @@ class TestFiniteChecks:
         with pytest.raises(NumericError, match="op 'mul'"), np.errstate(over="ignore"):
             engine.relu(engine.mul(x, 10.0))
 
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_relu(self, data):
+        """relu checks its own output once, like every other op."""
+        x = Tensor(data)
+        with finite_checks() as seen:
+            out = engine.relu(x)
+        assert seen == ["relu"] and np.array_equal(out.data, np.maximum(data, 0.0))
+
+    @given(finite_arrays)
+    @settings(max_examples=40)
+    def test_transpose(self, data):
+        """transpose checks its own output once, like every other op."""
+        x, axes = Tensor(data), tuple(reversed(range(data.ndim)))
+        with finite_checks() as seen:
+            out = engine.transpose(x, axes)
+        assert seen == ["transpose"] and np.array_equal(out.data, data.transpose(axes))
+
     def test_each_checked_op_checks_once(self):
         with finite_checks() as seen:
             engine.softplus(engine.relu(engine.transpose(engine.mul(np.ones((2, 3)), 2.0), (1, 0))))
