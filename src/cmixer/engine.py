@@ -34,7 +34,7 @@ Conventions baked into this module:
   itself; an axis outside the input's rank is a ``DimensionError`` naming the op
 * a complex op is one node over the packed ``z``: ``complex_affine``, ``layernorm``
   over the last axis, and ``relu``, ``add`` and ``tmean`` over a packed tensor (the
-  CReLU, the residual add and the mean over a logical axis before the pair axis)
+  CReLU and the mean over a logical axis before the pair axis)
 * ``complex_affine``, ``layernorm`` and the loss ops ``softmax`` and
   ``log_softmax`` are fused ops with hand-written backward passes, one node each
   (``sub`` is a plain broadcast op; the model's noisy input, ``sample_incentive``,
@@ -43,7 +43,7 @@ Conventions baked into this module:
   3-multiply form on the model's shapes (its extra elementwise passes cost more).
   With ``crelu=True`` it also applies the CReLU in place on its output and takes
   the ReLU mask off that output, so a CReLU after an affine stores no
-  pre-activation and adds no node
+  pre-activation and adds no node; with ``residual=`` it adds the skip and keeps no product
 * the derivative of ReLU at exactly 0 is taken to be 0
 * ``grad_check`` excludes entries whose central difference straddles a
   kink (detected by disagreeing one-sided differences) instead of
@@ -389,7 +389,7 @@ def _real_form(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False) -> Tensor:
+def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residual=None) -> Tensor:
     """Apply the packed complex weight ``W = A + iB`` along logical ``axis`` of ``h``.
 
     ``W`` is (m, 2, n), ``h`` is packed, (..., 2, k), with logical shape
@@ -410,8 +410,13 @@ def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False) -> Tens
     output), in place on the product, with bitwise the values of
     ``relu(complex_affine(...))``. The backward reads the ReLU mask off the
     output (``out > 0`` exactly where the pre-activation is), so the
-    pre-activation is never stored.
+    pre-activation is never stored. With ``residual`` (of the output's shape)
+    the op adds the skip connection as ``add(residual, complex_affine(...))``
+    does, into a fresh buffer. Its backward reads neither product nor sum, so
+    the product is freed at once; ``crelu``, which would read it, is refused.
     """
+    if crelu and residual is not None:
+        raise ContractError("complex_affine: crelu=True cannot take a residual")
     w, z = constant(W), constant(h)
     if w.ndim != 3 or w.shape[1] != 2:
         raise DimensionError(f"complex_affine: weight needs shape (m, 2, n), got {w.shape}")
@@ -446,21 +451,30 @@ def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False) -> Tens
         parents += (bias,)
     if crelu:
         np.maximum(out, 0.0, out=out)
-    product = out
+    product = out if crelu else None  # only the ReLU mask reads it back
     # off the last axis the output stays a transposed view, so the next
     # token-axis op on it (after an elementwise op) reads its rows with no copy
     out = out.reshape(t_shape).transpose(inverse)
+    if residual is not None:
+        residual = constant(residual)
+        if residual.shape != out.shape:
+            raise DimensionError(f"complex_affine: residual {residual.shape} vs output {out.shape}")
+        out = np.add(residual.data, out)
+        parents += (residual,)
 
     def backprop(g):
+        if residual is not None:
+            residual._accumulate(g)
         g = rows(g, 2 * m)
         if crelu:
             # the derivative at the kink (pre-activation exactly 0) is 0
-            g = np.where(product > 0.0, g, 0.0)
+            np.copyto(g, 0.0, where=product <= 0.0)  # g is private: mask in place
         gw = rows(z.data, 2 * n).T @ g
         gw_t = np.empty((2, n, m))  # the (m, 2, n) weight gradient, transposed
         np.add(gw[:n, :m], gw[n:, m:], out=gw_t[0])
         np.subtract(gw[:n, m:], gw[n:, :m], out=gw_t[1])
         w._accumulate(gw_t.transpose(2, 0, 1))
+        del gw, gw_t
         gh = g @ _real_form(w.data)
         z._accumulate(gh.reshape(t_shape[:-1] + (n,)).transpose(inverse))
         if bias is not None:

@@ -108,11 +108,11 @@ def _suite_entries():
     def weighted(out, w):
         return engine.mul(out, pack(w[0], w[1])).sum()
 
-    def complex_leaves(m, n, h_shape):
+    def complex_leaves(m, n, h_shape, gen=extra):
         return {
-            "W": pack(extra.standard_normal((m, n)), extra.standard_normal((m, n))),
-            "h": pack(extra.standard_normal(h_shape), extra.standard_normal(h_shape)),
-            "bias": pack(extra.standard_normal(m), extra.standard_normal(m)),
+            "W": pack(gen.standard_normal((m, n)), gen.standard_normal((m, n))),
+            "h": pack(gen.standard_normal(h_shape), gen.standard_normal(h_shape)),
+            "bias": pack(gen.standard_normal(m), gen.standard_normal(m)),
         }
 
     op("complex_affine", lambda: (
@@ -177,6 +177,20 @@ def _suite_entries():
         {"W": pack(fused_tok.standard_normal((4, 5)), fused_tok.standard_normal((4, 5))),
          "z": fused_tok.standard_normal((2, 5, 2, 3)),
          "bias": pack(fused_tok.standard_normal(4), fused_tok.standard_normal(4))},
+    ))
+    # the skip fused in, as token2/channel2 run it; the token axis takes a strided residual
+    skip, skip_tok = np.random.default_rng(47), np.random.default_rng(48)
+    w_skip, w_skip_tok = skip.standard_normal((2, 2, 5, 3)), skip_tok.standard_normal((2, 4, 2, 3))
+    op("complex_affine_residual", lambda: (
+        lambda lv: weighted(complex_affine(
+            lv["W"], lv["h"], bias=lv["bias"], axis=-1, residual=lv["r"]), w_skip),
+        {**complex_leaves(3, 4, (2, 5, 4), skip), "r": skip.standard_normal((2, 5, 2, 3))},
+    ))
+    op("complex_affine_residual_token", lambda: (
+        lambda lv: engine.mul(complex_affine(lv["W"], lv["z"], residual=engine.transpose(
+            lv["r"], (0, 3, 2, 1))), w_skip_tok).sum(),
+        {"W": skip_tok.standard_normal((4, 2, 5)), "z": skip_tok.standard_normal((2, 5, 2, 3)),
+         "r": skip_tok.standard_normal((2, 3, 2, 4))},
     ))
     w_ln = extra.standard_normal((2, 3, 4))
     op("layernorm_3d", lambda: (

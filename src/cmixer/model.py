@@ -351,9 +351,9 @@ def sample_incentive(images: np.ndarray, params: dict[str, Tensor | np.ndarray],
 
 
 def _affine(x: Tensor, p: dict[str, Tensor | np.ndarray], prefix: str,
-            bias: bool = False, axis: int = -2, crelu: bool = False) -> Tensor:
+            bias: bool = False, axis: int = -2, crelu: bool = False, residual=None) -> Tensor:
     return complex_affine(p[f"{prefix}.weight"], x, bias=p[f"{prefix}.bias"] if bias else None,
-                          axis=axis, crelu=crelu)
+                          axis=axis, crelu=crelu, residual=residual)
 
 
 def mixer_block_forward(x: Tensor, params: dict[str, Tensor | np.ndarray],
@@ -364,20 +364,20 @@ def mixer_block_forward(x: Tensor, params: dict[str, Tensor | np.ndarray],
     mixing across the channels of each patch; both sit behind skip
     connections, so a zero-weight block is the identity.
     """
-    # no intermediate is bound to a name, so without a graph each one is
-    # freed as soon as the next op has read it; token1 and channel1 apply
-    # their CReLU inside the affine, so no pre-activation is stored; each layer
+    # no intermediate is bound to a name, so without a graph each one is freed
+    # once read; token1/channel1 apply their CReLU and token2/channel2 the skip
+    # inside the affine, so no pre-activation or product is stored; each layer
     # norm gives re and im their own row of the (2, C) gain and shift
     ln1 = (params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
     ln2 = (params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
-    u = engine.add(x, _affine(
+    u = _affine(
         _affine(engine.layernorm(x, *ln1), params, f"{prefix}.token1", crelu=True),
-        params, f"{prefix}.token2",
-    ))
-    return engine.add(u, _affine(
+        params, f"{prefix}.token2", residual=x,
+    )
+    return _affine(
         _affine(engine.layernorm(u, *ln2), params, f"{prefix}.channel1", axis=-1, crelu=True),
-        params, f"{prefix}.channel2", axis=-1,
-    ))
+        params, f"{prefix}.channel2", axis=-1, residual=u,
+    )
 
 
 _OPEN_UNIT = np.nextafter(1.0, 0.0)

@@ -218,14 +218,15 @@ def clip_global_norm(
 ) -> tuple[dict[str, np.ndarray], float]:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
-    Returns the (possibly scaled) gradients and the pre-clip norm.
+    Returns the given gradients, scaled in place, and the pre-clip norm.
     """
     if max_norm <= 0:
         raise ContractError("max_norm must be positive")
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
-        grads = {k: g * scale for k, g in grads.items()}
+        for g in grads.values():
+            g *= scale
     return grads, total
 
 

@@ -311,6 +311,70 @@ class TestFusedCrelu:
         assert kept and all(np.shares_memory(a, out.data) for a in kept)
 
 
+class TestFusedResidual:
+    """``complex_affine(..., residual=r)`` against ``add(r, complex_affine(...))``."""
+
+    @staticmethod
+    def _run(fused, axis, strided, leaves, w):
+        tape = Tape()
+        lv = {k: tape.leaf(k, v) for k, v in leaves.items()}
+        r = engine.transpose(lv["r"], (0, 3, 2, 1)) if strided else lv["r"]
+        if fused:
+            out = complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis, residual=r)
+        else:
+            out = engine.add(r, complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis))
+        return out.data, tape.backward(engine.mul(out, w).sum())
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("axis", [-2, -1], ids=["token", "channel"])
+    def test_bitwise_values_and_gradients(self, axis, strided):
+        rng = np.random.default_rng(33)
+        m, n = (5, 4) if axis == -2 else (5, 3)
+        out_shape = (2, 5, 2, 3) if axis == -2 else (2, 4, 2, 5)
+        r_shape = tuple(out_shape[i] for i in (0, 3, 2, 1)) if strided else out_shape
+        leaves = {"W": pack(rng.standard_normal((m, n)), rng.standard_normal((m, n))),
+                  "z": rng.standard_normal((2, 4, 2, 3)),
+                  "bias": pack(rng.standard_normal(m), rng.standard_normal(m)),
+                  "r": rng.standard_normal(r_shape)}
+        w = rng.standard_normal(out_shape)
+        fused, fused_grads = self._run(True, axis, strided, leaves, w)
+        plain, plain_grads = self._run(False, axis, strided, leaves, w)
+        # the same values in the same layout, so the layer norm after it reads them alike
+        assert fused.shape == out_shape and fused.strides == plain.strides
+        assert fused.tobytes() == plain.tobytes()
+        assert set(fused_grads) == {"W", "z", "bias", "r"}
+        for name, g in plain_grads.items():
+            assert fused_grads[name].tobytes() == g.tobytes(), name
+
+    def test_no_product_is_stored(self):
+        rng = np.random.default_rng(34)
+        h = Tensor(rng.standard_normal((2, 4, 2, 3)))
+        A, B = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        out = complex_affine(ct(A, B), h, axis=-1, residual=rng.standard_normal((2, 4, 2, 5)))
+        assert [c.cell_contents for c in out._backprop.__closure__
+                if isinstance(c.cell_contents, np.ndarray)] == []
+
+    def test_residual_of_the_wrong_shape_raises_naming_op(self):
+        W, h = ct(np.eye(2), np.zeros((2, 2))), Tensor(np.ones((3, 2, 2)))
+        with pytest.raises(DimensionError, match="complex_affine: residual"):
+            complex_affine(W, h, axis=-1, residual=np.ones((3, 2, 3)))
+        with pytest.raises(DimensionError, match="complex_affine: residual"):
+            complex_affine(W, h, axis=-1, residual=np.ones((2, 2)))  # would broadcast
+
+    def test_crelu_with_residual_is_a_contract_error(self):
+        W, h = ct(np.eye(2), np.zeros((2, 2))), Tensor(np.ones((3, 2, 2)))
+        with pytest.raises(ContractError, match="complex_affine"):
+            complex_affine(W, h, axis=-1, crelu=True, residual=np.ones((3, 2, 2)))
+
+    def test_overflowing_sum_raises_naming_op(self):
+        W = ct(np.eye(2), np.zeros((2, 2)))
+        big = ct(np.full((1, 2), 1e308), np.zeros((1, 2)))
+        assert np.isfinite(complex_affine(W, big, axis=-1).data).all()
+        with pytest.raises(NumericError, match="op 'complex_affine'"), \
+                np.errstate(over="ignore"):
+            complex_affine(W, big, axis=-1, residual=big)
+
+
 class TestLayerNorm:
     def test_constant_slice_collapses_to_zero(self):
         out = layernorm(Tensor([5.0, 5.0, 5.0]), np.ones(3), np.zeros(3))

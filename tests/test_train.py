@@ -191,6 +191,19 @@ class TestClip:
         post = np.sqrt(sum(float((g**2).sum()) for g in clipped.values()))
         assert post == pytest.approx(min(norm, 1.0), abs=1e-9)
 
+    def test_scales_the_given_arrays_in_place(self):
+        """The clipped gradients are the arrays given, with bitwise the
+        values of the out-of-place product ``g * (max_norm / norm)``."""
+        rng = np.random.default_rng(8)
+        grads = {"a": rng.standard_normal(5) * 10, "b": rng.standard_normal((2, 2)) * 10}
+        given = dict(grads)
+        before = {k: g.copy() for k, g in grads.items()}
+        clipped, norm = clip_global_norm(grads, 1.0)
+        assert norm > 1.0
+        for k, g in given.items():
+            assert clipped[k] is g
+            assert g.tobytes() == (before[k] * (1.0 / norm)).tobytes(), k
+
 
 class TestOptimizers:
     def test_adamw_zero_grad_no_decay_is_identity(self):
