@@ -468,7 +468,7 @@ def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residua
         g = rows(g, 2 * m)
         if crelu:
             # the derivative at the kink (pre-activation exactly 0) is 0
-            np.copyto(g, 0.0, where=product <= 0.0)  # g is private: mask in place
+            np.multiply(g, product > 0.0, out=g)  # g is private: mask in place
         gw = rows(z.data, 2 * n).T @ g
         gw_t = np.empty((2, n, m))  # the (m, 2, n) weight gradient, transposed
         np.add(gw[:n, :m], gw[n:, m:], out=gw_t[0])

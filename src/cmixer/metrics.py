@@ -143,8 +143,8 @@ def evaluate(
 ) -> EvalReport:
     """Score one split and report ACC/AUC with a per-class breakdown.
 
-    The model scores under its own ``toggles``. Noise is sampled fresh
-    from ``rng`` per batch (with the no-noise toggle the pass is
+    The model scores under its own ``toggles``. Noise is drawn fresh from
+    ``rng``, once per batch (with the no-noise toggle the pass is
     deterministic); passing a seeded generator freezes the evaluation.
     A class count other than the bundle's is a ``DimensionError``, and a
     ``batch_size`` below 1 a ``ContractError``.

@@ -21,6 +21,8 @@ logical shape ``(..., n)`` is one real ``engine.Tensor`` of shape
 4. a bounded real score comes out of ``tanh(re + im)`` applied to the
    head output, so every logit lives in (-1, 1).
 
+``scores`` runs a large batch in microbatches that fit ``SCORE_BUDGET``.
+
 Parameters are kept in a flat ``{name: ndarray}`` dict, which makes
 optimizers and EMA shadows trivial dict operations. Each complex one is a
 single buffer in the packed ``(..., 2, n)`` layout; only
@@ -56,6 +58,8 @@ __all__ = [
 
 INCENTIVE_HIDDEN = 128
 SSL_DIM = 128
+# bytes that the widest tape-less activation of one scoring microbatch may take
+SCORE_BUDGET = 8 * 2**20
 
 
 @dataclass
@@ -469,14 +473,8 @@ class CMixerModel:
         Either way the graph is built unless the call runs inside
         ``engine.no_grad``.
         """
-        if head not in ("classify", "ssl"):  # before any of the trunk's work
-            raise ContractError(f"unknown head {head!r}")
         cfg = self.config
-        x = np.asarray(images, dtype=np.float64)
-        if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.image_side, cfg.image_side):
-            raise DimensionError(
-                f"expected (batch, {cfg.in_channels}, {cfg.image_side}, {cfg.image_side}), got {x.shape}"
-            )
+        x = self._checked_batch(images, head)
         p = params if params is not None else self.params
         if tape is not None:
             p = {k: tape.leaf(k, v) for k, v in p.items()}
@@ -508,12 +506,39 @@ class CMixerModel:
     ) -> np.ndarray:
         """``forward`` under ``engine.no_grad`` and ``self.toggles``, as a plain array.
 
-        No graph is built: each intermediate is freed as soon as the
-        forward drops it. The values are bitwise those of ``forward`` for
-        the same ``eps``.
+        No graph is built, and the batch runs in the fewest near-equal
+        microbatches (``np.array_split``) whose widest activation fits in
+        ``SCORE_BUDGET`` bytes, so memory stops growing with the batch. The
+        noise is drawn once for the whole batch, as ``forward`` draws it, and
+        sliced: each microbatch's rows are bitwise ``forward`` on it and its
+        ``eps`` slice. The head and the shapes are checked before any draw.
         """
+        x = self._checked_batch(images, head)
+        if self.toggles.il:
+            if eps is None and rng is None:
+                raise ContractError("forward needs eps or rng to sample noise")
+            eps = rng.standard_normal(x.shape) if eps is None else np.asarray(eps, dtype=np.float64)
+            if eps.shape != x.shape:
+                raise DimensionError(f"epsilon shape {eps.shape} != image shape {x.shape}")
+        c = self.config
+        widest = 16 * max(c.seq * c.hidden, c.token_hidden * c.hidden, c.seq * c.channel_hidden)
+        n = max(1, -(-len(x) // max(1, SCORE_BUDGET // widest)))
+        eps_parts = np.array_split(eps, n) if self.toggles.il else [None] * n
         with engine.no_grad():
-            return self.forward(images, eps=eps, rng=rng, head=head, params=params).data
+            return np.concatenate([self.forward(xs, eps=es, head=head, params=params).data
+                                   for xs, es in zip(np.array_split(x, n), eps_parts)])
+
+    def _checked_batch(self, images, head: str) -> np.ndarray:
+        """``images`` as float64 once ``head`` and the (batch, ch, H, W) shape pass."""
+        if head not in ("classify", "ssl"):  # before any of the trunk's work
+            raise ContractError(f"unknown head {head!r}")
+        cfg = self.config
+        x = np.asarray(images, dtype=np.float64)
+        if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.image_side, cfg.image_side):
+            raise DimensionError(
+                f"expected (batch, {cfg.in_channels}, {cfg.image_side}, {cfg.image_side}), got {x.shape}"
+            )
+        return x
 
 
 def save_checkpoint(path, model: CMixerModel, params: dict[str, np.ndarray] | None = None) -> None:

@@ -13,6 +13,7 @@ from cmixer.engine import Tape, Tensor
 from cmixer.data import TaskKind
 from cmixer.errors import ContractError, DimensionError, FormatError, NumericError
 from cmixer.model import (
+    SCORE_BUDGET,
     CMixerConfig,
     CMixerModel,
     Toggles,
@@ -636,6 +637,134 @@ class TestGraphMemory:
                 base = base.base
             buffers[id(base)] = base.nbytes
         assert grown <= sum(buffers.values()) + 1e6, (grown, sum(buffers.values()))
+
+
+def _record_forward_batches(monkeypatch):
+    """Patch ``CMixerModel.forward`` to record the batch size of each call."""
+    sizes, forward = [], CMixerModel.forward
+
+    def recording(self, images, **kwargs):
+        sizes.append(len(images))
+        return forward(self, images, **kwargs)
+
+    monkeypatch.setattr(CMixerModel, "forward", recording)
+    return sizes
+
+
+def _rng_state_after(seed, shape=None):
+    rng = np.random.default_rng(seed)
+    if shape is not None:
+        rng.standard_normal(shape)
+    return rng.bit_generator.state
+
+
+class TestScoreMicrobatches:
+    """``scores`` runs in the fewest near-equal microbatches whose widest
+    activation fits ``SCORE_BUDGET``: 50,176 B per image on the
+    BreastMNIST-size config, so B=256 is 2 x 128, and 1,024 B on fit-tiny,
+    so B=256 is one call."""
+
+    def test_over_budget_is_forward_per_microbatch(self, monkeypatch):
+        config = breast_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.random((256, 1, 28, 28))
+        eps = rng.standard_normal(x.shape)
+        with engine.no_grad():
+            want = np.concatenate([model.forward(xs, eps=es).data for xs, es in
+                                   zip(np.array_split(x, 2), np.array_split(eps, 2))])
+        sizes = _record_forward_batches(monkeypatch)
+        got = model.scores(x, eps=eps)
+        assert sizes == [128, 128]
+        assert got.tobytes() == want.tobytes()
+
+    def test_within_budget_is_one_forward(self, monkeypatch):
+        config = fit_tiny_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.random((256, 1, 8, 8))
+        eps = rng.standard_normal(x.shape)
+        with engine.no_grad():
+            want = model.forward(x, eps=eps).data
+        sizes = _record_forward_batches(monkeypatch)
+        got = model.scores(x, eps=eps)
+        assert sizes == [256]
+        assert got.tobytes() == want.tobytes()
+
+    def test_microbatches_are_near_equal_and_within_budget(self, monkeypatch):
+        """The paper's pre-training batch of 500 on the reference config
+        (614,656 B per image, so at most 13 images fit) runs as 39 calls of
+        12 or 13 images; the forward is stubbed, so nothing is computed."""
+        config = CMixerConfig.reference()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        sizes = []
+
+        def stub(self, images, **kwargs):
+            sizes.append(len(images))
+            return Tensor(np.zeros((len(images), config.num_classes)))
+
+        monkeypatch.setattr(CMixerModel, "forward", stub)
+        out = model.scores(np.zeros((500, 3, 28, 28)), eps=np.zeros((500, 3, 28, 28)))
+        assert out.shape == (500, 9)
+        assert len(sizes) == 39 and sum(sizes) == 500 and set(sizes) == {12, 13}
+        widest = 16 * max(49 * 218, 98 * 218, 49 * 784)
+        assert max(sizes) * widest <= SCORE_BUDGET < (max(sizes) + 1) * widest
+
+    @pytest.mark.parametrize("make_config, batch", [(fit_tiny_config, 32), (breast_config, 256)],
+                             ids=["one_call", "split"])
+    def test_one_noise_draw_for_the_batch(self, make_config, batch):
+        config = make_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).random((batch, 1, config.image_side, config.image_side))
+        rng = np.random.default_rng(2)
+        with_rng = model.scores(x, rng=rng)
+        assert rng.bit_generator.state == _rng_state_after(2, x.shape)
+        eps = np.random.default_rng(2).standard_normal(x.shape)
+        assert with_rng.tobytes() == model.scores(x, eps=eps).tobytes()
+        model.toggles = Toggles(il=False)
+        rng = np.random.default_rng(2)
+        model.scores(x, rng=rng)
+        assert rng.bit_generator.state == _rng_state_after(2)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda m, rng: m.scores(np.zeros((256, 1, 28, 28)), rng=rng, head="bogus"),
+         ContractError),
+        (lambda m, rng: m.scores(np.zeros((256, 1, 16, 16)), rng=rng), DimensionError),
+        (lambda m, rng: m.scores(np.zeros((256, 1, 28, 28))), ContractError),
+        (lambda m, rng: m.scores(np.zeros((256, 1, 28, 28)), eps=np.zeros((255, 1, 28, 28))),
+         DimensionError),
+        (lambda m, rng: m.scores(np.zeros((256, 1, 28, 28)), eps=np.float64(0.0)),
+         DimensionError),
+    ], ids=["unknown_head", "image_shape", "no_eps_or_rng", "eps_batch", "eps_scalar"])
+    def test_bad_calls_raise_before_any_draw_or_forward(self, monkeypatch, call, error):
+        model = CMixerModel(breast_config(), rng=np.random.default_rng(0))
+        sizes = _record_forward_batches(monkeypatch)
+        rng = np.random.default_rng(3)
+        with pytest.raises(error):
+            call(model, rng)
+        assert sizes == []
+        assert rng.bit_generator.state == _rng_state_after(3)
+
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        """Under ``tracemalloc`` the BreastMNIST-size peak at B=512 (4 x 128)
+        exceeds the peak at B=128 (one call) by at most the extra noise
+        drawn for the batch plus 1 MB; as one call it would be 4x."""
+        config = breast_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        small, large = rng.random((128, 1, 28, 28)), rng.random((512, 1, 28, 28))
+
+        def peak(x):
+            tracemalloc.start()
+            try:
+                model.scores(x, rng=np.random.default_rng(6))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = large.nbytes - small.nbytes  # eps is image-shaped
+        big, base = peak(large), peak(small)
+        assert big <= base + extra + 1e6, (big, base, extra)
 
 
 def reference_scores(model, x, eps, head="classify"):
