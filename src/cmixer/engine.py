@@ -31,9 +31,10 @@ without a tape.
 Conventions baked into this module:
 
 * every op validates its output once for NaN/Inf and raises ``NumericError`` naming
-  itself; an axis outside the input's rank is a ``DimensionError`` naming the op
+  itself (``complex_affine`` checks its product, before any CReLU could hide an
+  -Inf); an axis outside the input's rank is a ``DimensionError`` naming the op
 * a complex op is one node over the packed ``z``: ``complex_affine``, ``layernorm``
-  over the last axis, and ``relu``, ``add`` and ``tmean`` over a packed tensor (the
+  over the last axis, and ``relu`` and ``tmean`` over a packed tensor (the
   CReLU and the mean over a logical axis before the pair axis)
 * ``complex_affine``, ``layernorm`` and the loss ops ``softmax`` and
   ``log_softmax`` are fused ops with hand-written backward passes, one node each
@@ -43,7 +44,9 @@ Conventions baked into this module:
   3-multiply form on the model's shapes (its extra elementwise passes cost more).
   With ``crelu=True`` it also applies the CReLU in place on its output and takes
   the ReLU mask off that output, so a CReLU after an affine stores no
-  pre-activation and adds no node; with ``residual=`` it adds the skip and keeps no product
+  pre-activation and adds no node; with ``residual=`` it adds the skip and keeps no product;
+  with ``norm=(gamma, beta)`` it layer-normalizes its input first, sharing
+  ``layernorm``'s two kernels, and keeps no normalized row, only two scalars per row
 * the derivative of ReLU at exactly 0 is taken to be 0
 * ``grad_check`` excludes entries whose central difference straddles a
   kink (detected by disagreeing one-sided differences) instead of
@@ -65,7 +68,6 @@ __all__ = [
     "Tape",
     "no_grad",
     "constant",
-    "add",
     "sub",
     "mul",
     "relu",
@@ -118,9 +120,11 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backprop", "_op")
 
     def __init__(self, data, _parents: tuple = (),
-                 _backprop: Callable[[np.ndarray], None] | None = None, _op: str = "const"):
+                 _backprop: Callable[[np.ndarray], None] | None = None, _op: str = "const",
+                 _checked: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        _ensure_finite(arr, _op)
+        if not _checked:  # an op that checked the values its output is made of says so
+            _ensure_finite(arr, _op)
         if not _grad_enabled:
             _parents, _backprop = (), None
         self.data, self.grad, self._op = arr, None, _op
@@ -151,9 +155,6 @@ class Tensor:
     def sum(self, axis=None) -> "Tensor":
         return tsum(self, axis=axis)
 
-    def __add__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -182,17 +183,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def add(a, b) -> Tensor:
-    a, b = constant(a), constant(b)
-    out_data = _broadcast(np.add, a, b, "add")
-
-    def backprop(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
-
-    return Tensor(out_data, (a, b), backprop, "add")
 
 
 def sub(a, b) -> Tensor:
@@ -337,6 +327,49 @@ def log_softmax(a) -> Tensor:
     return Tensor(out_data, (a,), backprop, "log_softmax")
 
 
+def _norm_operands(x: Tensor, gamma, beta, op: str):
+    """``gamma`` and ``beta`` as tensors once they fit ``x``, with the axes they
+    broadcast over and their arrays expanded to ``x``'s rank."""
+    gamma, beta = constant(gamma), constant(beta)
+    if x.shape[-1] == 0:
+        raise DimensionError(f"{op}: zero-length axis")
+    k = max(gamma.ndim, 1)
+    covered = x.shape[-k:]
+    for name, t in (("gamma", gamma), ("beta", beta)):
+        if t.shape != covered:
+            raise DimensionError(f"{op}: {name} has shape {t.shape}, expected {covered}")
+    others = tuple(range(x.ndim - k))
+    scale, shift = (np.expand_dims(t.data, others) for t in (gamma, beta))
+    return gamma, beta, others, scale, shift
+
+
+def _layernorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None):
+    """The layer norm of ``x`` over its last axis, with its per-row ``mu`` and ``inv``.
+
+    The variance comes from a fresh ``d = x - mu``; then ``d * inv``,
+    ``* scale`` and ``+ shift`` go into ``out`` (``d`` itself when it is
+    None), in that order. Returns ``(out, mu, inv)``.
+    """
+    n = x.shape[-1]
+    mu = np.sum(x, axis=-1, keepdims=True) * (1.0 / n)
+    d = x - mu
+    inv = (np.sum(d * d, axis=-1, keepdims=True) * (1.0 / n) + LAYERNORM_EPS) ** -0.5
+    out = np.multiply(d, inv, out=d if out is None else out)
+    out *= scale
+    out += shift
+    return out, mu, inv
+
+
+def _layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale: np.ndarray,
+                        x: Tensor, gamma: Tensor, beta: Tensor, others: tuple) -> None:
+    """Push ``g``, the gradient of the normalized output, into ``x``, ``gamma`` and ``beta``."""
+    gx = g * scale
+    x._accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
+                         - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+    gamma._accumulate(np.sum(g * xhat, axis=others))
+    beta._accumulate(np.sum(g, axis=others))
+
+
 def layernorm(x, gamma, beta) -> Tensor:
     """Normalize to zero mean / unit variance along the last axis, then scale and shift.
 
@@ -346,35 +379,15 @@ def layernorm(x, gamma, beta) -> Tensor:
     own gain and shift. ``LAYERNORM_EPS``, added to the variance, keeps a
     zero-variance slice finite (it collapses to ``beta``). One node: the
     backward is the closed form ``inv * (g' - mean(g') - xhat * mean(g' * xhat))``
-    with ``g' = g * gamma``.
+    with ``g' = g * gamma``. ``complex_affine(..., norm=)`` runs the same two
+    kernels.
     """
-    x, gamma, beta = constant(x), constant(gamma), constant(beta)
-    n = x.shape[-1]
-    if n == 0:
-        raise DimensionError("layernorm: zero-length axis")
-    k = max(gamma.ndim, 1)
-    covered = x.shape[-k:]
-    for name, t in (("gamma", gamma), ("beta", beta)):
-        if t.shape != covered:
-            raise DimensionError(
-                f"layernorm: {name} has shape {t.shape}, expected {covered}"
-            )
-    others = tuple(range(x.ndim - k))
-    scale = np.expand_dims(gamma.data, others)
-    mu = np.sum(x.data, axis=-1, keepdims=True) * (1.0 / n)
-    out_data = x.data - mu
-    inv = (np.sum(out_data * out_data, axis=-1, keepdims=True) * (1.0 / n) + LAYERNORM_EPS) ** -0.5
-    out_data *= inv
-    out_data *= scale
-    out_data += np.expand_dims(beta.data, others)
+    x = constant(x)
+    gamma, beta, others, scale, shift = _norm_operands(x, gamma, beta, "layernorm")
+    out_data, mu, inv = _layernorm_forward(x.data, scale, shift)
 
     def backprop(g):
-        xhat = (x.data - mu) * inv
-        gx = g * scale
-        x._accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
-                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
-        gamma._accumulate(np.sum(g * xhat, axis=others))
-        beta._accumulate(np.sum(g, axis=others))
+        _layernorm_backward(g, (x.data - mu) * inv, inv, scale, x, gamma, beta, others)
 
     return Tensor(out_data, (x, gamma, beta), backprop, "layernorm")
 
@@ -389,7 +402,8 @@ def _real_form(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residual=None) -> Tensor:
+def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residual=None,
+                   norm=None) -> Tensor:
     """Apply the packed complex weight ``W = A + iB`` along logical ``axis`` of ``h``.
 
     ``W`` is (m, 2, n), ``h`` is packed, (..., 2, k), with logical shape
@@ -404,16 +418,25 @@ def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residua
     already is such a view), and the output is a transposed view of the
     product in the packed shape. One node; its backward mirrors
     the forward and recomputes the rows and the block form instead of
-    keeping them in the graph.
+    keeping them in the graph. The product is checked for NaN/Inf before
+    any CReLU, which would map -Inf to 0.
+
+    With ``norm=(gamma, beta)`` the op first layer-normalizes ``h`` over its
+    last axis, with bitwise the values of ``complex_affine(W, layernorm(h,
+    gamma, beta), ...)``: the normalized values are written straight into the
+    GEMM rows, and only ``h``, which is already a graph node, and the per-row
+    mean and inverse deviation are kept. The backward rebuilds the rows from
+    them, and a non-finite normalized row fails the product check, naming
+    this op.
 
     With ``crelu`` the op also applies the CReLU (``relu`` of the packed
     output), in place on the product, with bitwise the values of
     ``relu(complex_affine(...))``. The backward reads the ReLU mask off the
     output (``out > 0`` exactly where the pre-activation is), so the
     pre-activation is never stored. With ``residual`` (of the output's shape)
-    the op adds the skip connection as ``add(residual, complex_affine(...))``
-    does, into a fresh buffer. Its backward reads neither product nor sum, so
-    the product is freed at once; ``crelu``, which would read it, is refused.
+    the op adds the skip connection as ``np.add(residual, product)``, into a
+    fresh buffer. Its backward reads neither product nor sum, so the product
+    is freed at once; ``crelu``, which would read it, is refused.
     """
     if crelu and residual is not None:
         raise ContractError("complex_affine: crelu=True cannot take a residual")
@@ -439,8 +462,24 @@ def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residua
     def rows(arr: np.ndarray, width: int) -> np.ndarray:
         return np.ascontiguousarray(arr.transpose(perm)).reshape(-1, width)
 
-    out = rows(z.data, 2 * n) @ _real_form(w.data).T
-    parents = (w, z)
+    def row_buffer():
+        # off the last axis the normalized values go straight into the
+        # transposed layout of the rows, so rows() copies nothing
+        if mixed == rank:
+            return None
+        return np.empty(tuple(z.shape[i] for i in perm)).transpose(inverse)
+
+    parents, ln = (w, z), None
+    if norm is None:
+        out = rows(z.data, 2 * n) @ _real_form(w.data).T
+    else:
+        gamma, beta, others, scale, shift = _norm_operands(z, *norm, "complex_affine")
+        normed, mu, inv = _layernorm_forward(z.data, scale, shift, row_buffer())
+        out = rows(normed, 2 * n) @ _real_form(w.data).T
+        del normed
+        # all the backward keeps of the norm: the operands and two scalars per row
+        ln = (gamma, beta, others, scale, shift, mu, inv)
+        parents += (gamma, beta)
     if bias is not None:
         bias = constant(bias)
         if bias.shape != (2, m):
@@ -449,6 +488,8 @@ def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residua
             )
         out += bias.data.reshape(2 * m)
         parents += (bias,)
+    if residual is None:  # else the output check sees the sum, which no CReLU follows
+        _ensure_finite(out, "complex_affine")
     if crelu:
         np.maximum(out, 0.0, out=out)
     product = out if crelu else None  # only the ReLU mask reads it back
@@ -469,18 +510,32 @@ def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residua
         if crelu:
             # the derivative at the kink (pre-activation exactly 0) is 0
             np.multiply(g, product > 0.0, out=g)  # g is private: mask in place
-        gw = rows(z.data, 2 * n).T @ g
+        if ln is None:
+            gw = rows(z.data, 2 * n).T @ g
+        else:
+            gamma, beta, others, scale, shift, mu, inv = ln
+            xhat = (z.data - mu) * inv
+            normed = np.multiply(xhat, scale, out=row_buffer())
+            normed += shift
+            gw = rows(normed, 2 * n).T @ g
+            del normed
         gw_t = np.empty((2, n, m))  # the (m, 2, n) weight gradient, transposed
         np.add(gw[:n, :m], gw[n:, m:], out=gw_t[0])
         np.subtract(gw[:n, m:], gw[n:, :m], out=gw_t[1])
         w._accumulate(gw_t.transpose(2, 0, 1))
         del gw, gw_t
-        gh = g @ _real_form(w.data)
-        z._accumulate(gh.reshape(t_shape[:-1] + (n,)).transpose(inverse))
+        gh = (g @ _real_form(w.data)).reshape(t_shape[:-1] + (n,)).transpose(inverse)
+        if ln is None:
+            z._accumulate(gh)
+        else:
+            # the normalized rows' gradient in xhat's layout, with -0.0 made
+            # +0.0, as a layernorm node's first gradient arrival would be
+            gh = np.add(gh, 0.0, out=np.empty_like(xhat))
+            _layernorm_backward(gh, xhat, inv, scale, z, gamma, beta, others)
         if bias is not None:
             bias._accumulate(g.sum(axis=0).reshape(2, m))
 
-    return Tensor(out, parents, backprop, "complex_affine")
+    return Tensor(out, parents, backprop, "complex_affine", _checked=residual is None)
 
 
 def topo_order(root: Tensor) -> list[Tensor]:

@@ -192,6 +192,22 @@ def _suite_entries():
         {"W": skip_tok.standard_normal((4, 2, 5)), "z": skip_tok.standard_normal((2, 5, 2, 3)),
          "r": skip_tok.standard_normal((2, 3, 2, 4))},
     ))
+    # the layer norm fused in, as channel1 and token1 run it (CReLU on, per-part
+    # gains); each has its own generator
+    norm, norm_tok = np.random.default_rng(49), np.random.default_rng(50)
+    w_norm, w_norm_tok = norm.standard_normal((2, 5, 2, 3)), norm_tok.standard_normal((2, 4, 2, 3))
+    op("complex_affine_norm", lambda: (
+        lambda lv: engine.mul(complex_affine(lv["W"], lv["h"], bias=lv["bias"], axis=-1,
+                                             crelu=True, norm=(lv["g"], lv["b"])), w_norm).sum(),
+        {**complex_leaves(3, 4, (2, 5, 4), norm), "g": norm.standard_normal((2, 4)),
+         "b": norm.standard_normal((2, 4))},
+    ))
+    op("complex_affine_norm_token", lambda: (
+        lambda lv: engine.mul(complex_affine(lv["W"], lv["z"], crelu=True,
+                                             norm=(lv["g"], lv["b"])), w_norm_tok).sum(),
+        {"W": norm_tok.standard_normal((4, 2, 5)), "z": norm_tok.standard_normal((2, 5, 2, 3)),
+         "g": norm_tok.standard_normal((2, 3)), "b": norm_tok.standard_normal((2, 3))},
+    ))
     w_ln = extra.standard_normal((2, 3, 4))
     op("layernorm_3d", lambda: (
         lambda lv: engine.mul(engine.layernorm(lv["x"], lv["g"], lv["b"]), w_ln).sum(),

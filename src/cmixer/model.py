@@ -15,9 +15,9 @@ logical shape ``(..., n)`` is one real ``engine.Tensor`` of shape
    embedded, and passed through mixer blocks that alternate mixing
    across the patch sequence and across channels, with CReLU
    activations (``engine.relu`` of the packed buffer, fused into the
-   affine before it) and per-part layer norms (one ``engine.layernorm``
-   over the packed buffer, with the two parts' gains and shifts packed
-   too);
+   affine before it) and per-part layer norms (the ``norm=`` operand of
+   the affine after them, over the packed buffer, with the two parts'
+   gains and shifts packed too, so no normalized row is stored);
 4. a bounded real score comes out of ``tanh(re + im)`` applied to the
    head output, so every logit lives in (-1, 1).
 
@@ -355,9 +355,10 @@ def sample_incentive(images: np.ndarray, params: dict[str, Tensor | np.ndarray],
 
 
 def _affine(x: Tensor, p: dict[str, Tensor | np.ndarray], prefix: str,
-            bias: bool = False, axis: int = -2, crelu: bool = False, residual=None) -> Tensor:
+            bias: bool = False, axis: int = -2, crelu: bool = False, residual=None,
+            norm=None) -> Tensor:
     return complex_affine(p[f"{prefix}.weight"], x, bias=p[f"{prefix}.bias"] if bias else None,
-                          axis=axis, crelu=crelu, residual=residual)
+                          axis=axis, crelu=crelu, residual=residual, norm=norm)
 
 
 def mixer_block_forward(x: Tensor, params: dict[str, Tensor | np.ndarray],
@@ -366,20 +367,23 @@ def mixer_block_forward(x: Tensor, params: dict[str, Tensor | np.ndarray],
 
     Token mixing acts across the patch sequence of each channel, channel
     mixing across the channels of each patch; both sit behind skip
-    connections, so a zero-weight block is the identity.
+    connections, so a zero-weight block is the identity. A block is four
+    ``complex_affine`` nodes: token1 and channel1 with their layer norm and
+    CReLU fused in, token2 and channel2 with their skip.
     """
     # no intermediate is bound to a name, so without a graph each one is freed
-    # once read; token1/channel1 apply their CReLU and token2/channel2 the skip
-    # inside the affine, so no pre-activation or product is stored; each layer
-    # norm gives re and im their own row of the (2, C) gain and shift
+    # once read; token1/channel1 run their layer norm and CReLU and
+    # token2/channel2 the skip inside the affine, so no normalized row,
+    # pre-activation or product is stored; each layer norm gives re and im
+    # their own row of the (2, C) gain and shift
     ln1 = (params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
     ln2 = (params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
     u = _affine(
-        _affine(engine.layernorm(x, *ln1), params, f"{prefix}.token1", crelu=True),
+        _affine(x, params, f"{prefix}.token1", crelu=True, norm=ln1),
         params, f"{prefix}.token2", residual=x,
     )
     return _affine(
-        _affine(engine.layernorm(u, *ln2), params, f"{prefix}.channel1", axis=-1, crelu=True),
+        _affine(u, params, f"{prefix}.channel1", axis=-1, crelu=True, norm=ln2),
         params, f"{prefix}.channel2", axis=-1, residual=u,
     )
 

@@ -219,8 +219,8 @@ class TestPacked:
             with pytest.raises(DimensionError, match=r"pearson_project: input needs shape"):
                 pearson_project(Tensor(bad))
 
-    @pytest.mark.parametrize("op", ["affine_token", "affine_channel", "crelu", "add", "mean",
-                                    "layernorm", "affine_crelu"])
+    @pytest.mark.parametrize("op", ["affine_token", "affine_channel", "crelu", "mean",
+                                    "layernorm", "affine_crelu", "affine_norm"])
     def test_complex_op_builds_one_node(self, op):
         rng = np.random.default_rng(18)
         h = Tensor(rng.standard_normal((2, 4, 2, 3)))
@@ -229,13 +229,13 @@ class TestPacked:
             n = 4 if op == "affine_token" else 3
             W = Tensor(rng.standard_normal((5, 2, n)))
             bias = Tensor(rng.standard_normal((2, 5)))
+            norm = (Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3))))
+            norm = norm if op == "affine_norm" else ()
             out = complex_affine(W, h, bias=bias, axis=-2 if op == "affine_token" else -1,
-                                 crelu=op == "affine_crelu")
-            inputs += [W, bias]
+                                 crelu=op == "affine_crelu", norm=norm or None)
+            inputs += [W, bias, *norm]
         elif op == "crelu":
             out = engine.relu(h)
-        elif op == "add":
-            out = engine.add(h, h)
         elif op == "mean":
             out = engine.tmean(h, 1)
         else:
@@ -300,6 +300,16 @@ class TestFusedCrelu:
         np.testing.assert_array_equal(grads["W"], np.zeros((2, 2, 3)))
         np.testing.assert_array_equal(grads["z"], np.zeros((4, 2, 3)))
 
+    def test_overflow_to_negative_infinity_raises_before_the_crelu(self):
+        """A product that overflows to -Inf would read 0 after the CReLU; the
+        product is checked first, so both forms raise naming the op."""
+        W = pack(np.array([[1e200]]), np.array([[0.0]]))
+        h = pack(np.array([[-1e200]]), np.array([[0.0]]))
+        for crelu in (False, True):
+            with pytest.raises(NumericError, match="op 'complex_affine'"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                complex_affine(W, h, crelu=crelu)
+
     def test_no_pre_activation_is_stored(self):
         rng = np.random.default_rng(32)
         h = Tensor(rng.standard_normal((2, 4, 2, 3)))
@@ -312,7 +322,9 @@ class TestFusedCrelu:
 
 
 class TestFusedResidual:
-    """``complex_affine(..., residual=r)`` against ``add(r, complex_affine(...))``."""
+    """``complex_affine(..., residual=r)`` against the skip's numpy formula
+    ``np.add(r, complex_affine(...))``, whose gradient into ``r`` is the
+    incoming gradient itself."""
 
     @staticmethod
     def _run(fused, axis, strided, leaves, w):
@@ -321,9 +333,11 @@ class TestFusedResidual:
         r = engine.transpose(lv["r"], (0, 3, 2, 1)) if strided else lv["r"]
         if fused:
             out = complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis, residual=r)
+            data = out.data
         else:
-            out = engine.add(r, complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis))
-        return out.data, tape.backward(engine.mul(out, w).sum())
+            out = complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis)
+            data = np.add(r.data, out.data)
+        return data, tape.backward(engine.mul(out, w).sum())
 
     @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
     @pytest.mark.parametrize("axis", [-2, -1], ids=["token", "channel"])
@@ -343,6 +357,7 @@ class TestFusedResidual:
         assert fused.shape == out_shape and fused.strides == plain.strides
         assert fused.tobytes() == plain.tobytes()
         assert set(fused_grads) == {"W", "z", "bias", "r"}
+        plain_grads["r"] = w.transpose(0, 3, 2, 1) if strided else w
         for name, g in plain_grads.items():
             assert fused_grads[name].tobytes() == g.tobytes(), name
 
@@ -373,6 +388,69 @@ class TestFusedResidual:
         with pytest.raises(NumericError, match="op 'complex_affine'"), \
                 np.errstate(over="ignore"):
             complex_affine(W, big, axis=-1, residual=big)
+
+
+class TestFusedNorm:
+    """``complex_affine(W, h, norm=(g, b))`` against ``complex_affine(W, layernorm(h, g, b))``."""
+
+    @staticmethod
+    def _run(fused, axis, crelu, strided, leaves, w):
+        tape = Tape()
+        lv = {k: tape.leaf(k, v) for k, v in leaves.items()}
+        h = engine.transpose(lv["h"], (0, 3, 2, 1)) if strided else lv["h"]
+        if fused:
+            out = complex_affine(lv["W"], h, axis=axis, crelu=crelu, norm=(lv["g"], lv["b"]))
+        else:
+            out = complex_affine(lv["W"], layernorm(h, lv["g"], lv["b"]), axis=axis, crelu=crelu)
+        value = out.data.copy()
+        return value, tape.backward(engine.mul(out, w).sum())
+
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3), seq=st.integers(1, 5),
+           width=st.integers(1, 5), m=st.integers(1, 4), axis=st.sampled_from([-2, -1]),
+           crelu=st.booleans(), strided=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_values_and_gradients(self, seed, batch, seq, width, m, axis, crelu, strided):
+        rng = np.random.default_rng(seed)
+        h_shape = (batch, width, 2, seq) if strided else (batch, seq, 2, width)
+        n = seq if axis == -2 else width
+        out_shape = (batch, m, 2, width) if axis == -2 else (batch, seq, 2, m)
+        leaves = {"W": rng.standard_normal((m, 2, n)), "h": rng.standard_normal(h_shape),
+                  "g": rng.standard_normal((2, width)), "b": rng.standard_normal((2, width))}
+        w = rng.standard_normal(out_shape)
+        fused, fused_grads = self._run(True, axis, crelu, strided, leaves, w)
+        plain, plain_grads = self._run(False, axis, crelu, strided, leaves, w)
+        assert fused.tobytes() == plain.tobytes()
+        assert set(fused_grads) == set(plain_grads) == {"W", "h", "g", "b"}
+        for name, g in plain_grads.items():
+            assert fused_grads[name].tobytes() == g.tobytes(), name
+
+    def test_keeps_only_two_scalars_per_row(self):
+        """The closure keeps the per-row mean and inverse deviation (and the
+        CReLU's product, which is the output); no normalized row is stored."""
+        rng = np.random.default_rng(35)
+        h = Tensor(rng.standard_normal((2, 4, 2, 3)))
+        out = complex_affine(rng.standard_normal((5, 2, 4)), h, crelu=True,
+                             norm=(np.ones((2, 3)), np.zeros((2, 3))))
+        kept = [a for c in out._backprop.__closure__
+                for a in (c.cell_contents if isinstance(c.cell_contents, tuple)
+                          else (c.cell_contents,))
+                if isinstance(a, np.ndarray)]
+        rows = [a for a in kept if not np.shares_memory(a, out.data)]
+        assert {a.shape for a in rows} >= {(2, 4, 2, 1)}
+        assert all(a.size <= 2 * 4 * 2 for a in rows), [a.shape for a in rows]
+
+    def test_nonfinite_normalized_rows_raise_naming_the_affine(self):
+        W = np.ones((2, 2, 2))
+        h = Tensor(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        with pytest.raises(NumericError, match="op 'complex_affine'"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            complex_affine(W, h, axis=-1, crelu=True, norm=(np.full((2, 2), 1e308),
+                                                            np.full((2, 2), 1e308)))
+
+    def test_gain_of_the_wrong_shape_raises_naming_op(self):
+        W, h = np.ones((2, 2, 3)), Tensor(np.ones((4, 2, 3)))
+        with pytest.raises(DimensionError, match="complex_affine: gamma has shape"):
+            complex_affine(W, h, axis=-1, norm=(np.ones(2), np.zeros(2)))
 
 
 class TestLayerNorm:
@@ -471,7 +549,7 @@ class TestScalarOps:
         np.testing.assert_allclose(out.sum(axis=1), [1.0, 1.0], atol=1e-12)
 
     def test_broadcast_mismatch_raises(self):
-        for op in ("add", "sub", "mul"):
+        for op in ("sub", "mul"):
             with pytest.raises(DimensionError,
                                match=fr"^{op}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
                 getattr(engine, op)(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
@@ -499,12 +577,12 @@ class TestFiniteChecks:
         tape = Tape()
         x = tape.leaf("x", np.ones(2))
         with pytest.raises(NumericError, match="op 'const'"):
-            engine.add(x, np.array([np.nan, 0.0]))
+            engine.sub(x, np.array([np.nan, 0.0]))
 
     def test_overflow_names_the_arithmetic_op_not_the_one_after_it(self):
         x = Tensor(np.full((2, 3), 1e308))
-        with pytest.raises(NumericError, match="op 'add'"), np.errstate(over="ignore"):
-            engine.relu(engine.transpose(engine.add(x, x), (1, 0)))
+        with pytest.raises(NumericError, match="op 'sub'"), np.errstate(over="ignore"):
+            engine.relu(engine.transpose(engine.sub(x, -x.data), (1, 0)))
         with pytest.raises(NumericError, match="op 'mul'"), np.errstate(over="ignore"):
             engine.relu(engine.mul(x, 10.0))
 
@@ -530,6 +608,18 @@ class TestFiniteChecks:
         with finite_checks() as seen:
             engine.softplus(engine.relu(engine.transpose(engine.mul(np.ones((2, 3)), 2.0), (1, 0))))
         assert seen == ["const", "const", "mul", "transpose", "relu", "softplus"]
+
+    @pytest.mark.parametrize("form", ["plain", "crelu", "norm", "norm_crelu", "residual"])
+    def test_complex_affine_checks_once(self, form):
+        """complex_affine checks its product (with a residual, the sum) once;
+        the output tensor it returns is not checked again."""
+        rng = np.random.default_rng(36)
+        W, h = Tensor(rng.standard_normal((5, 2, 3))), Tensor(rng.standard_normal((2, 4, 2, 3)))
+        norm = (Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3)))) if "norm" in form else None
+        residual = Tensor(rng.standard_normal((2, 4, 2, 5))) if form == "residual" else None
+        with finite_checks() as seen:
+            complex_affine(W, h, axis=-1, crelu="crelu" in form, norm=norm, residual=residual)
+        assert seen == ["complex_affine"]
 
 
 class TestFirstGradientArrival:
@@ -602,7 +692,7 @@ class TestBackward:
     def test_reused_subexpression_accumulates(self):
         tape = Tape()
         x = tape.leaf("x", np.array([3.0]))
-        loss = engine.add(x, x).sum()
+        loss = engine.sub(engine.mul(x, 3.0), x).sum()
         grads = tape.backward(loss)
         np.testing.assert_allclose(grads["x"], [2.0])
 
@@ -803,7 +893,8 @@ def stacked(re, im):
     """The packed (m, 2, n) tensor of two (m, n) tensors, built from graph ops
     so that the gradient reaches both."""
     pair = np.eye(2).reshape(2, 2, 1, 1)
-    return engine.transpose(engine.add(engine.mul(re, pair[0]), engine.mul(im, pair[1])), (1, 0, 2))
+    packed = engine.sub(engine.mul(re, pair[0]), engine.mul(im, -pair[1]))
+    return engine.transpose(packed, (1, 0, 2))
 
 
 class TestGradCheck:
@@ -843,7 +934,6 @@ class TestGradCheck:
     @pytest.mark.parametrize(
         "name,builder",
         [
-            ("add", lambda lv: engine.add(lv["a"], lv["b"]).sum()),
             ("mul", lambda lv: engine.mul(lv["a"], lv["b"]).sum()),
             ("sub", lambda lv: engine.sub(lv["a"], lv["b"]).sum()),
             ("sub_broadcast", lambda lv: engine.mul(engine.sub(lv["a"], lv["g"]), lv["b"]).sum()),

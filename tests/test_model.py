@@ -438,13 +438,14 @@ class TestForward:
             out = model.forward(x, eps=eps, head=head, tape=Tape())
             return len(engine.topo_order(loss(out)))
 
-        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 48
-        assert nodes(lambda out: cross_entropy(out, labels)) == 49
-        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 51
+        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 44
+        assert nodes(lambda out: cross_entropy(out, labels)) == 45
+        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 47
 
     def test_training_step_has_no_add_node(self):
-        """token2 and channel2 take the skip connection as their ``residual``,
-        so a fit-tiny training step builds no ``add`` node."""
+        """token2 and channel2 take the skip connection as their ``residual``
+        and token1 and channel1 their layer norm as their ``norm``, so a
+        fit-tiny training step builds no ``add`` and no ``layernorm`` node."""
         config = CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
         model = CMixerModel(config, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
@@ -452,7 +453,8 @@ class TestForward:
         out = model.forward(x, eps=rng.standard_normal(x.shape), tape=Tape())
         loss = loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2)
         ops = [node._op for node in engine.topo_order(loss)]
-        assert "add" not in ops and ops.count("complex_affine") == 2 + 4 * config.num_layers
+        assert "add" not in ops and "layernorm" not in ops
+        assert ops.count("complex_affine") == 2 + 4 * config.num_layers
 
     def test_training_step_packs_no_parameter(self):
         """Each complex parameter is one packed leaf: the fit-tiny BCE step
@@ -498,9 +500,24 @@ def _nan_eps(params, eps):
     eps[0, 0, 0, 0] = np.nan
 
 
+def _overflow_token1_negative(params, eps):
+    # every normalized row is -1 and the token1 product overflows to -Inf,
+    # which the CReLU after it would map to 0
+    params["block0.ln1.gamma"][:] = 0.0
+    params["block0.ln1.beta"][:] = -1.0
+    params["block0.token1.weight"][:, 0] = 1e308
+    params["block0.token1.weight"][:, 1] = 0.0
+
+
+def _overflow_ln_gain(params, eps):
+    # the normalized rows overflow inside the fused token1 affine
+    params["block0.ln1.gamma"][:] = 1e308
+
+
 class TestNumericFailures:
     """Each fused op checks the values that its tanh or ReLU would hide, so a
-    bad value is named in a taped step and in ``scores`` alike."""
+    bad value is named in a taped step and in ``scores`` alike; a layer norm
+    fused into an affine is named by the affine."""
 
     @pytest.mark.parametrize("corrupt, op", [
         (_overflow_hidden, "sample_incentive"),
@@ -508,8 +525,10 @@ class TestNumericFailures:
         (_overflow_logits, "sample_incentive"),
         (_overflow_head, "pearson_project"),
         (_nan_eps, "sample_incentive"),
+        (_overflow_token1_negative, "complex_affine"),
+        (_overflow_ln_gain, "complex_affine"),
     ], ids=["hidden-overflow", "hidden-negative-overflow", "logit-overflow", "head-overflow",
-        "nan-eps"])
+        "nan-eps", "crelu-negative-overflow", "ln-gain-overflow"])
     @pytest.mark.parametrize("taped", [True, False], ids=["step", "scores"])
     def test_names_the_fused_op(self, corrupt, op, taped):
         config = tiny_config()
@@ -637,6 +656,32 @@ class TestGraphMemory:
                 base = base.base
             buffers[id(base)] = base.nbytes
         assert grown <= sum(buffers.values()) + 1e6, (grown, sum(buffers.values()))
+
+    def test_taped_forward_stores_no_normalized_rows(self):
+        """The distinct node buffers of a taped BreastMNIST-size forward are
+        exactly the input, the embedding, per block the token1 output, ``u``,
+        the channel1 output and the block output, then the pooled features,
+        the head and the scores: the layer norms fused into token1 and
+        channel1 store no output."""
+        config = breast_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        b = 8
+        x = rng.random((b, 1, 28, 28))
+        out = model.forward(x, eps=rng.standard_normal(x.shape), tape=Tape())
+        buffers = {}
+        for node in engine.topo_order(out):
+            if node._op.startswith("leaf:"):
+                continue
+            base = node.data
+            while base.base is not None:
+                base = base.base
+            buffers[id(base)] = base.nbytes
+        s, c = config.seq, config.hidden
+        block = b * 2 * (config.token_hidden * c + s * c + s * config.channel_hidden + s * c)
+        want = 8 * (b * 2 * s * config.patch_dim + b * 2 * s * c + config.num_layers * block
+                    + b * 2 * c + b * 2 * config.num_classes + b * config.num_classes)
+        assert sum(buffers.values()) == want
 
 
 def _record_forward_batches(monkeypatch):
