@@ -14,9 +14,10 @@ A ``Tape`` is the registry of trainable leaves for one training step.
 ``Tape.backward(loss)`` walks the graph once, in reverse topological
 order, and returns one gradient array per registered leaf. The walk
 consumes the graph: each node drops its closure, its parents and its
-interior gradient as soon as its closure has run, so memory falls as the
-walk proceeds instead of holding the whole graph until it returns. A
-graph can be walked once, and a tape used once; a second walk raises
+interior gradient as the walk reaches it, and the walk drops the node
+itself before running its closure, so memory falls as the walk proceeds
+instead of holding the whole graph until it returns. A graph can be
+walked once, and a tape used once; a second walk raises
 ``ContractError``.
 
 Inside ``with no_grad():`` every op computes and validates its output
@@ -31,22 +32,25 @@ without a tape.
 Conventions baked into this module:
 
 * every op validates its output once for NaN/Inf and raises ``NumericError`` naming
-  itself (``complex_affine`` checks its product, before any CReLU could hide an
-  -Inf); an axis outside the input's rank is a ``DimensionError`` naming the op
-* a complex op is one node over the packed ``z``: ``complex_affine``, ``layernorm``
-  over the last axis, and ``relu`` and ``tmean`` over a packed tensor (the
-  CReLU and the mean over a logical axis before the pair axis)
-* ``complex_affine``, ``layernorm`` and the loss ops ``softmax`` and
-  ``log_softmax`` are fused ops with hand-written backward passes, one node each
+  itself (``complex_mlp`` also checks its hidden layer's product, before the CReLU
+  could hide an -Inf, and that layer's gradient); an axis outside the input's rank
+  is a ``DimensionError`` naming the op
+* a complex op is one node over the packed ``z``: ``complex_affine``,
+  ``complex_mlp``, ``layernorm`` over the last axis, and ``relu`` and ``tmean``
+  over a packed tensor (the CReLU and the mean over a logical axis before the
+  pair axis)
+* ``complex_affine``, ``complex_mlp``, ``layernorm`` and the loss ops ``softmax``
+  and ``log_softmax`` are fused ops with hand-written backward passes, one node each
   (``sub`` is a plain broadcast op; the model's noisy input, ``sample_incentive``,
   and its head, ``pearson_project``, are built the same way as the fused ops);
   ``complex_affine`` is one block-form GEMM, which beat Gauss's
   3-multiply form on the model's shapes (its extra elementwise passes cost more).
-  With ``crelu=True`` it also applies the CReLU in place on its output and takes
-  the ReLU mask off that output, so a CReLU after an affine stores no
-  pre-activation and adds no node; with ``residual=`` it adds the skip and keeps no product;
-  with ``norm=(gamma, beta)`` it layer-normalizes its input first, sharing
-  ``layernorm``'s two kernels, and keeps no normalized row, only two scalars per row
+  ``complex_mlp(h, W1, W2, (gamma, beta), axis)`` is a whole mixing half,
+  ``h + W2 · CReLU(W1 · layernorm(h))``, on ``layernorm``'s two kernels and the
+  same GEMMs: it stores no normalized row and no hidden layer, only two scalars
+  per row, and its backward rebuilds both with one extra GEMM
+* a first gradient that an op allocated and drops is taken over in place
+  (``_accumulate(g, own=True)``), not copied
 * the derivative of ReLU at exactly 0 is taken to be 0
 * ``grad_check`` excludes entries whose central difference straddles a
   kink (detected by disagreeing one-sided differences) instead of
@@ -76,6 +80,7 @@ __all__ = [
     "log_softmax",
     "layernorm",
     "complex_affine",
+    "complex_mlp",
     "topo_order",
     "grad_check",
     "grad_check_report",
@@ -142,12 +147,14 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, own: bool = False) -> None:
+        """Add ``g`` into ``grad``; an ``own`` g (the caller's, then dropped) may become it."""
         if self.grad is not None:
             self.grad += g
         elif self._parents or self._op.startswith("leaf:"):  # constants take no gradient
             # first arrival in one pass: -0.0 becomes +0.0 and the layout is data's
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            taken = own and g.flags.c_contiguous and self.data.flags.c_contiguous
+            self.grad = np.add(g, 0.0, out=g if taken else np.empty_like(self.data))
 
     def transpose(self, axes) -> "Tensor":
         return transpose(self, axes)
@@ -343,31 +350,37 @@ def _norm_operands(x: Tensor, gamma, beta, op: str):
     return gamma, beta, others, scale, shift
 
 
-def _layernorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None):
+def _layernorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
     """The layer norm of ``x`` over its last axis, with its per-row ``mu`` and ``inv``.
 
-    The variance comes from a fresh ``d = x - mu``; then ``d * inv``,
-    ``* scale`` and ``+ shift`` go into ``out`` (``d`` itself when it is
-    None), in that order. Returns ``(out, mu, inv)``.
+    The variance comes from a fresh ``d = x - mu``, in ``x``'s layout; then
+    ``* inv``, ``* scale`` and ``+ shift`` go into ``d`` in place, in that
+    order. Returns ``(d, mu, inv)``.
     """
     n = x.shape[-1]
     mu = np.sum(x, axis=-1, keepdims=True) * (1.0 / n)
     d = x - mu
     inv = (np.sum(d * d, axis=-1, keepdims=True) * (1.0 / n) + LAYERNORM_EPS) ** -0.5
-    out = np.multiply(d, inv, out=d if out is None else out)
-    out *= scale
-    out += shift
-    return out, mu, inv
+    d *= inv
+    d *= scale
+    d += shift
+    return d, mu, inv
 
 
 def _layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale: np.ndarray,
-                        x: Tensor, gamma: Tensor, beta: Tensor, others: tuple) -> None:
-    """Push ``g``, the gradient of the normalized output, into ``x``, ``gamma`` and ``beta``."""
-    gx = g * scale
-    x._accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
-                         - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
-    gamma._accumulate(np.sum(g * xhat, axis=others))
-    beta._accumulate(np.sum(g, axis=others))
+                        x: Tensor, gamma: Tensor, beta: Tensor, others: tuple,
+                        private: bool = False) -> None:
+    """Push ``g``, the gradient of the normalized output, into ``x``, ``gamma`` and
+    ``beta``; ``x``'s is computed in place in ``g * scale``, written into a ``private`` g."""
+    gamma._accumulate(np.sum(g * xhat, axis=others), own=True)
+    beta._accumulate(np.sum(g, axis=others), own=True)
+    gx = np.multiply(g, scale, out=g if private else None)
+    mean_gx = gx.mean(axis=-1, keepdims=True)
+    mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
+    gx -= mean_gx
+    gx -= xhat * mean_gx_xhat
+    gx *= inv
+    x._accumulate(gx, own=True)
 
 
 def layernorm(x, gamma, beta) -> Tensor:
@@ -379,8 +392,7 @@ def layernorm(x, gamma, beta) -> Tensor:
     own gain and shift. ``LAYERNORM_EPS``, added to the variance, keeps a
     zero-variance slice finite (it collapses to ``beta``). One node: the
     backward is the closed form ``inv * (g' - mean(g') - xhat * mean(g' * xhat))``
-    with ``g' = g * gamma``. ``complex_affine(..., norm=)`` runs the same two
-    kernels.
+    with ``g' = g * gamma``. ``complex_mlp`` runs the same two kernels.
     """
     x = constant(x)
     gamma, beta, others, scale, shift = _norm_operands(x, gamma, beta, "layernorm")
@@ -402,140 +414,148 @@ def _real_form(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_affine(W, h, bias=None, axis: int = -2, crelu: bool = False, residual=None,
-                   norm=None) -> Tensor:
+def _weight_grad(gw: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The fresh (m, 2, n) gradient of ``A + iB`` from ``gw``, the (2n, 2m)
+    gradient of the transpose of its block form."""
+    out = np.empty((m, 2, n))
+    np.add(gw[:n, :m].T, gw[n:, m:].T, out=out[:, 0])
+    np.subtract(gw[:n, m:].T, gw[n:, :m].T, out=out[:, 1])
+    return out
+
+
+def _mixing(w: Tensor, z: Tensor, axis: int, op: str):
+    """Check a packed (m, 2, n) weight against logical ``axis`` of ``z``; return ``m``,
+    ``n`` and the permutation of ``z``'s axes to its GEMM rows ``[a | b]``: every
+    other axis, then the pair axis, then the mixed one (on the last axis, ``z``'s order)."""
+    if w.ndim != 3 or w.shape[1] != 2:
+        raise DimensionError(f"{op}: weight needs shape (m, 2, n), got {w.shape}")
+    m, _, n = w.shape
+    if z.ndim < 3 or z.shape[-2] != 2:
+        raise DimensionError(f"{op}: input needs shape (..., 2, n), got {z.shape}")
+    shape = z.shape[:-2] + z.shape[-1:]
+    rank = len(shape)
+    if not -rank <= axis < rank:
+        raise DimensionError(f"{op}: axis {axis} is out of range for input {shape}")
+    if shape[axis] != n:
+        raise DimensionError(f"{op}: weight {(m, n)} vs axis {axis} of input {shape}")
+    mixed = axis % rank if axis % rank < rank - 1 else rank
+    perm = tuple(i for i in range(z.ndim) if i not in (mixed, rank - 1)) + (rank - 1, mixed)
+    return m, n, perm
+
+
+def _rows(arr: np.ndarray, perm: tuple, width: int) -> np.ndarray:
+    """``arr``'s GEMM rows: one transposed copy, none if ``arr`` already is such a view."""
+    return np.ascontiguousarray(arr.transpose(perm)).reshape(-1, width)
+
+
+def _unrows(rows: np.ndarray, like: np.ndarray, perm: tuple) -> np.ndarray:
+    """GEMM rows as a view in ``like``'s packed shape, save the width of the mixed axis."""
+    lead = tuple(like.shape[i] for i in perm[:-1])
+    return rows.reshape(lead + (rows.shape[1] // 2,)).transpose(tuple(np.argsort(perm)))
+
+
+def complex_affine(W, h, bias=None, axis: int = -2) -> Tensor:
     """Apply the packed complex weight ``W = A + iB`` along logical ``axis`` of ``h``.
 
     ``W`` is (m, 2, n), ``h`` is packed, (..., 2, k), with logical shape
     ``h.shape[:-2] + h.shape[-1:]``, and the optional bias is (2, m); a pair
     axis that is not 2 is a ``DimensionError``. Each length-n slice
     ``a + ib`` becomes ``(Aa - Bb) + i(Ba + Ab)`` plus the bias; ``axis=-2``
-    is ``W @ h``. ``W`` gets one gradient.
-    The op is one real GEMM of rows ``[a | b]`` against the block form ``[[A, -B], [B, A]]``.
-    On the last axis those rows are ``h`` reshaped to ``(-1, 2n)``, and the
-    output is the product reshaped back, with no copy either way. On any
-    other axis the rows are one transposed copy of ``h`` (none if ``h``
-    already is such a view), and the output is a transposed view of the
-    product in the packed shape. One node; its backward mirrors
-    the forward and recomputes the rows and the block form instead of
-    keeping them in the graph. The product is checked for NaN/Inf before
-    any CReLU, which would map -Inf to 0.
-
-    With ``norm=(gamma, beta)`` the op first layer-normalizes ``h`` over its
-    last axis, with bitwise the values of ``complex_affine(W, layernorm(h,
-    gamma, beta), ...)``: the normalized values are written straight into the
-    GEMM rows, and only ``h``, which is already a graph node, and the per-row
-    mean and inverse deviation are kept. The backward rebuilds the rows from
-    them, and a non-finite normalized row fails the product check, naming
-    this op.
-
-    With ``crelu`` the op also applies the CReLU (``relu`` of the packed
-    output), in place on the product, with bitwise the values of
-    ``relu(complex_affine(...))``. The backward reads the ReLU mask off the
-    output (``out > 0`` exactly where the pre-activation is), so the
-    pre-activation is never stored. With ``residual`` (of the output's shape)
-    the op adds the skip connection as ``np.add(residual, product)``, into a
-    fresh buffer. Its backward reads neither product nor sum, so the product
-    is freed at once; ``crelu``, which would read it, is refused.
+    is ``W @ h``. The op is one real GEMM of rows ``[a | b]`` against the
+    block form ``[[A, -B], [B, A]]``. On the last axis those rows are ``h``
+    reshaped to ``(-1, 2n)``, and the output is the product reshaped back,
+    with no copy either way. On any other axis the rows are one transposed
+    copy of ``h`` (none if ``h`` already is such a view), and the output is a
+    transposed view of the product in the packed shape. One node; its
+    backward recomputes the rows and the block form instead of keeping them.
     """
-    if crelu and residual is not None:
-        raise ContractError("complex_affine: crelu=True cannot take a residual")
     w, z = constant(W), constant(h)
-    if w.ndim != 3 or w.shape[1] != 2:
-        raise DimensionError(f"complex_affine: weight needs shape (m, 2, n), got {w.shape}")
-    m, _, n = w.shape
-    if z.ndim < 3 or z.shape[-2] != 2:
-        raise DimensionError(f"complex_affine: input needs shape (..., 2, n), got {z.shape}")
-    shape = z.shape[:-2] + z.shape[-1:]
-    rank = len(shape)
-    if not -rank <= axis < rank:
-        raise DimensionError(f"complex_affine: axis {axis} is out of range for input {shape}")
-    if shape[axis] != n:
-        raise DimensionError(f"complex_affine: weight {(m, n)} vs axis {axis} of input {shape}")
-    # rows [a | b]: every other axis of z first, then the pair axis, then the
-    # mixed one; on the last axis this is z's own order
-    mixed = axis % rank if axis % rank < rank - 1 else rank
-    perm = tuple(i for i in range(z.ndim) if i not in (mixed, rank - 1)) + (rank - 1, mixed)
-    inverse = tuple(np.argsort(perm))
-    t_shape = tuple(z.shape[i] for i in perm[:-1]) + (m,)
-
-    def rows(arr: np.ndarray, width: int) -> np.ndarray:
-        return np.ascontiguousarray(arr.transpose(perm)).reshape(-1, width)
-
-    def row_buffer():
-        # off the last axis the normalized values go straight into the
-        # transposed layout of the rows, so rows() copies nothing
-        if mixed == rank:
-            return None
-        return np.empty(tuple(z.shape[i] for i in perm)).transpose(inverse)
-
-    parents, ln = (w, z), None
-    if norm is None:
-        out = rows(z.data, 2 * n) @ _real_form(w.data).T
-    else:
-        gamma, beta, others, scale, shift = _norm_operands(z, *norm, "complex_affine")
-        normed, mu, inv = _layernorm_forward(z.data, scale, shift, row_buffer())
-        out = rows(normed, 2 * n) @ _real_form(w.data).T
-        del normed
-        # all the backward keeps of the norm: the operands and two scalars per row
-        ln = (gamma, beta, others, scale, shift, mu, inv)
-        parents += (gamma, beta)
+    m, n, perm = _mixing(w, z, axis, "complex_affine")
+    parents = (w, z)
+    out = _rows(z.data, perm, 2 * n) @ _real_form(w.data).T
     if bias is not None:
         bias = constant(bias)
         if bias.shape != (2, m):
-            raise DimensionError(
-                f"complex_affine: bias has shape {bias.shape}, expected (2, {m})"
-            )
+            raise DimensionError(f"complex_affine: bias has shape {bias.shape}, expected (2, {m})")
         out += bias.data.reshape(2 * m)
         parents += (bias,)
-    if residual is None:  # else the output check sees the sum, which no CReLU follows
-        _ensure_finite(out, "complex_affine")
-    if crelu:
-        np.maximum(out, 0.0, out=out)
-    product = out if crelu else None  # only the ReLU mask reads it back
-    # off the last axis the output stays a transposed view, so the next
-    # token-axis op on it (after an elementwise op) reads its rows with no copy
-    out = out.reshape(t_shape).transpose(inverse)
-    if residual is not None:
-        residual = constant(residual)
-        if residual.shape != out.shape:
-            raise DimensionError(f"complex_affine: residual {residual.shape} vs output {out.shape}")
-        out = np.add(residual.data, out)
-        parents += (residual,)
+    _ensure_finite(out, "complex_affine")
 
     def backprop(g):
-        if residual is not None:
-            residual._accumulate(g)
-        g = rows(g, 2 * m)
-        if crelu:
-            # the derivative at the kink (pre-activation exactly 0) is 0
-            np.multiply(g, product > 0.0, out=g)  # g is private: mask in place
-        if ln is None:
-            gw = rows(z.data, 2 * n).T @ g
-        else:
-            gamma, beta, others, scale, shift, mu, inv = ln
-            xhat = (z.data - mu) * inv
-            normed = np.multiply(xhat, scale, out=row_buffer())
-            normed += shift
-            gw = rows(normed, 2 * n).T @ g
-            del normed
-        gw_t = np.empty((2, n, m))  # the (m, 2, n) weight gradient, transposed
-        np.add(gw[:n, :m], gw[n:, m:], out=gw_t[0])
-        np.subtract(gw[:n, m:], gw[n:, :m], out=gw_t[1])
-        w._accumulate(gw_t.transpose(2, 0, 1))
-        del gw, gw_t
-        gh = (g @ _real_form(w.data)).reshape(t_shape[:-1] + (n,)).transpose(inverse)
-        if ln is None:
-            z._accumulate(gh)
-        else:
-            # the normalized rows' gradient in xhat's layout, with -0.0 made
-            # +0.0, as a layernorm node's first gradient arrival would be
-            gh = np.add(gh, 0.0, out=np.empty_like(xhat))
-            _layernorm_backward(gh, xhat, inv, scale, z, gamma, beta, others)
+        g = _rows(g, perm, 2 * m)
+        w._accumulate(_weight_grad(_rows(z.data, perm, 2 * n).T @ g, m, n), own=True)
+        z._accumulate(_unrows(g @ _real_form(w.data), z.data, perm), own=True)
         if bias is not None:
-            bias._accumulate(g.sum(axis=0).reshape(2, m))
+            bias._accumulate(g.sum(axis=0).reshape(2, m), own=True)
 
-    return Tensor(out, parents, backprop, "complex_affine", _checked=residual is None)
+    return Tensor(_unrows(out, z.data, perm), parents, backprop, "complex_affine", _checked=True)
+
+
+def complex_mlp(h, W1, W2, norm, axis: int) -> Tensor:
+    """The skip-connected complex MLP ``h + W2 · CReLU(W1 · layernorm(h))`` along ``axis``.
+
+    ``h`` is packed, ``W1`` (m, 2, n) with ``n`` the length of logical ``axis``,
+    ``W2`` (n, 2, m), and ``norm`` the ``(gamma, beta)`` of ``layernorm``. Values
+    and gradients are bitwise those of ``complex_affine(W1, layernorm(h, gamma,
+    beta), axis=axis)``, ``relu``, ``complex_affine(W2, ., axis=axis)`` and
+    ``np.add(h, .)``, the skip's gradient added first, when ``h`` has no other.
+    One node, which keeps only ``h`` and the per-row mean and inverse deviation;
+    the backward rebuilds the normalized rows (in ``h``'s layout, then copied into
+    the GEMM rows) and the hidden with one GEMM, whose block form it reuses.
+    The product in front of the CReLU, which would map an overflowed -Inf to 0,
+    the output and (as ``backward:complex_mlp``) the hidden's gradient are each
+    checked for NaN/Inf once.
+    """
+    z, w1, w2 = constant(h), constant(W1), constant(W2)
+    m, n, perm = _mixing(w1, z, axis, "complex_mlp")
+    if w2.shape != (n, 2, m):
+        raise DimensionError(f"complex_mlp: second weight has shape {w2.shape}, not {(n, 2, m)}")
+    gamma, beta, others, scale, shift = _norm_operands(z, *norm, "complex_mlp")
+    rows, mu, inv = _layernorm_forward(z.data, scale, shift)
+    rows = _rows(rows, perm, 2 * n)  # off the last axis a copy; the normed buffer goes
+    hidden = rows @ _real_form(w1.data).T
+    del rows
+    _ensure_finite(hidden, "complex_mlp")
+    np.maximum(hidden, 0.0, out=hidden)
+    product = hidden @ _real_form(w2.data).T
+    del hidden
+    out = np.add(z.data, _unrows(product, z.data, perm))
+    del product
+    _ensure_finite(out, "complex_mlp")
+
+    def backprop(g):
+        rows = (z.data - mu) * inv  # the rows and the hidden, rebuilt bitwise
+        rows *= scale
+        rows += shift
+        rows = _rows(rows, perm, 2 * n)
+        r1 = _real_form(w1.data)
+        hidden = rows @ r1.T
+        np.maximum(hidden, 0.0, out=hidden)
+        g2 = _rows(g, perm, 2 * n)
+        w2._accumulate(_weight_grad(hidden.T @ g2, n, m), own=True)
+        mask = hidden > 0.0
+        del hidden
+        g1 = g2 @ _real_form(w2.data)
+        del g2
+        np.add(g1, 0.0, out=g1)  # -0.0 made +0.0, as a first gradient arrival does
+        _ensure_finite(g1, "backward:complex_mlp")
+        np.multiply(g1, mask, out=g1)  # the CReLU's derivative at exactly 0 is 0
+        del mask
+        w1._accumulate(_weight_grad(rows.T @ g1, m, n), own=True)
+        del rows
+        gh = _unrows(g1 @ r1, z.data, perm)
+        del g1, r1
+        xhat = (z.data - mu) * inv
+        # the normalized rows' gradient in xhat's layout, with -0.0 made +0.0
+        gh = np.add(gh, 0.0, out=gh if gh.strides == xhat.strides else np.empty_like(xhat))
+        _layernorm_backward(gh, xhat, inv, scale, z, gamma, beta, others, private=True)
+        # the skip's g goes last, so h takes over the layer norm's gradient instead of
+        # copying g; a first arrival maps -0.0 to +0.0 and x + y rounds as y + x, so
+        # h's gradient has the bits of the skip's first unless h had one already
+        z._accumulate(g)
+
+    parents = (z, w1, w2, gamma, beta)
+    return Tensor(out, parents, backprop, "complex_mlp", _checked=True)
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -585,12 +605,13 @@ class Tape:
         Returns one gradient array per leaf, shape-matching it; leaves
         the loss does not depend on get zeros.
 
-        The walk consumes the graph: once a node's closure has run, the
+        The walk consumes the graph: when the walk reaches a node, the
         node drops its closure, its parents and (unless it is a registered
-        leaf or the loss) its gradient, so each activation and interior
-        gradient is freed as soon as nothing above it needs it. Node
-        values stay readable. A graph can therefore be walked once, and a
-        tape used once: a second walk raises ``ContractError``.
+        leaf or the loss) its gradient, and the walk drops the node before
+        running the closure, so each activation and interior gradient is
+        freed as soon as nothing needs it. Node values that a caller holds
+        stay readable. A graph can therefore be walked once, and a tape
+        used once: a second walk raises ``ContractError``.
         """
         if loss.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -604,13 +625,18 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         while order:
             node = order.pop()  # children before parents
-            if node._backprop is not None:
-                if node.grad is not None:
-                    _ensure_finite(node.grad, f"backward:{node._op}")
-                    node._backprop(node.grad)
+            backprop, g, op = node._backprop, node.grad, node._op
+            if backprop is not None:
                 node._backprop, node._parents = _walked, ()
             if id(node) not in keep:
                 node.grad = None
+            # a closure reads its parents, never its own node, so the node's
+            # value is freed before the closure runs unless a caller holds it
+            del node
+            if backprop is not None and g is not None:
+                _ensure_finite(g, f"backward:{op}")
+                backprop(g)
+            del backprop, g
         return {
             name: (t.grad if t.grad is not None else np.zeros_like(t.data))
             for name, t in self._leaves.items()

@@ -157,56 +157,25 @@ def _suite_entries():
          "z": tok.standard_normal((2, 5, 2, 3)),
          "bias": pack(tok.standard_normal(4), tok.standard_normal(4))},
     ))
-    # the affine with its CReLU fused in, as token1 and channel1 run it: the
-    # last axis with a bias, and the token axis of a packed 3-D batch; each
-    # has its own generator
-    fused = np.random.default_rng(45)
-    w_fused = fused.standard_normal((2, 2, 5, 3))
-    op("complex_affine_crelu", lambda: (
-        lambda lv: weighted(
-            complex_affine(lv["W"], lv["h"], bias=lv["bias"], axis=-1, crelu=True), w_fused),
-        {"W": pack(fused.standard_normal((3, 4)), fused.standard_normal((3, 4))),
-         "h": pack(fused.standard_normal((2, 5, 4)), fused.standard_normal((2, 5, 4))),
-         "bias": pack(fused.standard_normal(3), fused.standard_normal(3))},
+    # one mixing half as the model runs it, layer norm (per-part gains), affine,
+    # CReLU, affine and skip: on the channel axis, and on the token axis of a
+    # transposed view; each has its own generator
+    mlp, mlp_tok = np.random.default_rng(51), np.random.default_rng(52)
+    w_mlp, w_mlp_tok = mlp.standard_normal((2, 5, 2, 4)), mlp_tok.standard_normal((2, 5, 2, 3))
+    op("complex_mlp", lambda: (
+        lambda lv: engine.mul(engine.complex_mlp(
+            lv["h"], lv["W1"], lv["W2"], (lv["g"], lv["b"]), axis=-1), w_mlp).sum(),
+        {"h": mlp.standard_normal((2, 5, 2, 4)), "W1": mlp.standard_normal((3, 2, 4)),
+         "W2": mlp.standard_normal((4, 2, 3)), "g": mlp.standard_normal((2, 4)),
+         "b": mlp.standard_normal((2, 4))},
     ))
-    fused_tok = np.random.default_rng(46)
-    w_fused_tok = fused_tok.standard_normal((2, 4, 2, 3))
-    op("complex_affine_crelu_token", lambda: (
-        lambda lv: engine.mul(complex_affine(
-            lv["W"], lv["z"], bias=lv["bias"], axis=-2, crelu=True), w_fused_tok).sum(),
-        {"W": pack(fused_tok.standard_normal((4, 5)), fused_tok.standard_normal((4, 5))),
-         "z": fused_tok.standard_normal((2, 5, 2, 3)),
-         "bias": pack(fused_tok.standard_normal(4), fused_tok.standard_normal(4))},
-    ))
-    # the skip fused in, as token2/channel2 run it; the token axis takes a strided residual
-    skip, skip_tok = np.random.default_rng(47), np.random.default_rng(48)
-    w_skip, w_skip_tok = skip.standard_normal((2, 2, 5, 3)), skip_tok.standard_normal((2, 4, 2, 3))
-    op("complex_affine_residual", lambda: (
-        lambda lv: weighted(complex_affine(
-            lv["W"], lv["h"], bias=lv["bias"], axis=-1, residual=lv["r"]), w_skip),
-        {**complex_leaves(3, 4, (2, 5, 4), skip), "r": skip.standard_normal((2, 5, 2, 3))},
-    ))
-    op("complex_affine_residual_token", lambda: (
-        lambda lv: engine.mul(complex_affine(lv["W"], lv["z"], residual=engine.transpose(
-            lv["r"], (0, 3, 2, 1))), w_skip_tok).sum(),
-        {"W": skip_tok.standard_normal((4, 2, 5)), "z": skip_tok.standard_normal((2, 5, 2, 3)),
-         "r": skip_tok.standard_normal((2, 3, 2, 4))},
-    ))
-    # the layer norm fused in, as channel1 and token1 run it (CReLU on, per-part
-    # gains); each has its own generator
-    norm, norm_tok = np.random.default_rng(49), np.random.default_rng(50)
-    w_norm, w_norm_tok = norm.standard_normal((2, 5, 2, 3)), norm_tok.standard_normal((2, 4, 2, 3))
-    op("complex_affine_norm", lambda: (
-        lambda lv: engine.mul(complex_affine(lv["W"], lv["h"], bias=lv["bias"], axis=-1,
-                                             crelu=True, norm=(lv["g"], lv["b"])), w_norm).sum(),
-        {**complex_leaves(3, 4, (2, 5, 4), norm), "g": norm.standard_normal((2, 4)),
-         "b": norm.standard_normal((2, 4))},
-    ))
-    op("complex_affine_norm_token", lambda: (
-        lambda lv: engine.mul(complex_affine(lv["W"], lv["z"], crelu=True,
-                                             norm=(lv["g"], lv["b"])), w_norm_tok).sum(),
-        {"W": norm_tok.standard_normal((4, 2, 5)), "z": norm_tok.standard_normal((2, 5, 2, 3)),
-         "g": norm_tok.standard_normal((2, 3)), "b": norm_tok.standard_normal((2, 3))},
+    op("complex_mlp_token", lambda: (
+        lambda lv: engine.mul(engine.complex_mlp(
+            engine.transpose(lv["h"], (0, 3, 2, 1)), lv["W1"], lv["W2"], (lv["g"], lv["b"]),
+            axis=-2), w_mlp_tok).sum(),
+        {"h": mlp_tok.standard_normal((2, 3, 2, 5)), "W1": mlp_tok.standard_normal((4, 2, 5)),
+         "W2": mlp_tok.standard_normal((5, 2, 4)), "g": mlp_tok.standard_normal((2, 3)),
+         "b": mlp_tok.standard_normal((2, 3))},
     ))
     w_ln = extra.standard_normal((2, 3, 4))
     op("layernorm_3d", lambda: (

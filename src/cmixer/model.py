@@ -13,11 +13,11 @@ logical shape ``(..., n)`` is one real ``engine.Tensor`` of shape
    sample;
 3. the complex image is cut into non-overlapping patches, linearly
    embedded, and passed through mixer blocks that alternate mixing
-   across the patch sequence and across channels, with CReLU
-   activations (``engine.relu`` of the packed buffer, fused into the
-   affine before it) and per-part layer norms (the ``norm=`` operand of
-   the affine after them, over the packed buffer, with the two parts'
-   gains and shifts packed too, so no normalized row is stored);
+   across the patch sequence and across channels; each mixing half is
+   one ``engine.complex_mlp`` node, a per-part layer norm (the two parts'
+   gains and shifts packed too), an affine, the CReLU (``relu`` of the
+   packed buffer), a second affine and the skip, which stores neither a
+   normalized row nor its hidden layer;
 4. a bounded real score comes out of ``tanh(re + im)`` applied to the
    head output, so every logit lives in (-1, 1).
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import engine
-from .engine import Tape, Tensor, complex_affine
+from .engine import Tape, Tensor, complex_affine, complex_mlp
 from .errors import ContractError, DimensionError, FormatError
 from .npzio import read_arrays, write_arrays
 
@@ -345,20 +345,18 @@ def sample_incentive(images: np.ndarray, params: dict[str, Tensor | np.ndarray],
         g_mu = gim.sum(axis=(1, 2, 3)).reshape((b, 1)) * (1.0 - mu * mu)
         g_sig = ((gim * eps).sum(axis=(1, 2, 3)).reshape((b, 1)) * 0.5) * (1.0 - t * t)
         g_hidden = (g_mu @ w_mu.data.T + g_sig @ w_sig.data.T) * (hidden > 0.0)
-        w1._accumulate(x.reshape((b, x.size // b)).T @ g_hidden)
-        b1._accumulate(g_hidden.sum(axis=0))
+        w1._accumulate(x.reshape((b, x.size // b)).T @ g_hidden, own=True)
+        b1._accumulate(g_hidden.sum(axis=0), own=True)
         for w, bias, g_logit in ((w_mu, b_mu, g_mu), (w_sig, b_sig, g_sig)):
-            w._accumulate(hidden.T @ g_logit)
-            bias._accumulate(g_logit.sum(axis=0))
+            w._accumulate(hidden.T @ g_logit, own=True)
+            bias._accumulate(g_logit.sum(axis=0), own=True)
 
     return Tensor(_patches(x, imag, patch), leaves, backprop, "sample_incentive")
 
 
-def _affine(x: Tensor, p: dict[str, Tensor | np.ndarray], prefix: str,
-            bias: bool = False, axis: int = -2, crelu: bool = False, residual=None,
-            norm=None) -> Tensor:
-    return complex_affine(p[f"{prefix}.weight"], x, bias=p[f"{prefix}.bias"] if bias else None,
-                          axis=axis, crelu=crelu, residual=residual, norm=norm)
+def _affine(x: Tensor, p: dict[str, Tensor | np.ndarray], prefix: str) -> Tensor:
+    """The biased affine ``prefix`` over the last axis: the patch embedding and the heads."""
+    return complex_affine(p[f"{prefix}.weight"], x, bias=p[f"{prefix}.bias"], axis=-1)
 
 
 def mixer_block_forward(x: Tensor, params: dict[str, Tensor | np.ndarray],
@@ -367,25 +365,18 @@ def mixer_block_forward(x: Tensor, params: dict[str, Tensor | np.ndarray],
 
     Token mixing acts across the patch sequence of each channel, channel
     mixing across the channels of each patch; both sit behind skip
-    connections, so a zero-weight block is the identity. A block is four
-    ``complex_affine`` nodes: token1 and channel1 with their layer norm and
-    CReLU fused in, token2 and channel2 with their skip.
+    connections, so a zero-weight block is the identity. A block is two
+    ``complex_mlp`` nodes, one per mixing half, each with its layer norm,
+    CReLU and skip fused in; the layer norms give re and im their own row
+    of the (2, C) gain and shift. A taped block stores only its token-half
+    output: no normalized row, hidden layer or product.
     """
-    # no intermediate is bound to a name, so without a graph each one is freed
-    # once read; token1/channel1 run their layer norm and CReLU and
-    # token2/channel2 the skip inside the affine, so no normalized row,
-    # pre-activation or product is stored; each layer norm gives re and im
-    # their own row of the (2, C) gain and shift
-    ln1 = (params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
-    ln2 = (params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
-    u = _affine(
-        _affine(x, params, f"{prefix}.token1", crelu=True, norm=ln1),
-        params, f"{prefix}.token2", residual=x,
-    )
-    return _affine(
-        _affine(u, params, f"{prefix}.channel1", axis=-1, crelu=True, norm=ln2),
-        params, f"{prefix}.channel2", axis=-1, residual=u,
-    )
+    def half(h: Tensor, first: str, second: str, ln: str, axis: int) -> Tensor:
+        return complex_mlp(h, params[f"{prefix}.{first}.weight"],
+                           params[f"{prefix}.{second}.weight"],
+                           (params[f"{prefix}.{ln}.gamma"], params[f"{prefix}.{ln}.beta"]), axis)
+
+    return half(half(x, "token1", "token2", "ln1", -2), "channel1", "channel2", "ln2", -1)
 
 
 _OPEN_UNIT = np.nextafter(1.0, 0.0)
@@ -414,7 +405,7 @@ def pearson_project(z: Tensor, use_real: bool = True, use_imag: bool = True) -> 
     def backprop(g):
         gz = np.zeros_like(z.data)
         gz[..., keep, :] = np.expand_dims(g * (1.0 - t * t), -2)
-        z._accumulate(gz)
+        z._accumulate(gz, own=True)
 
     return Tensor(np.clip(t, -_OPEN_UNIT, _OPEN_UNIT), (z,), backprop, "pearson_project")
 
@@ -491,12 +482,12 @@ class CMixerModel:
             h = sample_incentive(x, p, eps, cfg.patch)
         else:
             h = Tensor(_patches(x, np.zeros_like(x), cfg.patch))
-        h = _affine(h, p, "patch_embed", bias=True, axis=-1)
+        h = _affine(h, p, "patch_embed")
         for i in range(cfg.num_layers):
             h = mixer_block_forward(h, p, f"block{i}")
         pooled = engine.tmean(h, 1)  # over the patch sequence
         prefix = "head" if head == "classify" else "ssl_head"
-        out = _affine(pooled, p, prefix, bias=True, axis=-1)
+        out = _affine(pooled, p, prefix)
         return pearson_project(out, use_real=self.toggles.p_r, use_imag=self.toggles.p_i)
 
     def scores(

@@ -47,7 +47,7 @@ def test_c01_gradient_fidelity():
     names = {r.name for r in result.results}
     for required in (
         "complex_affine", "crelu", "layernorm", "softmax", "log_softmax", "sub_broadcast",
-        "incentive_sampler", "complex_affine_residual", "complex_affine_residual_token",
+        "incentive_sampler", "complex_mlp", "complex_mlp_token",
         "model_cross_entropy", "model_bce", "model_ssl_loss",
     ):
         assert required in names

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cmixer.engine import (
     Tape,
     Tensor,
     complex_affine,
+    complex_mlp,
     grad_check,
     grad_check_report,
     layernorm,
@@ -220,7 +222,7 @@ class TestPacked:
                 pearson_project(Tensor(bad))
 
     @pytest.mark.parametrize("op", ["affine_token", "affine_channel", "crelu", "mean",
-                                    "layernorm", "affine_crelu", "affine_norm"])
+                                    "layernorm", "mlp_token", "mlp_channel"])
     def test_complex_op_builds_one_node(self, op):
         rng = np.random.default_rng(18)
         h = Tensor(rng.standard_normal((2, 4, 2, 3)))
@@ -229,11 +231,14 @@ class TestPacked:
             n = 4 if op == "affine_token" else 3
             W = Tensor(rng.standard_normal((5, 2, n)))
             bias = Tensor(rng.standard_normal((2, 5)))
+            out = complex_affine(W, h, bias=bias, axis=-2 if op == "affine_token" else -1)
+            inputs += [W, bias]
+        elif op.startswith("mlp"):
+            n = 4 if op == "mlp_token" else 3
+            W1, W2 = Tensor(rng.standard_normal((5, 2, n))), Tensor(rng.standard_normal((n, 2, 5)))
             norm = (Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3))))
-            norm = norm if op == "affine_norm" else ()
-            out = complex_affine(W, h, bias=bias, axis=-2 if op == "affine_token" else -1,
-                                 crelu=op == "affine_crelu", norm=norm or None)
-            inputs += [W, bias, *norm]
+            out = complex_mlp(h, W1, W2, norm, axis=-2 if op == "mlp_token" else -1)
+            inputs += [W1, W2, *norm]
         elif op == "crelu":
             out = engine.relu(h)
         elif op == "mean":
@@ -262,195 +267,225 @@ class TestCrelu:
         np.testing.assert_array_equal(once.data, twice.data)
 
 
-class TestFusedCrelu:
-    """``complex_affine(..., crelu=True)`` against ``relu(complex_affine(...))``."""
+def composed_mlp(h, W1, W2, g, b, axis):
+    """``complex_mlp`` built from plain ops: ``layernorm``, ``complex_affine``,
+    ``relu``, ``complex_affine``, then the skip as ``h - (-branch)``, which
+    rounds as ``h + branch`` and passes ``h`` its gradient first."""
+    hidden = engine.relu(complex_affine(W1, layernorm(h, g, b), axis=axis))
+    return engine.sub(h, engine.mul(complex_affine(W2, hidden, axis=axis), -1.0))
 
-    @staticmethod
-    def _run(fused, axis, leaves, w):
-        tape = Tape()
-        lv = {k: tape.leaf(k, v) for k, v in leaves.items()}
-        if fused:
-            out = complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis, crelu=True)
-        else:
-            out = engine.relu(complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis))
-        value = out.data.copy()
-        return value, tape.backward(engine.mul(out, w).sum())
+
+def run_mlp(fused, leaves, axis, w, strided=False):
+    """The output values and leaf gradients of ``complex_mlp`` (``fused``) or
+    of ``composed_mlp`` on ``leaves``, under the loss ``sum(out * w)``; with
+    ``strided`` the op reads a transposed view of the ``h`` leaf."""
+    tape = Tape()
+    lv = {k: tape.leaf(k, v) for k, v in leaves.items()}
+    h = engine.transpose(lv["h"], (0, 3, 2, 1)) if strided else lv["h"]
+    if fused:
+        out = complex_mlp(h, lv["W1"], lv["W2"], (lv["g"], lv["b"]), axis=axis)
+    else:
+        out = composed_mlp(h, lv["W1"], lv["W2"], lv["g"], lv["b"], axis)
+    return out.data, tape.backward(engine.mul(out, w).sum())
+
+
+def assert_mlp_matches_composition(leaves, axis, w, strided=False):
+    """``complex_mlp`` and ``composed_mlp`` agree bitwise in values and every
+    gradient, and in the output's layout, which the next half's layer norm
+    reads (a reduction's rounding follows the memory order)."""
+    fused, fused_grads = run_mlp(True, leaves, axis, w, strided)
+    plain, plain_grads = run_mlp(False, leaves, axis, w, strided)
+    assert fused.shape == plain.shape and fused.strides == plain.strides
+    assert fused.tobytes() == plain.tobytes()
+    assert set(fused_grads) == set(plain_grads) == {"W1", "W2", "h", "g", "b"}
+    for name, g in plain_grads.items():
+        assert fused_grads[name].tobytes() == g.tobytes(), name
+
+
+def mlp_leaves(rng, batch, seq, width, m, axis, strided=False):
+    """Leaves of one mixing half: ``h`` (batch, seq, 2, width), stored
+    transposed when ``strided``, weights of hidden width ``m`` along ``axis``."""
+    n = seq if axis == -2 else width
+    return {"h": rng.standard_normal((batch, width, 2, seq) if strided else (batch, seq, 2, width)),
+            "W1": rng.standard_normal((m, 2, n)), "W2": rng.standard_normal((n, 2, m)),
+            "g": rng.standard_normal((2, width)), "b": rng.standard_normal((2, width))}
+
+
+def closure_arrays(t):
+    """The arrays that a node's backward closure keeps, tuples unpacked."""
+    return [a for c in t._backprop.__closure__
+            for a in (c.cell_contents if isinstance(c.cell_contents, tuple) else (c.cell_contents,))
+            if isinstance(a, np.ndarray)]
+
+
+class TestFusedCrelu:
+    """The CReLU inside ``complex_mlp``: the hidden layer is ``relu`` of the
+    first affine's product, whose derivative at exactly 0 is 0."""
 
     @pytest.mark.parametrize("axis", [-2, -1], ids=["token", "channel"])
     def test_bitwise_values_and_equal_gradients(self, axis):
+        """At the kink too: every other hidden unit has a zero weight row, so
+        its pre-activation is exactly 0, and the fused mask agrees with ``relu``."""
         rng = np.random.default_rng(31)
-        m, n = (5, 4) if axis == -2 else (5, 3)
-        leaves = {"W": pack(rng.standard_normal((m, n)), rng.standard_normal((m, n))),
-                  "z": rng.standard_normal((2, 4, 2, 3)),
-                  "bias": pack(rng.standard_normal(m), rng.standard_normal(m))}
-        out_shape = (2, 5, 2, 3) if axis == -2 else (2, 4, 2, 5)
-        w = rng.standard_normal(out_shape)
-        fused, fused_grads = self._run(True, axis, leaves, w)
-        plain, plain_grads = self._run(False, axis, leaves, w)
-        assert fused.shape == out_shape and (fused == 0.0).any() and (fused > 0.0).any()
-        assert fused.tobytes() == plain.tobytes()
-        for name, g in plain_grads.items():
-            assert np.array_equal(fused_grads[name], g), name
+        leaves = mlp_leaves(rng, 2, 4, 3, 6, axis)
+        leaves["W1"][::2] = 0.0
+        assert_mlp_matches_composition(leaves, axis, rng.standard_normal((2, 4, 2, 3)))
 
     def test_zero_pre_activation_gets_zero_gradient(self):
         tape = Tape()
-        W = tape.leaf("W", np.zeros((2, 2, 3)))
-        z = tape.leaf("z", np.ones((4, 2, 3)))
-        grads = tape.backward(complex_affine(W, z, axis=-1, crelu=True).sum())
-        np.testing.assert_array_equal(grads["W"], np.zeros((2, 2, 3)))
-        np.testing.assert_array_equal(grads["z"], np.zeros((4, 2, 3)))
+        rng = np.random.default_rng(37)
+        lv = {"W1": tape.leaf("W1", np.zeros((2, 2, 3))),
+              "W2": tape.leaf("W2", rng.standard_normal((3, 2, 2))),
+              "h": tape.leaf("h", rng.standard_normal((4, 2, 3))),
+              "g": tape.leaf("g", np.ones((2, 3))), "b": tape.leaf("b", np.zeros((2, 3)))}
+        out = complex_mlp(lv["h"], lv["W1"], lv["W2"], (lv["g"], lv["b"]), axis=-1)
+        assert out.data.tobytes() == lv["h"].data.tobytes()  # a zero hidden adds nothing
+        grads = tape.backward(out.sum())
+        for name in ("W1", "W2", "g", "b"):
+            np.testing.assert_array_equal(grads[name], np.zeros_like(lv[name].data))
+        np.testing.assert_array_equal(grads["h"], np.ones((4, 2, 3)))  # the skip's alone
 
     def test_overflow_to_negative_infinity_raises_before_the_crelu(self):
-        """A product that overflows to -Inf would read 0 after the CReLU; the
-        product is checked first, so both forms raise naming the op."""
-        W = pack(np.array([[1e200]]), np.array([[0.0]]))
-        h = pack(np.array([[-1e200]]), np.array([[0.0]]))
-        for crelu in (False, True):
-            with pytest.raises(NumericError, match="op 'complex_affine'"), \
-                    np.errstate(over="ignore", invalid="ignore"):
-                complex_affine(W, h, crelu=crelu)
+        """Normalized rows of -1 against a weight of 1e308 overflow to -Inf,
+        which the CReLU would map to 0; the product is checked first, so the
+        composition names ``complex_affine`` and the fused op itself."""
+        W1 = np.zeros((1, 2, 2))
+        W1[:, 0] = 1e308
+        h, W2 = np.ones((3, 2, 2)), np.ones((2, 2, 1))
+        norm = (np.zeros((2, 2)), np.full((2, 2), -1.0))
+        with pytest.raises(NumericError, match="op 'complex_affine'"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            composed_mlp(Tensor(h), W1, W2, *norm, axis=-1)
+        with pytest.raises(NumericError, match="op 'complex_mlp'"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            complex_mlp(h, W1, W2, norm, axis=-1)
 
     def test_no_pre_activation_is_stored(self):
+        """The closure keeps nothing of the hidden layer, before or after the CReLU."""
         rng = np.random.default_rng(32)
-        h = Tensor(rng.standard_normal((2, 4, 2, 3)))
-        A, B = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-        out = complex_affine(ct(A, B), h, axis=-1, crelu=True)
-        # the backward keeps no array but the output itself
-        kept = [c.cell_contents for c in out._backprop.__closure__
-                if isinstance(c.cell_contents, np.ndarray)]
-        assert kept and all(np.shares_memory(a, out.data) for a in kept)
+        leaves = mlp_leaves(rng, 2, 4, 3, 5, -1)
+        out = complex_mlp(leaves["h"], leaves["W1"], leaves["W2"], (leaves["g"], leaves["b"]),
+                          axis=-1)
+        kept = closure_arrays(out)
+        assert kept and all(a.size < 2 * 4 * 2 * 5 for a in kept), [a.shape for a in kept]
 
 
 class TestFusedResidual:
-    """``complex_affine(..., residual=r)`` against the skip's numpy formula
-    ``np.add(r, complex_affine(...))``, whose gradient into ``r`` is the
-    incoming gradient itself."""
-
-    @staticmethod
-    def _run(fused, axis, strided, leaves, w):
-        tape = Tape()
-        lv = {k: tape.leaf(k, v) for k, v in leaves.items()}
-        r = engine.transpose(lv["r"], (0, 3, 2, 1)) if strided else lv["r"]
-        if fused:
-            out = complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis, residual=r)
-            data = out.data
-        else:
-            out = complex_affine(lv["W"], lv["z"], bias=lv["bias"], axis=axis)
-            data = np.add(r.data, out.data)
-        return data, tape.backward(engine.mul(out, w).sum())
+    """The skip inside ``complex_mlp``: its output is ``np.add(h, branch)``, and
+    ``h``'s gradient has the bits of the incoming one plus the layer norm's."""
 
     @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
     @pytest.mark.parametrize("axis", [-2, -1], ids=["token", "channel"])
     def test_bitwise_values_and_gradients(self, axis, strided):
+        """Values, their layout, and the gradients of ``h``, ``W1``, ``W2``,
+        ``gamma`` and ``beta``."""
         rng = np.random.default_rng(33)
-        m, n = (5, 4) if axis == -2 else (5, 3)
-        out_shape = (2, 5, 2, 3) if axis == -2 else (2, 4, 2, 5)
-        r_shape = tuple(out_shape[i] for i in (0, 3, 2, 1)) if strided else out_shape
-        leaves = {"W": pack(rng.standard_normal((m, n)), rng.standard_normal((m, n))),
-                  "z": rng.standard_normal((2, 4, 2, 3)),
-                  "bias": pack(rng.standard_normal(m), rng.standard_normal(m)),
-                  "r": rng.standard_normal(r_shape)}
-        w = rng.standard_normal(out_shape)
-        fused, fused_grads = self._run(True, axis, strided, leaves, w)
-        plain, plain_grads = self._run(False, axis, strided, leaves, w)
-        # the same values in the same layout, so the layer norm after it reads them alike
-        assert fused.shape == out_shape and fused.strides == plain.strides
-        assert fused.tobytes() == plain.tobytes()
-        assert set(fused_grads) == {"W", "z", "bias", "r"}
-        plain_grads["r"] = w.transpose(0, 3, 2, 1) if strided else w
-        for name, g in plain_grads.items():
-            assert fused_grads[name].tobytes() == g.tobytes(), name
+        leaves = mlp_leaves(rng, 2, 4, 3, 5, axis, strided)
+        assert_mlp_matches_composition(leaves, axis, rng.standard_normal((2, 4, 2, 3)), strided)
 
     def test_no_product_is_stored(self):
+        """Nothing of the output's size is kept, so the second affine's product is freed."""
         rng = np.random.default_rng(34)
-        h = Tensor(rng.standard_normal((2, 4, 2, 3)))
-        A, B = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-        out = complex_affine(ct(A, B), h, axis=-1, residual=rng.standard_normal((2, 4, 2, 5)))
-        assert [c.cell_contents for c in out._backprop.__closure__
-                if isinstance(c.cell_contents, np.ndarray)] == []
+        leaves = mlp_leaves(rng, 2, 4, 3, 5, -2)
+        out = complex_mlp(leaves["h"], leaves["W1"], leaves["W2"], (leaves["g"], leaves["b"]),
+                          axis=-2)
+        assert all(a.size < out.size and not np.shares_memory(a, out.data)
+                   for a in closure_arrays(out))
 
     def test_residual_of_the_wrong_shape_raises_naming_op(self):
-        W, h = ct(np.eye(2), np.zeros((2, 2))), Tensor(np.ones((3, 2, 2)))
-        with pytest.raises(DimensionError, match="complex_affine: residual"):
-            complex_affine(W, h, axis=-1, residual=np.ones((3, 2, 3)))
-        with pytest.raises(DimensionError, match="complex_affine: residual"):
-            complex_affine(W, h, axis=-1, residual=np.ones((2, 2)))  # would broadcast
-
-    def test_crelu_with_residual_is_a_contract_error(self):
-        W, h = ct(np.eye(2), np.zeros((2, 2))), Tensor(np.ones((3, 2, 2)))
-        with pytest.raises(ContractError, match="complex_affine"):
-            complex_affine(W, h, axis=-1, crelu=True, residual=np.ones((3, 2, 2)))
+        """The skip needs a second weight that maps the hidden back to ``h``'s axis."""
+        h, W1, norm = np.ones((3, 2, 2)), np.ones((4, 2, 2)), (np.ones((2, 2)), np.zeros((2, 2)))
+        for W2 in (np.ones((3, 2, 4)), np.ones((2, 2, 3)), np.ones((2, 4))):
+            with pytest.raises(DimensionError, match="complex_mlp: second weight"):
+                complex_mlp(h, W1, W2, norm, axis=-1)
 
     def test_overflowing_sum_raises_naming_op(self):
-        W = ct(np.eye(2), np.zeros((2, 2)))
-        big = ct(np.full((1, 2), 1e308), np.zeros((1, 2)))
-        assert np.isfinite(complex_affine(W, big, axis=-1).data).all()
-        with pytest.raises(NumericError, match="op 'complex_affine'"), \
-                np.errstate(over="ignore"):
-            complex_affine(W, big, axis=-1, residual=big)
+        """A one-wide row normalizes to ``beta``, so the hidden is 1 and the
+        product 1e308: finite, but the skip's sum is not."""
+        h = Tensor(pack(np.array([[1e308]]), np.array([[0.0]])))
+        W1, W2 = pack(np.ones((1, 1)), np.zeros((1, 1))), pack(np.full((1, 1), 1e308), np.zeros((1, 1)))
+        norm = (np.ones((2, 1)), pack(np.ones(1), np.zeros(1)))
+        branch = complex_affine(W2, engine.relu(complex_affine(W1, layernorm(h, *norm), axis=-1)),
+                                axis=-1)
+        assert np.isfinite(branch.data).all()
+        with pytest.raises(NumericError, match="op 'complex_mlp'"), np.errstate(over="ignore"):
+            complex_mlp(h, W1, W2, norm, axis=-1)
 
 
 class TestFusedNorm:
-    """``complex_affine(W, h, norm=(g, b))`` against ``complex_affine(W, layernorm(h, g, b))``."""
-
-    @staticmethod
-    def _run(fused, axis, crelu, strided, leaves, w):
-        tape = Tape()
-        lv = {k: tape.leaf(k, v) for k, v in leaves.items()}
-        h = engine.transpose(lv["h"], (0, 3, 2, 1)) if strided else lv["h"]
-        if fused:
-            out = complex_affine(lv["W"], h, axis=axis, crelu=crelu, norm=(lv["g"], lv["b"]))
-        else:
-            out = complex_affine(lv["W"], layernorm(h, lv["g"], lv["b"]), axis=axis, crelu=crelu)
-        value = out.data.copy()
-        return value, tape.backward(engine.mul(out, w).sum())
+    """The layer norm inside ``complex_mlp``: computed in ``h``'s layout, never stored."""
 
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3), seq=st.integers(1, 5),
            width=st.integers(1, 5), m=st.integers(1, 4), axis=st.sampled_from([-2, -1]),
-           crelu=st.booleans(), strided=st.booleans())
+           strided=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_bitwise_values_and_gradients(self, seed, batch, seq, width, m, axis, crelu, strided):
+    def test_bitwise_values_and_gradients(self, seed, batch, seq, width, m, axis, strided):
         rng = np.random.default_rng(seed)
-        h_shape = (batch, width, 2, seq) if strided else (batch, seq, 2, width)
-        n = seq if axis == -2 else width
-        out_shape = (batch, m, 2, width) if axis == -2 else (batch, seq, 2, m)
-        leaves = {"W": rng.standard_normal((m, 2, n)), "h": rng.standard_normal(h_shape),
-                  "g": rng.standard_normal((2, width)), "b": rng.standard_normal((2, width))}
-        w = rng.standard_normal(out_shape)
-        fused, fused_grads = self._run(True, axis, crelu, strided, leaves, w)
-        plain, plain_grads = self._run(False, axis, crelu, strided, leaves, w)
-        assert fused.tobytes() == plain.tobytes()
-        assert set(fused_grads) == set(plain_grads) == {"W", "h", "g", "b"}
-        for name, g in plain_grads.items():
-            assert fused_grads[name].tobytes() == g.tobytes(), name
+        leaves = mlp_leaves(rng, batch, seq, width, m, axis, strided)
+        assert_mlp_matches_composition(leaves, axis, rng.standard_normal((batch, seq, 2, width)),
+                                       strided)
 
     def test_keeps_only_two_scalars_per_row(self):
-        """The closure keeps the per-row mean and inverse deviation (and the
-        CReLU's product, which is the output); no normalized row is stored."""
+        """Besides views of the gain and shift, the closure keeps the per-row
+        mean and inverse deviation; no normalized row is stored."""
         rng = np.random.default_rng(35)
-        h = Tensor(rng.standard_normal((2, 4, 2, 3)))
-        out = complex_affine(rng.standard_normal((5, 2, 4)), h, crelu=True,
-                             norm=(np.ones((2, 3)), np.zeros((2, 3))))
-        kept = [a for c in out._backprop.__closure__
-                for a in (c.cell_contents if isinstance(c.cell_contents, tuple)
-                          else (c.cell_contents,))
-                if isinstance(a, np.ndarray)]
-        rows = [a for a in kept if not np.shares_memory(a, out.data)]
-        assert {a.shape for a in rows} >= {(2, 4, 2, 1)}
-        assert all(a.size <= 2 * 4 * 2 for a in rows), [a.shape for a in rows]
+        g, b = np.ones((2, 3)), np.zeros((2, 3))
+        out = complex_mlp(rng.standard_normal((2, 4, 2, 3)), rng.standard_normal((5, 2, 4)),
+                          rng.standard_normal((4, 2, 5)), (g, b), axis=-2)
+        rows = [a for a in closure_arrays(out)
+                if not (np.shares_memory(a, out._parents[3].data)
+                        or np.shares_memory(a, out._parents[4].data))]
+        assert [a.shape for a in rows] == [(2, 4, 2, 1), (2, 4, 2, 1)]
 
     def test_nonfinite_normalized_rows_raise_naming_the_affine(self):
-        W = np.ones((2, 2, 2))
+        """The rows overflow inside the op, and its product check names it."""
         h = Tensor(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
-        with pytest.raises(NumericError, match="op 'complex_affine'"), \
+        with pytest.raises(NumericError, match="op 'complex_mlp'"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            complex_affine(W, h, axis=-1, crelu=True, norm=(np.full((2, 2), 1e308),
-                                                            np.full((2, 2), 1e308)))
+            complex_mlp(h, np.ones((2, 2, 2)), np.ones((2, 2, 2)),
+                        (np.full((2, 2), 1e308), np.full((2, 2), 1e308)), axis=-1)
 
     def test_gain_of_the_wrong_shape_raises_naming_op(self):
-        W, h = np.ones((2, 2, 3)), Tensor(np.ones((4, 2, 3)))
-        with pytest.raises(DimensionError, match="complex_affine: gamma has shape"):
-            complex_affine(W, h, axis=-1, norm=(np.ones(2), np.zeros(2)))
+        h = Tensor(np.ones((4, 2, 3)))
+        with pytest.raises(DimensionError, match="complex_mlp: gamma has shape"):
+            complex_mlp(h, np.ones((2, 2, 3)), np.ones((3, 2, 2)), (np.ones(2), np.zeros(2)),
+                        axis=-1)
+
+
+class TestComplexMlp:
+    """``complex_mlp`` as one op. Its CReLU, skip and layer norm, each checked
+    bitwise against ``composed_mlp``, are covered by ``TestFusedCrelu``,
+    ``TestFusedResidual`` and ``TestFusedNorm`` above."""
+
+    @pytest.mark.parametrize("axis", [-2, -1], ids=["token", "channel"])
+    def test_checks_its_values_once(self, axis):
+        """The product in front of the CReLU and the output are each checked
+        once, and the output tensor is not checked again."""
+        rng = np.random.default_rng(36)
+        leaves = {k: Tensor(v) for k, v in mlp_leaves(rng, 2, 4, 3, 5, axis).items()}
+        with finite_checks() as seen:
+            complex_mlp(leaves["h"], leaves["W1"], leaves["W2"], (leaves["g"], leaves["b"]),
+                        axis=axis)
+        assert seen == ["complex_mlp", "complex_mlp"]
+
+    def test_leading_axis_matches_composition(self):
+        """Axis 0 of a 3-D input, whose rows come from a permutation that is not its own inverse."""
+        rng = np.random.default_rng(39)
+        leaves = {"h": rng.standard_normal((4, 3, 2, 5)), "W1": rng.standard_normal((6, 2, 4)),
+                  "W2": rng.standard_normal((4, 2, 6)), "g": rng.standard_normal((2, 5)),
+                  "b": rng.standard_normal((2, 5))}
+        assert_mlp_matches_composition(leaves, 0, rng.standard_normal((4, 3, 2, 5)))
+
+    def test_hidden_gradient_overflow_raises_in_the_backward(self):
+        """The hidden's gradient never becomes a node's gradient, so the op checks it itself."""
+        tape = Tape()
+        h = tape.leaf("h", np.random.default_rng(38).standard_normal((3, 2, 2)))
+        W2 = np.full((2, 2, 2), 1e308)
+        W2[:, 1] = 0.0
+        out = complex_mlp(h, np.zeros((2, 2, 2)), W2, (np.ones((2, 2)), np.zeros((2, 2))), axis=-1)
+        with pytest.raises(NumericError, match="op 'backward:complex_mlp'"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            tape.backward(engine.mul(out, np.full(out.shape, 1e10)).sum())
 
 
 class TestLayerNorm:
@@ -609,16 +644,15 @@ class TestFiniteChecks:
             engine.softplus(engine.relu(engine.transpose(engine.mul(np.ones((2, 3)), 2.0), (1, 0))))
         assert seen == ["const", "const", "mul", "transpose", "relu", "softplus"]
 
-    @pytest.mark.parametrize("form", ["plain", "crelu", "norm", "norm_crelu", "residual"])
+    @pytest.mark.parametrize("form", ["plain", "bias"])
     def test_complex_affine_checks_once(self, form):
-        """complex_affine checks its product (with a residual, the sum) once;
-        the output tensor it returns is not checked again."""
+        """complex_affine checks its product, the bias added, once; the output
+        tensor it returns is not checked again."""
         rng = np.random.default_rng(36)
         W, h = Tensor(rng.standard_normal((5, 2, 3))), Tensor(rng.standard_normal((2, 4, 2, 3)))
-        norm = (Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3)))) if "norm" in form else None
-        residual = Tensor(rng.standard_normal((2, 4, 2, 5))) if form == "residual" else None
+        bias = Tensor(rng.standard_normal((2, 5))) if form == "bias" else None
         with finite_checks() as seen:
-            complex_affine(W, h, axis=-1, crelu="crelu" in form, norm=norm, residual=residual)
+            complex_affine(W, h, bias=bias, axis=-1)
         assert seen == ["complex_affine"]
 
 
@@ -634,6 +668,23 @@ class TestFirstGradientArrival:
         np.testing.assert_array_equal(t.grad, g)
         t._accumulate(g)  # later arrivals add in place
         np.testing.assert_array_equal(t.grad, 2 * g)
+
+    def test_private_gradient_is_taken_over(self):
+        """A first gradient that the caller allocated and drops (``own``) and
+        that has data's C layout becomes ``grad`` itself, with -0.0 made +0.0."""
+        x = Tape().leaf("x", np.ones((2, 3)))
+        g = np.array([[-0.0, 1.0, -2.0], [0.0, -0.0, 3.0]])
+        x._accumulate(g, own=True)
+        assert x.grad is g and not np.signbit(x.grad[g == 0.0]).any()
+        x._accumulate(np.ones((2, 3)), own=True)  # later arrivals add in place
+        np.testing.assert_array_equal(g, [[1.0, 2.0, -1.0], [1.0, 1.0, 4.0]])
+
+    def test_private_gradient_of_another_layout_is_copied(self):
+        x = Tape().leaf("x", np.ones((3, 2)))
+        g = np.arange(6.0).reshape(2, 3).T  # the values of a (3, 2), Fortran-ordered
+        x._accumulate(g, own=True)
+        assert x.grad is not g and x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, g)
 
     def test_leaf_gradient_maps_negative_zero(self):
         tape = Tape()
@@ -769,6 +820,26 @@ class TestReleaseWalk:
             assert node.data.tobytes() == values[id(node)].tobytes()
         assert loss.grad is not None and loss._parents == ()
         assert x.grad is grads["x"] and w.grad is grads["w"]
+
+    def test_node_value_is_freed_before_its_closure_runs(self):
+        """No closure reads its own node's value, so once the walk reaches a
+        node that nothing else holds, its value is gone before its closure runs."""
+        tape = Tape()
+        x = tape.leaf("x", np.ones((3, 4)))
+        y = engine.softplus(x)
+        value = weakref.ref(y.data)
+        closure, seen = y._backprop, []
+
+        def spy(g):
+            seen.append(value() is None)
+            closure(g)
+
+        y._backprop = spy
+        loss = engine.mul(y, 2.0).sum()
+        del y
+        grads = tape.backward(loss)
+        assert seen == [True]
+        np.testing.assert_array_equal(grads["x"], 2.0 / (1.0 + np.exp(-1.0)) * np.ones((3, 4)))
 
     def test_constants_drop_their_gradient(self):
         tape = Tape()

@@ -438,14 +438,15 @@ class TestForward:
             out = model.forward(x, eps=eps, head=head, tape=Tape())
             return len(engine.topo_order(loss(out)))
 
-        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 44
-        assert nodes(lambda out: cross_entropy(out, labels)) == 45
-        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 47
+        assert nodes(lambda out: loss_for_task(TaskKind.BINARY, out, labels, 2)) == 40
+        assert nodes(lambda out: cross_entropy(out, labels)) == 41
+        assert nodes(lambda out: ssl_loss(out, rng.standard_normal(out.shape)), "ssl") == 43
 
     def test_training_step_has_no_add_node(self):
-        """token2 and channel2 take the skip connection as their ``residual``
-        and token1 and channel1 their layer norm as their ``norm``, so a
-        fit-tiny training step builds no ``add`` and no ``layernorm`` node."""
+        """Each mixing half is one ``complex_mlp`` node, with its layer norm,
+        CReLU and skip inside, so a fit-tiny training step builds no ``add``,
+        ``layernorm`` or ``relu`` node, and ``complex_affine`` only for the
+        patch embedding and the head."""
         config = CMixerConfig.small(image_side=8, hidden=8, num_layers=2)
         model = CMixerModel(config, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
@@ -453,8 +454,9 @@ class TestForward:
         out = model.forward(x, eps=rng.standard_normal(x.shape), tape=Tape())
         loss = loss_for_task(TaskKind.BINARY, out, rng.integers(0, 2, 32), 2)
         ops = [node._op for node in engine.topo_order(loss)]
-        assert "add" not in ops and "layernorm" not in ops
-        assert ops.count("complex_affine") == 2 + 4 * config.num_layers
+        assert "add" not in ops and "layernorm" not in ops and "relu" not in ops
+        assert ops.count("complex_affine") == 2
+        assert ops.count("complex_mlp") == 2 * config.num_layers
 
     def test_training_step_packs_no_parameter(self):
         """Each complex parameter is one packed leaf: the fit-tiny BCE step
@@ -517,7 +519,7 @@ def _overflow_ln_gain(params, eps):
 class TestNumericFailures:
     """Each fused op checks the values that its tanh or ReLU would hide, so a
     bad value is named in a taped step and in ``scores`` alike; a layer norm
-    fused into an affine is named by the affine."""
+    or CReLU inside a mixing half is named by its ``complex_mlp``."""
 
     @pytest.mark.parametrize("corrupt, op", [
         (_overflow_hidden, "sample_incentive"),
@@ -525,8 +527,8 @@ class TestNumericFailures:
         (_overflow_logits, "sample_incentive"),
         (_overflow_head, "pearson_project"),
         (_nan_eps, "sample_incentive"),
-        (_overflow_token1_negative, "complex_affine"),
-        (_overflow_ln_gain, "complex_affine"),
+        (_overflow_token1_negative, "complex_mlp"),
+        (_overflow_ln_gain, "complex_mlp"),
     ], ids=["hidden-overflow", "hidden-negative-overflow", "logit-overflow", "head-overflow",
         "nan-eps", "crelu-negative-overflow", "ln-gain-overflow"])
     @pytest.mark.parametrize("taped", [True, False], ids=["step", "scores"])
@@ -609,11 +611,12 @@ class TestNoGrad:
 
     def test_scoring_peak_memory_below_half_of_graph_forward(self):
         """Memory scales with activations: a graph-free pass frees each
-        intermediate, where a graph keeps them all until it is dropped."""
+        intermediate and runs in microbatches (256 images run as 2 x 128),
+        where a graph keeps every block's activations until it is dropped."""
         config = breast_config()
         model = CMixerModel(config, rng=np.random.default_rng(0))
         rng = np.random.default_rng(5)
-        x = rng.random((64, 1, 28, 28))
+        x = rng.random((256, 1, 28, 28))
         eps = rng.standard_normal(x.shape)
 
         def peak(fn):
@@ -659,10 +662,10 @@ class TestGraphMemory:
 
     def test_taped_forward_stores_no_normalized_rows(self):
         """The distinct node buffers of a taped BreastMNIST-size forward are
-        exactly the input, the embedding, per block the token1 output, ``u``,
-        the channel1 output and the block output, then the pooled features,
-        the head and the scores: the layer norms fused into token1 and
-        channel1 store no output."""
+        exactly the input, the embedding, per block the token-half output
+        ``u`` and the block output, then the pooled features, the head and
+        the scores: the layer norms and hidden layers inside each
+        ``complex_mlp`` store nothing."""
         config = breast_config()
         model = CMixerModel(config, rng=np.random.default_rng(0))
         rng = np.random.default_rng(5)
@@ -678,7 +681,7 @@ class TestGraphMemory:
                 base = base.base
             buffers[id(base)] = base.nbytes
         s, c = config.seq, config.hidden
-        block = b * 2 * (config.token_hidden * c + s * c + s * config.channel_hidden + s * c)
+        block = b * 2 * (s * c + s * c)
         want = 8 * (b * 2 * s * config.patch_dim + b * 2 * s * c + config.num_layers * block
                     + b * 2 * c + b * 2 * config.num_classes + b * config.num_classes)
         assert sum(buffers.values()) == want
