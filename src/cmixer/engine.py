@@ -39,10 +39,11 @@ Conventions baked into this module:
   ``complex_mlp``, ``layernorm`` over the last axis, and ``relu`` and ``tmean``
   over a packed tensor (the CReLU and the mean over a logical axis before the
   pair axis)
-* ``complex_affine``, ``complex_mlp``, ``layernorm`` and the loss ops ``softmax``
-  and ``log_softmax`` are fused ops with hand-written backward passes, one node each
-  (``sub`` is a plain broadcast op; the model's noisy input, ``sample_incentive``,
-  and its head, ``pearson_project``, are built the same way as the fused ops);
+* ``complex_affine``, ``complex_mlp`` and ``layernorm`` are fused ops with
+  hand-written backward passes, one node each (``sub`` is a plain broadcast op; the
+  model's noisy input, ``sample_incentive``, its head, ``pearson_project``, and the
+  losses, ``train.bce_with_logits`` and the soft cross-entropy that ``cross_entropy``
+  and ``ssl_loss`` share, are built the same way as the fused ops);
   ``complex_affine`` is one block-form GEMM, which beat Gauss's
   3-multiply form on the model's shapes (its extra elementwise passes cost more).
   ``complex_mlp(h, W1, W2, (gamma, beta), axis)`` is a whole mixing half,
@@ -75,9 +76,9 @@ __all__ = [
     "sub",
     "mul",
     "relu",
-    "softplus",
-    "softmax",
-    "log_softmax",
+    "transpose",
+    "tsum",
+    "tmean",
     "layernorm",
     "complex_affine",
     "complex_mlp",
@@ -156,14 +157,8 @@ class Tensor:
             taken = own and g.flags.c_contiguous and self.data.flags.c_contiguous
             self.grad = np.add(g, 0.0, out=g if taken else np.empty_like(self.data))
 
-    def transpose(self, axes) -> "Tensor":
-        return transpose(self, axes)
-
     def sum(self, axis=None) -> "Tensor":
         return tsum(self, axis=axis)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __repr__(self):
         return f"Tensor(op={self._op!r}, shape={self.shape})"
@@ -225,26 +220,6 @@ def relu(a) -> Tensor:
     return Tensor(out_data, (a,), backprop, "relu")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def softplus(a) -> Tensor:
-    """log(1 + e^x), evaluated without overflow for large |x|."""
-    a = constant(a)
-    out_data = np.logaddexp(0.0, a.data)
-
-    def backprop(g):
-        a._accumulate(g * _sigmoid(a.data))
-
-    return Tensor(out_data, (a,), backprop, "softplus")
-
-
 def transpose(a, axes) -> Tensor:
     a = constant(a)
     axes = tuple(int(x) for x in axes)
@@ -299,39 +274,6 @@ def tmean(a, axis=None) -> Tensor:
         a._accumulate(np.broadcast_to(g, a.shape))
 
     return Tensor(out_data, (a,), backprop, "mean")
-
-
-def _shifted_exp(x: np.ndarray):
-    """``x`` less its max along the last axis, its exponentials ``e`` and their sum ``s``."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, np.sum(e, axis=-1, keepdims=True)
-
-
-def softmax(a) -> Tensor:
-    """Softmax along the last axis, ``e / s``. One node; the backward is
-    ``y * (g - sum(g * y))``."""
-    a = constant(a)
-    _, e, s = _shifted_exp(a.data)
-    out_data = e / s
-
-    def backprop(g):
-        a._accumulate(out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
-
-    return Tensor(out_data, (a,), backprop, "softmax")
-
-
-def log_softmax(a) -> Tensor:
-    """Log-softmax along the last axis, ``shifted - log(s)``. One node; the
-    backward is ``g - (sum(g) / s) * e``, rounded as ``g + (-sum(g) / s) * e``."""
-    a = constant(a)
-    shifted, e, s = _shifted_exp(a.data)
-    out_data = shifted - np.log(s)
-
-    def backprop(g):
-        a._accumulate(g + (-np.sum(g, axis=-1, keepdims=True) / s) * e)
-
-    return Tensor(out_data, (a,), backprop, "log_softmax")
 
 
 def _norm_operands(x: Tensor, gamma, beta, op: str):

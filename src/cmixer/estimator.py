@@ -15,12 +15,11 @@ import inspect
 
 import numpy as np
 
-from . import engine
 from .data import DatasetBundle, Split, TaskKind, infer_task
 from .errors import ContractError, DimensionError
 from .metrics import predictions_for_task
 from .model import CMixerConfig, CMixerModel
-from .train import TrainConfig, _to_model_layout, finetune, pretrain
+from .train import TrainConfig, _to_model_layout, finetune, pretrain, softmax
 
 __all__ = ["CMixerClassifier", "check_images", "check_labels"]
 
@@ -180,7 +179,7 @@ class CMixerClassifier:
         return self.model_.scores(x, rng=np.random.default_rng(self.random_state))
 
     def predict_proba(self, X) -> np.ndarray:
-        return engine.softmax(self.decision_function(X)).data
+        return softmax(self.decision_function(X))
 
     def predict(self, X) -> np.ndarray:
         scores = self.decision_function(X)

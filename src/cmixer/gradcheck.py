@@ -191,12 +191,14 @@ def _suite_entries():
 
     op("pearson_project", lambda: (head((True, True), a44[:3]),
                                    {"z": rng.standard_normal((3, 2, 4))}))
-    op("softmax", lambda: (
-        lambda lv: engine.mul(engine.softmax(lv["x"]), b44).sum(),
+    # each loss entry takes one 4x4 draw from rng, which keeps the inputs of
+    # the entries after it
+    op("cross_entropy", lambda: (
+        lambda lv: cross_entropy(lv["x"], [2, 0, 3, 1]),
         {"x": rng.standard_normal((4, 4))},
     ))
-    op("log_softmax", lambda: (
-        lambda lv: engine.mul(engine.log_softmax(lv["x"]), b44).sum(),
+    op("ssl_loss", lambda: (
+        lambda lv: ssl_loss(lv["x"], b44, temperature=0.5),
         {"x": rng.standard_normal((4, 4))},
     ))
     op("pearson_project_real", lambda: (head((True, False), b44[:2, :2]),
@@ -209,8 +211,8 @@ def _suite_entries():
         lambda lv: engine.mul(engine.sub(lv["a"], lv["b"]), a44).sum(),
         {"a": rng.standard_normal((4, 4)), "b": rng.standard_normal((4, 4))[0]},
     ))
-    op("softplus", lambda: (
-        lambda lv: engine.softplus(lv["x"]).sum(),
+    op("bce_with_logits", lambda: (
+        lambda lv: bce_with_logits(lv["x"], a44 > 0.0),
         {"x": rng.standard_normal((4, 4))},
     ))
     op("mean", lambda: (

@@ -449,7 +449,6 @@ class CMixerModel:
         images: np.ndarray,
         *,
         eps: np.ndarray | None = None,
-        rng: np.random.Generator | None = None,
         head: str = "classify",
         tape: Tape | None = None,
         params: dict[str, np.ndarray | Tensor] | None = None,
@@ -458,9 +457,10 @@ class CMixerModel:
 
         The batch is the only input form (``train._to_model_layout`` makes
         it from uint8 images); any other shape is a ``DimensionError``.
-        ``eps`` injects the noise sample (tests freeze it); otherwise it
-        is drawn from ``rng``. ``params`` substitutes a foreign buffer set
-        for ``self.params`` (an EMA shadow, or leaf tensors a caller made).
+        ``eps`` is the noise sample, required with ``il`` on: ``forward``
+        draws nothing (``scores`` draws it from its ``rng``). ``params``
+        substitutes a foreign buffer set for ``self.params`` (an EMA
+        shadow, or leaf tensors a caller made).
         With ``tape`` given, every buffer is registered on it as a leaf,
         so ``params`` must then hold arrays; without one, each op that
         reads a buffer makes an array a checked constant and uses a tensor
@@ -476,9 +476,7 @@ class CMixerModel:
 
         if self.toggles.il:
             if eps is None:
-                if rng is None:
-                    raise ContractError("forward needs eps or rng to sample noise")
-                eps = rng.standard_normal(x.shape)
+                raise ContractError("forward needs eps, the noise sample")
             h = sample_incentive(x, p, eps, cfg.patch)
         else:
             h = Tensor(_patches(x, np.zeros_like(x), cfg.patch))
@@ -511,7 +509,7 @@ class CMixerModel:
         x = self._checked_batch(images, head)
         if self.toggles.il:
             if eps is None and rng is None:
-                raise ContractError("forward needs eps or rng to sample noise")
+                raise ContractError("scores needs eps or rng to sample noise")
             eps = rng.standard_normal(x.shape) if eps is None else np.asarray(eps, dtype=np.float64)
             if eps.shape != x.shape:
                 raise DimensionError(f"epsilon shape {eps.shape} != image shape {x.shape}")

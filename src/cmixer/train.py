@@ -35,6 +35,7 @@ __all__ = [
     "bce_with_logits",
     "cross_entropy",
     "ssl_loss",
+    "softmax",
     "ema_update",
     "clip_global_norm",
     "adamw_step",
@@ -136,11 +137,35 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
     return schedule.peak * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _shifted_exp(x: np.ndarray):
+    """``x`` less its max along the last axis, its exponentials ``e`` and their sum ``s``."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, np.sum(e, axis=-1, keepdims=True)
+
+
+def softmax(x) -> np.ndarray:
+    """Softmax of a plain array along its last axis, ``e / s``; builds no graph."""
+    _, e, s = _shifted_exp(np.asarray(x, dtype=np.float64))
+    return e / s
+
+
 def bce_with_logits(logits, targets) -> Tensor:
     """Mean binary cross-entropy from logits, in the stable softplus form.
 
     ``softplus(z) - z*y`` equals ``-[y log s(z) + (1-y) log(1-s(z))]``
-    and never overflows. Targets must be 0/1.
+    and never overflows. Targets must be 0/1. One node, whose only parent
+    is ``logits``; the backward is ``(sigmoid(z) - y) / N``, rounded as
+    ``s * sigmoid(z) + (-s) * y`` with ``s = g / N``.
     """
     logits = engine.constant(logits)
     t = np.asarray(targets, dtype=np.float64)
@@ -148,13 +173,35 @@ def bce_with_logits(logits, targets) -> Tensor:
         raise ContractError(f"targets {t.shape} != logits {logits.shape}")
     if not np.all((t == 0.0) | (t == 1.0)):
         raise ContractError("bce targets must be exactly 0 or 1")
-    return engine.tmean(engine.sub(engine.softplus(logits), engine.mul(logits, t)))
+    z, scale = logits.data, 1.0 / logits.size
+    out = np.sum(np.logaddexp(0.0, z) - z * t) * scale
+
+    def backprop(g):
+        s = g * scale
+        logits._accumulate(s * _sigmoid(z) + (-s) * t, own=True)
+
+    return Tensor(out, (logits,), backprop, "bce_with_logits")
 
 
-def _soft_cross_entropy(logits: Tensor, q: np.ndarray) -> Tensor:
-    """Mean over rows of H(q, softmax(logits)); the targets ``q`` are constants."""
-    logp = engine.log_softmax(logits)
-    return engine.mul(engine.tsum(engine.mul(logp, q)), -1.0 / logits.shape[0])
+def _soft_cross_entropy(logits: Tensor, q: np.ndarray, inv_t: float) -> Tensor:
+    """Mean over rows of H(q, softmax(logits * inv_t)); the targets ``q`` are constants.
+
+    One node, whose only parent is ``logits``. With ``x = logits * inv_t`` the
+    value is ``-sum((shifted - log(s)) * q) / n`` and the backward
+    ``(softmax(x) - q) * inv_t / n``, rounded as ``gl + (-sum(gl) / s) * e``
+    with ``gl = (g * -1/n) * q``, then times ``inv_t``.
+    """
+    shifted, e, s = _shifted_exp(logits.data * inv_t)
+    scale = -1.0 / logits.shape[0]
+    out = np.sum((shifted - np.log(s)) * q) * scale
+
+    def backprop(g):
+        gl = (g * scale) * q
+        gl = gl + (-np.sum(gl, axis=-1, keepdims=True) / s) * e
+        gl *= inv_t
+        logits._accumulate(gl, own=True)
+
+    return Tensor(out, (logits,), backprop, "soft_cross_entropy")
 
 
 def cross_entropy(logits, labels) -> Tensor:
@@ -166,7 +213,7 @@ def cross_entropy(logits, labels) -> Tensor:
     n, k = logits.shape
     if y.shape[0] != n:
         raise ContractError(f"{y.shape[0]} labels for {n} rows of logits")
-    return _soft_cross_entropy(logits, label_columns(y, TaskKind.MULTICLASS, k))
+    return _soft_cross_entropy(logits, label_columns(y, TaskKind.MULTICLASS, k), 1.0)
 
 
 def ssl_loss(anchor_out, target_out, temperature: float = 0.5) -> Tensor:
@@ -174,7 +221,9 @@ def ssl_loss(anchor_out, target_out, temperature: float = 0.5) -> Tensor:
 
     q is the temperature softmax of the target tower and is treated as a
     constant (stop-gradient); p comes from the anchor tower, so the
-    gradient flows only through it.
+    gradient flows only through it. A non-finite target raises
+    ``NumericError`` naming ``soft_cross_entropy``, -Inf included, which
+    the softmax alone would read as a zero probability.
     """
     if temperature <= 0:
         raise ContractError("temperature must be positive")
@@ -182,8 +231,8 @@ def ssl_loss(anchor_out, target_out, temperature: float = 0.5) -> Tensor:
     target = target_out.data if isinstance(target_out, Tensor) else np.asarray(target_out)
     if target.shape != anchor_out.shape:
         raise ContractError(f"target {target.shape} != anchor {anchor_out.shape}")
-    q = engine.softmax(target / temperature).data
-    return _soft_cross_entropy(engine.mul(anchor_out, 1.0 / temperature), q)
+    engine._ensure_finite(target, "soft_cross_entropy")
+    return _soft_cross_entropy(anchor_out, softmax(target / temperature), 1.0 / temperature)
 
 
 @dataclass

@@ -46,8 +46,8 @@ def test_c01_gradient_fidelity():
     assert result.seconds < 60.0, f"gradcheck took {result.seconds:.1f}s"
     names = {r.name for r in result.results}
     for required in (
-        "complex_affine", "crelu", "layernorm", "softmax", "log_softmax", "sub_broadcast",
-        "incentive_sampler", "complex_mlp", "complex_mlp_token",
+        "complex_affine", "crelu", "layernorm", "sub_broadcast", "incentive_sampler",
+        "complex_mlp", "complex_mlp_token", "bce_with_logits", "cross_entropy", "ssl_loss",
         "model_cross_entropy", "model_bce", "model_ssl_loss",
     ):
         assert required in names

@@ -225,9 +225,9 @@ class TestGradcheckCommand:
         assert "max_rel_err" in out and "worst:" in out
 
     def test_corrupted_backward_fails_naming_op(self, capsys):
-        assert main(["gradcheck", "--corrupt", "softplus"]) == 1
+        assert main(["gradcheck", "--corrupt", "bce_with_logits"]) == 1
         out = capsys.readouterr().out
-        assert "FAILED for op: softplus" in out
+        assert "FAILED for op: bce_with_logits" in out
 
 
 class TestNoiseStatsCommand:

@@ -21,9 +21,9 @@ from cmixer.engine import (
     topo_order,
 )
 from cmixer.errors import ContractError, DimensionError, NumericError
-from cmixer.gradcheck import run_suite
+from cmixer.gradcheck import _suite_entries, run_suite
 from cmixer.model import CMixerConfig, CMixerModel, Toggles, pearson_project
-from cmixer.train import cross_entropy, ssl_loss
+from cmixer.train import bce_with_logits, cross_entropy, softmax, ssl_loss
 
 
 def pack(re, im):
@@ -533,8 +533,7 @@ class TestLayerNorm:
 
 class TestScalarOps:
     def test_softmax_symmetry(self):
-        out = engine.softmax(Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
+        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
 
     def test_mean(self):
         assert engine.tmean(Tensor([1.0, 2.0, 3.0])).data == pytest.approx(2.0)
@@ -554,8 +553,6 @@ class TestScalarOps:
             engine.mul(Tensor([1e308]), 10.0)
 
     @pytest.mark.parametrize("name, op", [
-        ("softmax", lambda t: engine.softmax(t)),
-        ("log_softmax", lambda t: engine.log_softmax(t)),
         ("sub", lambda t: engine.sub(t, Tensor(np.ones(3)))),
     ])
     def test_loss_ops_build_one_node(self, name, op):
@@ -574,13 +571,13 @@ class TestScalarOps:
     )
     @settings(max_examples=60)
     def test_softmax_sums_to_one_and_open_interval(self, values):
-        out = engine.softmax(Tensor(values)).data
+        out = softmax(values)
         assert abs(out.sum() - 1.0) < 1e-9
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_softmax_axis(self):
         x = np.arange(6.0).reshape(2, 3)
-        out = engine.softmax(Tensor(x)).data
+        out = softmax(x)
         np.testing.assert_allclose(out.sum(axis=1), [1.0, 1.0], atol=1e-12)
 
     def test_broadcast_mismatch_raises(self):
@@ -641,8 +638,8 @@ class TestFiniteChecks:
 
     def test_each_checked_op_checks_once(self):
         with finite_checks() as seen:
-            engine.softplus(engine.relu(engine.transpose(engine.mul(np.ones((2, 3)), 2.0), (1, 0))))
-        assert seen == ["const", "const", "mul", "transpose", "relu", "softplus"]
+            engine.tmean(engine.relu(engine.transpose(engine.mul(np.ones((2, 3)), 2.0), (1, 0))))
+        assert seen == ["const", "const", "mul", "transpose", "relu", "mean"]
 
     @pytest.mark.parametrize("form", ["plain", "bias"])
     def test_complex_affine_checks_once(self, form):
@@ -732,7 +729,7 @@ class TestBackward:
     def test_topological_order_parents_first(self):
         tape = Tape()
         x = tape.leaf("x", np.array([1.0, 2.0]))
-        y = engine.softplus(engine.mul(x, x))
+        y = engine.relu(engine.mul(x, x))
         loss = y.sum()
         order = topo_order(loss)
         pos = {id(n): i for i, n in enumerate(order)}
@@ -805,14 +802,14 @@ class TestReleaseWalk:
         tape = Tape()
         x = tape.leaf("x", rng.standard_normal((3, 4)))
         w = tape.leaf("w", rng.standard_normal((3, 4)))
-        hidden = engine.softplus(engine.mul(x, w))
+        hidden = engine.relu(engine.mul(x, w))
         loss = engine.mul(hidden, hidden).sum()
         nodes = topo_order(loss)
         values = {id(n): n.data.copy() for n in nodes}
         grads = tape.backward(loss)
         interior = [n for n in nodes if n is not loss and n._op != "const"
                     and not n._op.startswith("leaf:")]
-        assert len(interior) == 3  # mul, softplus, mul
+        assert len(interior) == 3  # mul, relu, mul
         for node in interior:
             assert node._parents == () and node.grad is None, node
             assert node._backprop is engine._walked, node
@@ -826,7 +823,7 @@ class TestReleaseWalk:
         node that nothing else holds, its value is gone before its closure runs."""
         tape = Tape()
         x = tape.leaf("x", np.ones((3, 4)))
-        y = engine.softplus(x)
+        y = engine.relu(x)
         value = weakref.ref(y.data)
         closure, seen = y._backprop, []
 
@@ -839,7 +836,7 @@ class TestReleaseWalk:
         del y
         grads = tape.backward(loss)
         assert seen == [True]
-        np.testing.assert_array_equal(grads["x"], 2.0 / (1.0 + np.exp(-1.0)) * np.ones((3, 4)))
+        np.testing.assert_array_equal(grads["x"], np.full((3, 4), 2.0))
 
     def test_constants_drop_their_gradient(self):
         tape = Tape()
@@ -849,15 +846,15 @@ class TestReleaseWalk:
         assert c.grad is None
 
     def test_model_constants_take_no_gradient(self):
-        """The loss targets are constants, and so is the packed input with the
-        noise off (with it on, the image and ``eps`` are arrays inside the
-        ``sample_incentive`` node): even a walk that releases nothing leaves
-        them no gradient."""
+        """The packed input with the noise off is a constant (with it on, the
+        image and ``eps`` are arrays inside the ``sample_incentive`` node, and
+        the loss targets are arrays inside the loss node): even a walk that
+        releases nothing leaves it no gradient."""
         config = fit_tiny_config()
         model = CMixerModel(config, rng=np.random.default_rng(0))
         rng = np.random.default_rng(2)
         x = rng.random((4, config.in_channels, config.image_side, config.image_side))
-        for il, count in ((True, 2), (False, 3)):
+        for il, count in ((True, 0), (False, 1)):
             model.toggles = Toggles(il=il)
             tape = Tape()
             loss = cross_entropy(model.forward(x, eps=rng.standard_normal(x.shape), tape=tape),
@@ -889,7 +886,7 @@ class TestReleaseWalk:
     def test_walk_reaching_a_consumed_node_raises_before_any_work(self):
         tape = Tape()
         x = tape.leaf("x", np.array([1.0, 2.0]))
-        shared = engine.softplus(x)
+        shared = engine.relu(x)
         other = engine.mul(shared, 2.0).sum()
         tape.backward(engine.mul(shared, shared).sum())
         with pytest.raises(ContractError, match="already consumed"):
@@ -1012,17 +1009,19 @@ class TestGradCheck:
                 "pearson_project",
                 lambda lv: engine.mul(pearson_project(stacked(lv["a"], lv["b"])), lv["b"]).sum(),
             ),
-            ("softplus", lambda lv: engine.softplus(engine.mul(lv["a"], lv["b"])).sum()),
+            ("bce_with_logits", lambda lv: bce_with_logits(engine.mul(lv["a"], lv["b"]), np.eye(4))),
             ("mean", lambda lv: engine.tmean(engine.mul(lv["a"], lv["a"]), axis=1).sum()),
-            ("softmax", lambda lv: engine.mul(engine.softmax(lv["a"]), lv["b"]).sum()),
-            ("log_softmax", lambda lv: engine.mul(engine.log_softmax(lv["a"]), lv["b"]).sum()),
+            ("cross_entropy", lambda lv: cross_entropy(engine.mul(lv["a"], lv["b"]), [3, 0, 2, 1])),
+            ("ssl_loss", lambda lv: ssl_loss(engine.mul(lv["a"], lv["b"]),
+                                             np.linspace(-2.0, 2.0, 16).reshape(4, 4), 0.5)),
             (
                 "layernorm",
                 lambda lv: engine.mul(layernorm(lv["a"], lv["g"], lv["be"]), lv["b"]).sum(),
             ),
             (
                 "transpose",
-                lambda lv: engine.mul(lv["a"].transpose((1, 0)), lv["b"].transpose((1, 0))).sum(),
+                lambda lv: engine.mul(engine.transpose(lv["a"], (1, 0)),
+                                      engine.transpose(lv["b"], (1, 0))).sum(),
             ),
         ],
     )
@@ -1041,13 +1040,41 @@ class TestGradCheck:
         rng = np.random.default_rng(11)
         leaves = {"a": rng.standard_normal((6, 6)), "b": rng.standard_normal((6, 6))}
         report = grad_check_report(
-            lambda lv: engine.softplus(engine.mul(lv["a"], lv["b"])).sum(),
+            lambda lv: engine.mul(engine.mul(lv["a"], lv["b"]), lv["b"]).sum(),
             leaves,
             sample=5,
             rng=np.random.default_rng(0),
         )
         assert report.checked == 10
         assert report.max_rel_error < 1e-6
+
+    def test_suite_builds_every_op_of_a_training_step(self):
+        """Every op that a tiny training step builds (BCE, cross-entropy and SSL,
+        with the noise on and off) is built by an entry of the gradcheck suite
+        other than the whole-model ones, so each fused op is checked on its own."""
+        covered = set()
+        for name, build, _ in _suite_entries():
+            if not name.startswith("model_"):
+                f, leaves = build()
+                covered |= {n._op for n in topo_order(f({k: Tensor(v) for k, v in leaves.items()}))}
+        config = fit_tiny_config()
+        model = CMixerModel(config, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.random((4, config.in_channels, config.image_side, config.image_side))
+        eps = rng.standard_normal(x.shape)
+        labels = np.arange(4) % config.num_classes
+        losses = {"classify": [lambda out: bce_with_logits(out, np.eye(config.num_classes)[labels]),
+                               lambda out: cross_entropy(out, labels)],
+                  "ssl": [lambda out: ssl_loss(out, rng.standard_normal(out.shape))]}
+        built = set()
+        for il in (True, False):
+            model.toggles = Toggles(il=il)
+            for head, fns in losses.items():
+                for loss in fns:
+                    built |= {n._op for n in topo_order(loss(model.forward(x, eps=eps, head=head)))}
+        built = {op for op in built if op != "const" and not op.startswith("leaf:")}
+        assert {"bce_with_logits", "soft_cross_entropy", "complex_mlp"} <= built
+        assert built <= covered, built - covered
 
     def test_corrupted_fused_backward_fails_naming_op(self):
         result = run_suite(corrupt_op="complex_affine_strided")

@@ -150,6 +150,74 @@ class TestSslLoss:
         assert err < 1e-4
 
 
+def _softmax_oracle(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+_Z = np.random.default_rng(7).standard_normal((5, 4))
+_BCE_TARGETS = (np.arange(20).reshape(5, 4) % 3 == 0).astype(float)
+_LABELS = np.array([3, 0, 1, 1, 2])
+_SSL_TARGET = np.random.default_rng(8).standard_normal((5, 4))
+
+# each loss, the op its node is named after, and the closed form of its gradient
+_FUSED_LOSSES = {
+    "bce_with_logits": (
+        lambda z: bce_with_logits(z, _BCE_TARGETS), "bce_with_logits",
+        lambda z: (1.0 / (1.0 + np.exp(-z)) - _BCE_TARGETS) / z.size,
+    ),
+    "cross_entropy": (
+        lambda z: cross_entropy(z, _LABELS), "soft_cross_entropy",
+        lambda z: (_softmax_oracle(z) - np.eye(4)[_LABELS]) / len(z),
+    ),
+    "ssl_loss": (
+        lambda z: ssl_loss(z, _SSL_TARGET, 0.5), "soft_cross_entropy",
+        lambda z: (_softmax_oracle(z / 0.5) - _softmax_oracle(_SSL_TARGET / 0.5)) / (len(z) * 0.5),
+    ),
+}
+
+
+class TestFusedLosses:
+    """Each loss is one node over the logits, with a hand-written backward;
+    its targets are arrays inside the node."""
+
+    @pytest.mark.parametrize("kind", list(_FUSED_LOSSES))
+    def test_one_node_on_the_logits(self, kind):
+        loss_fn, op, _ = _FUSED_LOSSES[kind]
+        z = Tape().leaf("z", _Z)
+        loss = loss_fn(z)
+        assert loss._op == op and loss._parents == (z,)
+        assert engine.topo_order(loss) == [z, loss]
+
+    @pytest.mark.parametrize("kind", list(_FUSED_LOSSES))
+    def test_checks_its_output_once(self, kind, monkeypatch):
+        """The output is checked once; ``ssl_loss`` checks its target before it."""
+        loss_fn, op, _ = _FUSED_LOSSES[kind]
+        z, seen = Tensor(_Z), []
+        check = engine._ensure_finite
+        monkeypatch.setattr(engine, "_ensure_finite",
+                            lambda arr, name: (seen.append((name, arr)), check(arr, name)))
+        loss = loss_fn(z)
+        targets = 1 if kind == "ssl_loss" else 0
+        assert [name for name, _ in seen] == [op] * (targets + 1)
+        assert [arr is loss.data for _, arr in seen] == [False] * targets + [True]
+
+    @pytest.mark.parametrize("kind", list(_FUSED_LOSSES))
+    def test_gradient_matches_closed_form(self, kind):
+        loss_fn, _, closed_form = _FUSED_LOSSES[kind]
+        tape = Tape()
+        grads = tape.backward(loss_fn(tape.leaf("z", _Z)))
+        np.testing.assert_allclose(grads["z"], closed_form(_Z), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_ssl_target_names_the_loss(self, bad):
+        target = _SSL_TARGET.copy()
+        target[1, 2] = bad
+        with pytest.raises(NumericError, match="op 'soft_cross_entropy'"), \
+                np.errstate(invalid="ignore"):
+            ssl_loss(Tensor(_Z), target, 0.5)
+
+
 class TestEma:
     def test_decay_one_freezes_shadow(self):
         ema = EmaState.init({"w": np.zeros(3)}, 1.0)
