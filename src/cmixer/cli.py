@@ -99,6 +99,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
                 f"unknown toggle {name!r}; valid: {', '.join(sorted(TOGGLE_NAMES))}"
             )
     settings["toggles"] = ",".join(dict.fromkeys(names))
+    if settings["seed"] < 0:  # every command seeds a generator with it
+        raise ConfigError(f"seed={settings['seed']}: must be nonnegative")
     return settings
 
 
@@ -321,8 +323,8 @@ def cmd_splits(settings: dict) -> int:
     return 0
 
 
-def cmd_gradcheck(settings: dict, corrupt: str | None = None) -> int:
-    result = run_suite(corrupt_op=corrupt)
+def cmd_gradcheck(settings: dict) -> int:
+    result = run_suite()
     for line in result.lines():
         print(line)
     worst = result.worst
@@ -366,12 +368,22 @@ def cmd_noise_stats(settings: dict) -> int:
     return 0
 
 
+COMMANDS = {
+    "pretrain": cmd_pretrain,
+    "finetune": cmd_finetune,
+    "eval": cmd_eval,
+    "splits": cmd_splits,
+    "gradcheck": cmd_gradcheck,
+    "noise-stats": cmd_noise_stats,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmixer", description="complex-mixer training toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("pretrain", "finetune", "eval", "splits", "gradcheck", "noise-stats"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value settings file")
         p.add_argument("--data", help="dataset NPZ path")
@@ -387,29 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--corrupt-rate", type=float, dest="corrupt_rate")
         if name == "noise-stats":
             p.add_argument("--samples", type=int)
-        if name == "gradcheck":
-            p.add_argument("--corrupt", help="testing hook: corrupt one op's backward")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        settings = resolve_settings(args)
-        command = args.command
-        if command == "pretrain":
-            return cmd_pretrain(settings)
-        if command == "finetune":
-            return cmd_finetune(settings)
-        if command == "eval":
-            return cmd_eval(settings)
-        if command == "splits":
-            return cmd_splits(settings)
-        if command == "gradcheck":
-            return cmd_gradcheck(settings, corrupt=getattr(args, "corrupt", None))
-        if command == "noise-stats":
-            return cmd_noise_stats(settings)
-        raise ConfigError(f"unknown command {command!r}")
+        return COMMANDS[args.command](resolve_settings(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -181,7 +181,8 @@ def load_npz(path, task: TaskKind | None = None) -> DatasetBundle:
 
     The task kind and class count come from ``infer_task``: the kind is
     inferred from the label array unless given explicitly; ordinal
-    regression cannot be inferred and must be passed in.
+    regression cannot be inferred and must be passed in. An archive with
+    no samples in any split is a ``FormatError``.
     """
     arrays = read_arrays(path)
     for entry in _REQUIRED_ENTRIES:
@@ -206,6 +207,8 @@ def load_npz(path, task: TaskKind | None = None) -> DatasetBundle:
 
     images = np.concatenate([p[0] for p in parts])
     labels = np.concatenate([p[1] for p in parts])
+    if len(labels) == 0:
+        raise FormatError(f"{path}: no samples in any split")
     tags = np.concatenate(
         [
             np.full(len(parts[0][0]), int(Split.TRAIN_LABELED), dtype=np.uint8),

@@ -85,7 +85,7 @@ class TrainConfig:
         if self.batch_size < 1 or self.pretrain_batch_size < 1:
             raise ContractError("batch_size and pretrain_batch_size must be at least 1")
         for key in ("lr", "pretrain_lr", "epochs", "pretrain_epochs", "warmup_steps",
-                    "pretrain_warmup_steps", "pretrain_weight_decay"):
+                    "pretrain_warmup_steps", "pretrain_weight_decay", "seed"):
             if getattr(self, key) < 0:
                 raise ContractError(f"{key} must be nonnegative, got {getattr(self, key)}")
         if not 0.0 <= self.momentum <= 1.0:

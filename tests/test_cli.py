@@ -224,10 +224,17 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "max_rel_err" in out and "worst:" in out
 
-    def test_corrupted_backward_fails_naming_op(self, capsys):
-        assert main(["gradcheck", "--corrupt", "bce_with_logits"]) == 1
+    def test_corrupted_backward_fails_naming_op(self, capsys, corrupt_entry):
+        corrupt_entry("bce_with_logits")
+        assert main(["gradcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAILED for op: bce_with_logits" in out
+
+    def test_has_no_corrupt_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--corrupt", "bce_with_logits"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
 
 
 class TestNoiseStatsCommand:
@@ -347,6 +354,10 @@ class TestConfigHandling:
             # a rate of 0 or less never reaches corrupt_labels' own range check
             ("splits", ["--corrupt-rate", "-1"], "corrupt_rate"),
             ("splits", ["--corrupt-rate", "nan"], "corrupt_rate"),
+            # checked before any generator is seeded or the data is read
+            ("pretrain", ["--seed", "-1"], "seed"),
+            ("splits", ["--seed", "-1"], "seed"),
+            ("noise-stats", ["--seed", "-1", "--data", "missing.npz"], "seed"),
         ],
     )
     def test_bad_flag_exit_2_names_key(self, fast_config, tmp_path, capsys, command, flags,

@@ -103,6 +103,16 @@ class TestLoadNpz:
         with pytest.raises(FormatError, match="train"):
             load_npz(bad)
 
+    def test_archive_without_samples_names_path(self, tmp_path):
+        arrays = {}
+        for kind in ("train", "val", "test"):
+            arrays[f"{kind}_images"] = np.zeros((0, 8, 8), dtype=np.uint8)
+            arrays[f"{kind}_labels"] = np.zeros((0, 1), dtype=np.int64)
+        path = tmp_path / "empty.npz"
+        write_arrays(path, arrays)
+        with pytest.raises(FormatError, match="empty.npz: no samples"):
+            load_npz(path)
+
     def test_flat_labels_normalized(self, tmp_path):
         path = tiny_archive(tmp_path, label_shape="flat")
         bundle = load_npz(path)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cmixer import engine
+from cmixer import engine, gradcheck
 from cmixer.engine import (
     Tape,
     Tensor,
@@ -21,7 +21,7 @@ from cmixer.engine import (
     topo_order,
 )
 from cmixer.errors import ContractError, DimensionError, NumericError
-from cmixer.gradcheck import _suite_entries, run_suite
+from cmixer.gradcheck import ENTRIES, run_suite
 from cmixer.model import CMixerConfig, CMixerModel, Toggles, pearson_project
 from cmixer.train import bce_with_logits, cross_entropy, softmax, ssl_loss
 
@@ -1053,9 +1053,9 @@ class TestGradCheck:
         with the noise on and off) is built by an entry of the gradcheck suite
         other than the whole-model ones, so each fused op is checked on its own."""
         covered = set()
-        for name, build, _ in _suite_entries():
+        for name, (build, _) in ENTRIES.items():
             if not name.startswith("model_"):
-                f, leaves = build()
+                f, leaves = build(np.random.default_rng(list(name.encode())))
                 covered |= {n._op for n in topo_order(f({k: Tensor(v) for k, v in leaves.items()}))}
         config = fit_tiny_config()
         model = CMixerModel(config, rng=np.random.default_rng(0))
@@ -1076,6 +1076,33 @@ class TestGradCheck:
         assert {"bce_with_logits", "soft_cross_entropy", "complex_mlp"} <= built
         assert built <= covered, built - covered
 
-    def test_corrupted_fused_backward_fails_naming_op(self):
-        result = run_suite(corrupt_op="complex_affine_strided")
+    def test_corrupted_fused_backward_fails_naming_op(self, corrupt_entry):
+        corrupt_entry("complex_affine_strided")
+        result = run_suite()
         assert [r.name for r in result.results if not r.passed] == ["complex_affine_strided"]
+
+    @staticmethod
+    def _suite_inputs(monkeypatch, entries):
+        """Each entry's leaves and its scalar at them, as bytes, as ``run_suite``
+        builds them from ``entries``; the checks themselves are not run."""
+        built = []
+
+        def record(f, leaves, sample, rng):
+            with engine.no_grad():
+                value = f({k: Tensor(v) for k, v in leaves.items()}).data
+            built.append(({k: v.tobytes() for k, v in leaves.items()}, value.tobytes()))
+            return engine.GradCheckReport(0.0, 0, 0)
+
+        monkeypatch.setattr(gradcheck, "ENTRIES", entries)
+        monkeypatch.setattr(gradcheck, "grad_check_report", record)
+        run_suite()
+        return dict(zip(entries, built))
+
+    def test_dropping_an_entry_moves_no_other_entrys_inputs(self, monkeypatch):
+        # the scalar covers the weights and targets an entry's function holds
+        full = self._suite_inputs(monkeypatch, dict(ENTRIES))
+        assert len(full) == 21
+        for dropped in ENTRIES:
+            rest = {k: v for k, v in ENTRIES.items() if k != dropped}
+            assert self._suite_inputs(monkeypatch, rest) == {
+                k: v for k, v in full.items() if k != dropped}, dropped

@@ -440,14 +440,14 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "key, value",
         [("momentum", -3.0), ("momentum", 7.0), ("momentum", -1e-9), ("momentum", 1.0 + 1e-9),
-         ("pretrain_weight_decay", -1.0)],
+         ("pretrain_weight_decay", -1.0), ("seed", -1)],
     )
     def test_out_of_range_is_rejected_naming_key(self, key, value):
         with pytest.raises(ContractError, match=f"^{key} must be"):
             TrainConfig(**{key: value})
 
     @pytest.mark.parametrize("key, value", [("momentum", 0.0), ("momentum", 1.0),
-                                            ("pretrain_weight_decay", 0.0)])
+                                            ("pretrain_weight_decay", 0.0), ("seed", 0)])
     def test_range_ends_are_accepted(self, key, value):
         assert getattr(TrainConfig(**{key: value}), key) == value
 
