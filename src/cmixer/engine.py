@@ -31,28 +31,28 @@ without a tape.
 
 Conventions baked into this module:
 
+* the module holds the ops that a training step builds and nothing else:
+  ``complex_affine`` (the patch embedding and the heads), ``complex_mlp`` (each
+  mixing half) and ``tmean`` (the pooling over the patch sequence); the model's
+  noisy input, ``sample_incentive``, its head, ``pearson_project``, and the
+  losses, ``train.bce_with_logits`` and the soft cross-entropy that
+  ``cross_entropy`` and ``ssl_loss`` share, are nodes built the same way outside it
 * every op validates its output once for NaN/Inf and raises ``NumericError`` naming
   itself (``complex_mlp`` also checks its hidden layer's product, before the CReLU
   could hide an -Inf, and that layer's gradient); an axis outside the input's rank
   is a ``DimensionError`` naming the op
-* a complex op is one node over the packed ``z``: ``complex_affine``,
-  ``complex_mlp``, ``layernorm`` over the last axis, and ``relu`` and ``tmean``
-  over a packed tensor (the CReLU and the mean over a logical axis before the
-  pair axis)
-* ``complex_affine``, ``complex_mlp`` and ``layernorm`` are fused ops with
-  hand-written backward passes, one node each (``sub`` is a plain broadcast op; the
-  model's noisy input, ``sample_incentive``, its head, ``pearson_project``, and the
-  losses, ``train.bce_with_logits`` and the soft cross-entropy that ``cross_entropy``
-  and ``ssl_loss`` share, are built the same way as the fused ops);
-  ``complex_affine`` is one block-form GEMM, which beat Gauss's
+* a complex op is one node over the packed ``z``, with a hand-written backward
+  pass; ``tmean`` over a packed tensor is the mean over a logical axis before the
+  pair axis. ``complex_affine`` is one block-form GEMM, which beat Gauss's
   3-multiply form on the model's shapes (its extra elementwise passes cost more).
   ``complex_mlp(h, W1, W2, (gamma, beta), axis)`` is a whole mixing half,
-  ``h + W2 · CReLU(W1 · layernorm(h))``, on ``layernorm``'s two kernels and the
-  same GEMMs: it stores no normalized row and no hidden layer, only two scalars
-  per row, and its backward rebuilds both with one extra GEMM
+  ``h + W2 · CReLU(W1 · layernorm(h))``, on two layer-norm kernels
+  (``_layernorm_forward`` and ``_layernorm_backward``) and the same GEMMs: it
+  stores no normalized row and no hidden layer, only two scalars per row, and
+  its backward rebuilds both with one extra GEMM
 * a first gradient that an op allocated and drops is taken over in place
   (``_accumulate(g, own=True)``), not copied
-* the derivative of ReLU at exactly 0 is taken to be 0
+* the derivative of the CReLU at exactly 0 is taken to be 0
 * ``grad_check`` excludes entries whose central difference straddles a
   kink (detected by disagreeing one-sided differences) instead of
   failing on them
@@ -73,13 +73,7 @@ __all__ = [
     "Tape",
     "no_grad",
     "constant",
-    "sub",
-    "mul",
-    "relu",
-    "transpose",
-    "tsum",
     "tmean",
-    "layernorm",
     "complex_affine",
     "complex_mlp",
     "topo_order",
@@ -157,9 +151,6 @@ class Tensor:
             taken = own and g.flags.c_contiguous and self.data.flags.c_contiguous
             self.grad = np.add(g, 0.0, out=g if taken else np.empty_like(self.data))
 
-    def sum(self, axis=None) -> "Tensor":
-        return tsum(self, axis=axis)
-
     def __repr__(self):
         return f"Tensor(op={self._op!r}, shape={self.shape})"
 
@@ -168,110 +159,18 @@ def constant(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
-    """``ufunc(a.data, b.data)``; a numpy broadcast failure raises ``DimensionError``."""
-    try:
-        return ufunc(a.data, b.data)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (the adjoint of numpy broadcasting)."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def sub(a, b) -> Tensor:
-    a, b = constant(a), constant(b)
-    out_data = _broadcast(np.subtract, a, b, "sub")
-
-    def backprop(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(-_unbroadcast(g, b.shape))
-
-    return Tensor(out_data, (a, b), backprop, "sub")
-
-
-def mul(a, b) -> Tensor:
-    a, b = constant(a), constant(b)
-    out_data = _broadcast(np.multiply, a, b, "mul")
-
-    def backprop(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor(out_data, (a, b), backprop, "mul")
-
-
-def relu(a) -> Tensor:
+def tmean(a, axis: int) -> Tensor:
     a = constant(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backprop(g):
-        # derivative at the kink (input exactly 0) is defined as 0
-        a._accumulate(g * (a.data > 0.0))
-
-    return Tensor(out_data, (a,), backprop, "relu")
-
-
-def transpose(a, axes) -> Tensor:
-    a = constant(a)
-    axes = tuple(int(x) for x in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise DimensionError(f"transpose: {axes} is not a permutation of rank {a.ndim}")
-    inverse = tuple(np.argsort(axes))
-    out_data = a.data.transpose(axes)
-
-    def backprop(g):
-        a._accumulate(g.transpose(inverse))
-
-    return Tensor(out_data, (a,), backprop, "transpose")
-
-
-def _norm_axis(axis, ndim: int, op: str):
-    if axis is None:
-        return None
-    if not -ndim <= axis < ndim:
-        raise DimensionError(f"{op}: axis {axis} is out of range for rank {ndim}")
-    return (axis % ndim,)
-
-
-def tsum(a, axis=None) -> Tensor:
-    a = constant(a)
-    axes = _norm_axis(axis, a.ndim, "sum")
-    out_data = np.sum(a.data, axis=axes)
-
-    def backprop(g):
-        if axes is not None:
-            g = np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(g, a.shape))
-
-    return Tensor(out_data, (a,), backprop, "sum")
-
-
-def tmean(a, axis=None) -> Tensor:
-    a = constant(a)
-    axes = _norm_axis(axis, a.ndim, "mean")
-    if axes is None:
-        count = a.size
-    else:
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-    if count == 0:
+    if not -a.ndim <= axis < a.ndim:
+        raise DimensionError(f"mean: axis {axis} is out of range for rank {a.ndim}")
+    axis %= a.ndim
+    if a.shape[axis] == 0:
         raise DimensionError("mean over an empty axis")
-    scale = 1.0 / count
-    out_data = np.sum(a.data, axis=axes) * scale
+    scale = 1.0 / a.shape[axis]
+    out_data = np.sum(a.data, axis=axis) * scale
 
     def backprop(g):
-        g = g * scale
-        if axes is not None:
-            g = np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(g, a.shape))
+        a._accumulate(np.broadcast_to(np.expand_dims(g * scale, axis), a.shape))
 
     return Tensor(out_data, (a,), backprop, "mean")
 
@@ -323,27 +222,6 @@ def _layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale:
     gx -= xhat * mean_gx_xhat
     gx *= inv
     x._accumulate(gx, own=True)
-
-
-def layernorm(x, gamma, beta) -> Tensor:
-    """Normalize to zero mean / unit variance along the last axis, then scale and shift.
-
-    ``gamma`` and ``beta`` share one shape: that of the trailing
-    ``gamma.ndim`` axes of ``x``, so a vector matches the normalized axis
-    and a ``(2, n)`` pair gives each part of a packed complex tensor its
-    own gain and shift. ``LAYERNORM_EPS``, added to the variance, keeps a
-    zero-variance slice finite (it collapses to ``beta``). One node: the
-    backward is the closed form ``inv * (g' - mean(g') - xhat * mean(g' * xhat))``
-    with ``g' = g * gamma``. ``complex_mlp`` runs the same two kernels.
-    """
-    x = constant(x)
-    gamma, beta, others, scale, shift = _norm_operands(x, gamma, beta, "layernorm")
-    out_data, mu, inv = _layernorm_forward(x.data, scale, shift)
-
-    def backprop(g):
-        _layernorm_backward(g, (x.data - mu) * inv, inv, scale, x, gamma, beta, others)
-
-    return Tensor(out_data, (x, gamma, beta), backprop, "layernorm")
 
 
 def _real_form(w: np.ndarray) -> np.ndarray:
@@ -437,10 +315,11 @@ def complex_mlp(h, W1, W2, norm, axis: int) -> Tensor:
     """The skip-connected complex MLP ``h + W2 · CReLU(W1 · layernorm(h))`` along ``axis``.
 
     ``h`` is packed, ``W1`` (m, 2, n) with ``n`` the length of logical ``axis``,
-    ``W2`` (n, 2, m), and ``norm`` the ``(gamma, beta)`` of ``layernorm``. Values
-    and gradients are bitwise those of ``complex_affine(W1, layernorm(h, gamma,
-    beta), axis=axis)``, ``relu``, ``complex_affine(W2, ., axis=axis)`` and
-    ``np.add(h, .)``, the skip's gradient added first, when ``h`` has no other.
+    ``W2`` (n, 2, m), and ``norm`` the ``(gamma, beta)`` of a layer norm over the
+    last axis. Values and gradients are bitwise those of ``complex_affine(W1,
+    layernorm(h, gamma, beta), axis=axis)``, a ReLU, ``complex_affine(W2, .,
+    axis=axis)`` and ``np.add(h, .)``, the skip's gradient added first, when ``h``
+    has no other (the tests build that composition from plain ops).
     One node, which keeps only ``h`` and the per-row mean and inverse deviation;
     the backward rebuilds the normalized rows (in ``h``'s layout, then copied into
     the GEMM rows) and the hidden with one GEMM, whose block form it reuses.

@@ -138,6 +138,9 @@ class CMixerClassifier:
         )
 
     def fit(self, X, y) -> "CMixerClassifier":
+        seed = self.random_state
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ContractError(f"random_state must be a nonnegative integer, got {seed!r}")
         images = check_images(X)
         labels = check_labels(y, len(images))
         self.classes_, encoded = np.unique(labels, return_inverse=True)
@@ -154,7 +157,7 @@ class CMixerClassifier:
             hidden=self.hidden,
             patch=self.patch,
         )
-        rng = np.random.default_rng(self.random_state)
+        rng = np.random.default_rng(seed)
         model = CMixerModel(config, rng=rng)
         train_config = self._train_config()
         if self.pretrain_epochs > 0:

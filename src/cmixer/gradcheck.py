@@ -1,10 +1,13 @@
-"""Release-gate gradient checks: every layer type, the full model, all losses.
+"""Release-gate gradient checks: every op a training step builds, the full model.
 
 ``ENTRIES`` maps each check's name to ``(build, sample)``. ``run_suite``
 calls ``build`` with a generator seeded from the entry's name alone, and
 ``build`` draws every input, weight and target from it, eagerly, and
 returns a deterministic scalar function of its leaves and those leaves,
-which ``engine.grad_check_report`` checks. So an entry's figures depend
+which ``engine.grad_check_report`` checks. An op's entry checks
+``sum(op(leaves) * w)``, with ``w`` drawn in the shape of the op's output,
+through a scalar node of the suite's own; a loss's entry and a whole-model
+entry check the loss itself. So an entry's figures depend
 only on its own name-seeded inputs: adding, removing or reordering
 entries moves no other entry's. Small ops are enumerated exhaustively;
 the full-model checks sample ``sample`` entries per leaf (every leaf is
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
-from .engine import complex_affine, complex_mlp, grad_check_report
+from .engine import Tensor, complex_affine, complex_mlp, grad_check_report, no_grad, tmean
 from .model import CMixerConfig, CMixerModel, init_params, pearson_project, sample_incentive
 from .train import bce_with_logits, cross_entropy, ssl_loss
 
@@ -76,17 +78,34 @@ def _tiny_model() -> CMixerModel:
     return CMixerModel(config, params=params)
 
 
-def _op(op, out_shape, **shapes):
-    """An entry whose leaves are standard normal draws of ``shapes``. Its scalar is
-    ``sum(op(leaves) * w)`` with ``w`` a draw of ``out_shape`` (a weight per output
-    entry, so a swap of two gradients shows), or the plain sum if that is None."""
+def _weighted_sum(out: Tensor, w: np.ndarray) -> Tensor:
+    """``sum(out * w)``, the scalar of an op's entry: one node, whose backward is ``g * w``."""
+
+    def backprop(g):
+        out._accumulate(g * w)
+
+    return Tensor(np.sum(out.data * w), (out,), backprop, "weighted_sum")
+
+
+def _weighted(op, leaves, rng):
+    """The function ``sum(op(leaves) * w)`` and ``leaves``, with ``w`` a standard normal
+    draw in the shape of the op's output (a weight per output entry, so a swap of two
+    gradients shows), that shape taken from one pass of ``op`` that builds no graph."""
+    with no_grad():
+        shape = op({k: Tensor(v) for k, v in leaves.items()}).shape
+    w = rng.standard_normal(shape)
+    return (lambda lv: _weighted_sum(op(lv), w)), leaves
+
+
+def _op(op, transposed=False, **shapes):
+    """An entry of ``op`` whose leaves are standard normal draws of ``shapes``; with
+    ``transposed`` the ``h`` leaf is registered as its (0, 3, 2, 1) view, a strided input."""
 
     def build(rng):
         leaves = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        if out_shape is None:
-            return (lambda lv: op(lv).sum()), leaves
-        w = rng.standard_normal(out_shape)
-        return (lambda lv: engine.mul(op(lv), w).sum()), leaves
+        if transposed:
+            leaves["h"] = leaves["h"].transpose(0, 3, 2, 1)
+        return _weighted(op, leaves, rng)
 
     return build
 
@@ -121,8 +140,7 @@ def _model(head, loss, target):
 
 
 def _incentive_sampler(rng):
-    # the noisy input with frozen noise, cut into four 2x2 patches; the scalar
-    # is the sum of the squared imaginary part
+    # the noisy input with frozen noise, cut into four 2x2 patches
     images, eps = rng.random((2, 1, 4, 4)), rng.standard_normal((2, 1, 4, 4))
     leaves = {
         "incentive.hidden.weight": 0.3 * rng.standard_normal((16, 8)),
@@ -132,38 +150,16 @@ def _incentive_sampler(rng):
         "incentive.sigma.weight": 0.3 * rng.standard_normal((8, 1)),
         "incentive.sigma.bias": np.zeros(1),
     }
-    imag_only = np.array([[0.0], [1.0]])
-
-    def f(lv):
-        h = sample_incentive(images, lv, eps, 2)
-        return engine.mul(engine.mul(h, h), imag_only).sum()
-
-    return f, leaves
+    return _weighted(lambda lv: sample_incentive(images, lv, eps, 2), leaves, rng)
 
 
-def _affine(lv):
-    return complex_affine(lv["W"], lv["h"], bias=lv["bias"])
+def _affine(axis):
+    return lambda lv: complex_affine(lv["W"], lv["h"], bias=lv["bias"], axis=axis)
 
 
-def _affine_strided(lv):
-    # a transposed view of the packed leaf, mapped along its last axis
-    h = engine.transpose(lv["h"], (0, 3, 2, 1))
-    return complex_affine(lv["W"], h, bias=lv["bias"], axis=-1)
-
-
-def _mlp(lv):
-    # one mixing half as the model runs it, on the channel axis
-    return complex_mlp(lv["h"], lv["W1"], lv["W2"], (lv["g"], lv["b"]), axis=-1)
-
-
-def _mlp_token(lv):
-    # and on the token axis, of a transposed view
-    h = engine.transpose(lv["h"], (0, 3, 2, 1))
-    return complex_mlp(h, lv["W1"], lv["W2"], (lv["g"], lv["b"]), axis=-2)
-
-
-def _layernorm(lv):
-    return engine.layernorm(lv["x"], lv["g"], lv["b"])
+def _mlp(axis):
+    # one mixing half as the model runs it: the channel axis is -1, the token axis -2
+    return lambda lv: complex_mlp(lv["h"], lv["W1"], lv["W2"], (lv["g"], lv["b"]), axis=axis)
 
 
 def _head(*keep):
@@ -171,34 +167,24 @@ def _head(*keep):
 
 
 ENTRIES = {
-    "complex_affine": (_op(_affine, None, W=(3, 2, 4), h=(4, 2, 2), bias=(2, 3)), None),
-    "crelu": (_op(lambda lv: engine.relu(lv["z"]), (4, 2, 4), z=(4, 2, 4)), None),
-    "layernorm": (_op(_layernorm, (4, 4), x=(4, 4), g=(4,), b=(4,)), None),
-    "complex_affine_batched": (
-        _op(_affine, (2, 5, 2, 3), W=(5, 2, 4), h=(2, 4, 2, 3), bias=(2, 5)), None),
+    "complex_affine": (_op(_affine(-2), W=(3, 2, 4), h=(4, 2, 2), bias=(2, 3)), None),
+    "complex_affine_batched": (_op(_affine(-2), W=(5, 2, 4), h=(2, 4, 2, 3), bias=(2, 5)), None),
     "complex_affine_strided": (
-        _op(_affine_strided, (2, 3, 2, 5), W=(5, 2, 4), h=(2, 4, 2, 3), bias=(2, 5)),
-        None),
-    "complex_affine_token": (
-        _op(_affine, (2, 4, 2, 3), W=(4, 2, 5), h=(2, 5, 2, 3), bias=(2, 4)), None),
+        _op(_affine(-1), transposed=True, W=(5, 2, 4), h=(2, 4, 2, 3), bias=(2, 5)), None),
+    "complex_affine_token": (_op(_affine(-2), W=(4, 2, 5), h=(2, 5, 2, 3), bias=(2, 4)), None),
     "complex_mlp": (
-        _op(_mlp, (2, 5, 2, 4), h=(2, 5, 2, 4), W1=(3, 2, 4), W2=(4, 2, 3), g=(2, 4),
-            b=(2, 4)), None),
+        _op(_mlp(-1), h=(2, 5, 2, 4), W1=(3, 2, 4), W2=(4, 2, 3), g=(2, 4), b=(2, 4)), None),
     "complex_mlp_token": (
-        _op(_mlp_token, (2, 5, 2, 3), h=(2, 3, 2, 5), W1=(4, 2, 5), W2=(5, 2, 4), g=(2, 3),
+        _op(_mlp(-2), transposed=True, h=(2, 3, 2, 5), W1=(4, 2, 5), W2=(5, 2, 4), g=(2, 3),
             b=(2, 3)), None),
-    "layernorm_3d": (_op(_layernorm, (2, 3, 4), x=(2, 3, 4), g=(4,), b=(4,)), None),
-    "pearson_project": (_op(_head(True, True), (3, 4), z=(3, 2, 4)), None),
+    "pearson_project": (_op(_head(True, True), z=(3, 2, 4)), None),
     "cross_entropy": (_loss(cross_entropy, lambda rng: rng.integers(4, size=4)), None),
     "ssl_loss": (_loss(lambda x, t: ssl_loss(x, t, temperature=0.5),
                        lambda rng: rng.standard_normal((4, 4))), None),
-    "pearson_project_real": (_op(_head(True, False), (2, 2), z=(2, 2, 2)), None),
-    "pearson_project_imag": (_op(_head(False, True), (2, 2), z=(2, 2, 2)), None),
-    "sub_broadcast": (_op(lambda lv: engine.sub(lv["a"], lv["b"]), (4, 4), a=(4, 4), b=(4,)),
-                      None),
+    "pearson_project_real": (_op(_head(True, False), z=(2, 2, 2)), None),
+    "pearson_project_imag": (_op(_head(False, True), z=(2, 2, 2)), None),
     "bce_with_logits": (_loss(bce_with_logits, lambda rng: rng.integers(2, size=(4, 4))), None),
-    "mean": (_op(lambda lv: engine.tmean(engine.mul(lv["x"], lv["x"]), axis=0), None,
-                 x=(4, 4)), None),
+    "mean": (_op(lambda lv: tmean(lv["x"], 0), x=(4, 4)), None),
     "incentive_sampler": (_incentive_sampler, None),
     "model_cross_entropy": (_model("classify", cross_entropy,
                                    lambda rng: rng.integers(2, size=2)), _FULL_MODEL_SAMPLE),

@@ -15,7 +15,7 @@ logical shape ``(..., n)`` is one real ``engine.Tensor`` of shape
    embedded, and passed through mixer blocks that alternate mixing
    across the patch sequence and across channels; each mixing half is
    one ``engine.complex_mlp`` node, a per-part layer norm (the two parts'
-   gains and shifts packed too), an affine, the CReLU (``relu`` of the
+   gains and shifts packed too), an affine, the CReLU (a ReLU of the
    packed buffer), a second affine and the skip, which stores neither a
    normalized row nor its hidden layer;
 4. a bounded real score comes out of ``tanh(re + im)`` applied to the
@@ -522,7 +522,8 @@ class CMixerModel:
                                    for xs, es in zip(np.array_split(x, n), eps_parts)])
 
     def _checked_batch(self, images, head: str) -> np.ndarray:
-        """``images`` as float64 once ``head`` and the (batch, ch, H, W) shape pass."""
+        """``images`` as float64 once ``head``, the (batch, ch, H, W) shape and a batch
+        of at least one image pass."""
         if head not in ("classify", "ssl"):  # before any of the trunk's work
             raise ContractError(f"unknown head {head!r}")
         cfg = self.config
@@ -531,6 +532,8 @@ class CMixerModel:
             raise DimensionError(
                 f"expected (batch, {cfg.in_channels}, {cfg.image_side}, {cfg.image_side}), got {x.shape}"
             )
+        if len(x) == 0:
+            raise ContractError("empty batch: the model scores at least one image")
         return x
 
 

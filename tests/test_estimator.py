@@ -42,6 +42,17 @@ class TestValidation:
         with pytest.raises(ContractError):
             check_labels(np.array([0.5, 1.5]), 2)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_random_state_rejected_before_any_generator(self, monkeypatch, seed):
+        X, y = np.zeros((8, 8, 8), dtype=np.uint8), np.arange(8) % 2
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made before random_state was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(ContractError, match="random_state must be a nonnegative integer"):
+            CMixerClassifier(hidden=8, epochs=1, random_state=seed).fit(X, y)
+
 
 class TestEstimatorApi:
     def test_get_set_params_round_trip(self):

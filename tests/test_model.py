@@ -32,6 +32,7 @@ from cmixer.model import (
 )
 from cmixer.npzio import read_arrays, write_arrays
 from cmixer.train import cross_entropy, loss_for_task, ssl_loss
+from plain_ops import mul, tsum
 
 
 def tiny_config(**kw):
@@ -141,7 +142,7 @@ class TestSampleIncentive:
         tape = Tape()
         leaves = {k: tape.leaf(k, v) for k, v in params.items()}
         h = sample_incentive(images, leaves, eps, 4)
-        loss = engine.mul(h, h).sum()  # the real part, the image, takes no gradient
+        loss = tsum(mul(h, h))  # the real part, the image, takes no gradient
         grads = tape.backward(loss)
         assert np.abs(grads["incentive.sigma.weight"]).max() > 0
         assert np.abs(grads["incentive.mu.weight"]).max() > 0
@@ -386,7 +387,7 @@ class TestForward:
         eps = rng.standard_normal(x.shape)
         tape = Tape()
         out = model.forward(x, eps=eps, tape=tape)
-        grads = tape.backward(engine.mul(out, out).sum())
+        grads = tape.backward(tsum(mul(out, out)))
         assert np.abs(grads["incentive.sigma.weight"]).max() > 0
         assert np.abs(grads["incentive.mu.weight"]).max() > 0
         # once the output layer has moved off zero, the hidden layer trains too
@@ -396,7 +397,7 @@ class TestForward:
         tape2 = Tape()
         moved = CMixerModel(config, params=params)
         out2 = moved.forward(x, eps=eps, tape=tape2)
-        grads2 = tape2.backward(engine.mul(out2, out2).sum())
+        grads2 = tape2.backward(tsum(mul(out2, out2)))
         assert np.abs(grads2["incentive.hidden.weight"]).max() > 0
 
     def test_bad_image_shape(self):
@@ -404,6 +405,16 @@ class TestForward:
         model = CMixerModel(config, rng=np.random.default_rng(0))
         with pytest.raises(DimensionError):
             model.scores(np.zeros((2, 1, 8, 8)), rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("il", [True, False], ids=["il", "no-il"])
+    def test_empty_batch_raises(self, il):
+        model = CMixerModel(fit_tiny_config(), rng=np.random.default_rng(0))
+        model.toggles = Toggles(il=il)
+        empty = np.zeros((0, 1, 8, 8))
+        with pytest.raises(ContractError, match="empty batch"):
+            model.forward(empty, eps=np.zeros(empty.shape))
+        with pytest.raises(ContractError, match="empty batch"):
+            model.scores(empty, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
     def test_unknown_head_raises_before_the_trunk_runs(self, monkeypatch, taped):
@@ -600,11 +611,11 @@ class TestNoGrad:
         eps = rng.standard_normal(x.shape)
         tape = Tape()
         out = model.forward(x, eps=eps, tape=tape)
-        grads = tape.backward(engine.mul(out, out).sum())
+        grads = tape.backward(tsum(mul(out, out)))
         outer = Tape()
         leaves = {k: outer.leaf(k, v) for k, v in model.params.items()}
         out2 = model.forward(x, eps=eps, params=leaves)
-        grads2 = outer.backward(engine.mul(out2, out2).sum())
+        grads2 = outer.backward(tsum(mul(out2, out2)))
         assert out2.data.tobytes() == out.data.tobytes()
         for name, g in grads.items():
             assert grads2[name].tobytes() == g.tobytes(), name
