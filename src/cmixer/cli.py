@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Split, TaskKind, corrupt_labels, load_npz, make_semi, write_npz
+from .data import (Split, TaskKind, _to_model_layout, corrupt_labels, load_npz, make_semi,
+                   write_npz)
 from .errors import CMixerError, ConfigError, ContractError, FormatError
 from .gradcheck import run_suite
 from .metrics import evaluate, report_rows
@@ -35,13 +36,14 @@ from .model import (
     CMixerConfig,
     CMixerModel,
     Toggles,
+    data_fields,
     field_types,
     incentive_mu_sigma,
     load_checkpoint,
     parse_lines,
     save_checkpoint,
 )
-from .train import TrainConfig, _to_model_layout, finetune, pretrain
+from .train import TrainConfig, finetune, pretrain
 
 TOGGLE_NAMES = {
     "no-ssl": "ssl",
@@ -121,12 +123,7 @@ def train_config_from(settings: dict) -> TrainConfig:
 def model_config_from(settings: dict, bundle) -> CMixerConfig:
     kwargs = {k: settings[k] for k in _ARCH_TYPES if k in settings}
     try:
-        return CMixerConfig.small(
-            image_side=bundle.images.shape[1],
-            in_channels=bundle.images.shape[3],
-            num_classes=bundle.num_classes,
-            **kwargs,
-        )
+        return CMixerConfig.small(**data_fields(bundle), **kwargs)
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -157,11 +154,7 @@ def _checked_checkpoint(
     if not Path(path).exists():
         raise FormatError(f"checkpoint {path} does not exist")
     model = load_checkpoint(path)
-    want = {
-        "in_channels": bundle.images.shape[3],
-        "image_side": bundle.images.shape[1],
-        "num_classes": bundle.num_classes,
-    }
+    want = data_fields(bundle)
     if architecture:
         resolved = model_config_from(settings, bundle)
         want.update({k: getattr(resolved, k) for k in _ARCH_TYPES})

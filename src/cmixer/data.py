@@ -3,7 +3,8 @@
 Datasets arrive as NPZ archives with the six entries ``train_images``,
 ``train_labels``, ``val_images``, ``val_labels``, ``test_images``,
 ``test_labels`` (images uint8, labels integer, label arrays N or Nx1
-for index tasks and NxL of 0/1 for multilabel). Internally everything lives in
+for index tasks and NxL of 0/1 for multilabel). ``_to_model_layout`` turns
+stored images into the model's input form. Internally everything lives in
 a ``DatasetBundle``: one image block plus a per-sample split tag, so
 derived constructions (semi-supervised, label corruption) are tag
 rewrites instead of array shuffles.
@@ -72,9 +73,10 @@ CROP_PADDING, HFLIP_PROB, CONTRAST_RANGE, SYNTH_NOISE = 3, 0.5, (0.8, 1.25), 20.
 class DatasetBundle:
     """Images, labels, and split tags for one classification task.
 
-    ``images`` is (N, H, W, ch) uint8. ``labels`` is (N, 1) int64 for
-    index tasks or (N, L) for multilabel. ``splits`` holds one
-    ``Split`` value per sample.
+    ``images`` is (N, H, W, ch) uint8 with square images, H == W, as the
+    model has one ``image_side``; any other shape is a ``DimensionError``.
+    ``labels`` is (N, 1) int64 for index tasks or (N, L) for multilabel.
+    ``splits`` holds one ``Split`` value per sample.
     """
 
     images: np.ndarray
@@ -87,6 +89,9 @@ class DatasetBundle:
         n = len(self.images)
         if self.images.ndim != 4:
             raise DimensionError(f"images must be (N,H,W,ch), got {self.images.shape}")
+        _, hgt, wid, _ = self.images.shape
+        if hgt != wid:
+            raise DimensionError(f"images must be square, got {hgt}x{wid}")
         if self.labels.shape[0] != n or self.splits.shape != (n,):
             raise DimensionError("images, labels and splits disagree on sample count")
         if self.task is TaskKind.MULTILABEL:
@@ -201,9 +206,12 @@ def load_npz(path, task: TaskKind | None = None) -> DatasetBundle:
     widths = {p[1].shape[1] for p in parts}
     if len(widths) != 1:
         raise FormatError(f"{path}: label widths differ across splits: {widths}")
-    channels = {p[0].shape[3] for p in parts}
-    if len(channels) != 1:
-        raise FormatError(f"{path}: channel counts differ across splits: {channels}")
+    shapes = [p[0].shape[1:] for p in parts]
+    if len(set(shapes)) != 1:
+        raise FormatError(
+            f"{path}: image shapes (H, W, ch) differ across splits: train {shapes[0]}, "
+            f"val {shapes[1]}, test {shapes[2]}"
+        )
 
     images = np.concatenate([p[0] for p in parts])
     labels = np.concatenate([p[1] for p in parts])
@@ -217,6 +225,14 @@ def load_npz(path, task: TaskKind | None = None) -> DatasetBundle:
         ]
     )
     return DatasetBundle(images, labels, tags, *infer_task(labels, task))
+
+
+def _to_model_layout(images_u8: np.ndarray) -> np.ndarray:
+    """(B,H,W,ch) uint8 -> (B,ch,H,W) float in [0,1], the model's one input form.
+
+    Every caller that scores or trains on stored images converts here.
+    """
+    return np.transpose(images_u8.astype(np.float64) / 255.0, (0, 3, 1, 2))
 
 
 def write_npz(bundle: DatasetBundle, path) -> None:
@@ -263,9 +279,7 @@ def _stratified_pick(labels: np.ndarray, idx: np.ndarray, want: int,
 
 
 def make_semi(
-    bundle: DatasetBundle,
-    labeled_fraction: float = 0.1,
-    rng: np.random.Generator | None = None,
+    bundle: DatasetBundle, labeled_fraction: float, rng: np.random.Generator
 ) -> DatasetBundle:
     """Keep labels on a stratified fraction of the train split.
 
@@ -276,7 +290,6 @@ def make_semi(
     """
     if not 0.0 < labeled_fraction <= 1.0:
         raise ContractError(f"labeled fraction must be in (0,1], got {labeled_fraction}")
-    rng = rng if rng is not None else np.random.default_rng()
     train_idx = bundle.indices(Split.TRAIN_LABELED, Split.TRAIN_UNLABELED)
     want = int(np.floor(labeled_fraction * len(train_idx)))
     if bundle.task is TaskKind.MULTILABEL:
@@ -290,9 +303,7 @@ def make_semi(
 
 
 def corrupt_labels(
-    bundle: DatasetBundle,
-    corruption_rate: float,
-    rng: np.random.Generator | None = None,
+    bundle: DatasetBundle, corruption_rate: float, rng: np.random.Generator
 ) -> tuple[DatasetBundle, np.ndarray]:
     """Replace labels on round(rate * N_labeled) labeled-train samples.
 
@@ -304,7 +315,6 @@ def corrupt_labels(
         raise ContractError(f"corruption rate must be in [0,1], got {corruption_rate}")
     if bundle.num_classes < 2:
         raise ContractError("label corruption needs at least two classes")
-    rng = rng if rng is not None else np.random.default_rng()
     labeled = bundle.indices(Split.TRAIN_LABELED)
     count = int(round(corruption_rate * len(labeled)))
     chosen = np.sort(rng.choice(labeled, size=count, replace=False))
@@ -358,10 +368,7 @@ def random_mask(image: np.ndarray, rate: float, rng: np.random.Generator) -> np.
 
 
 def synth_dataset(
-    num_classes: int = 2,
-    n_per_class: int = 100,
-    side: int = 16,
-    rng: np.random.Generator | None = None,
+    num_classes: int, n_per_class: int, side: int, rng: np.random.Generator
 ) -> DatasetBundle:
     """Generate a separable desk-scale dataset of blob images.
 
@@ -371,7 +378,6 @@ def synth_dataset(
     """
     if side < 8:
         raise ContractError("side must be at least 8")
-    rng = rng if rng is not None else np.random.default_rng()
     yy, xx = np.mgrid[0:side, 0:side]
     images = []
     for cls in range(num_classes):

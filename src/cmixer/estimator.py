@@ -15,17 +15,22 @@ import inspect
 
 import numpy as np
 
-from .data import DatasetBundle, Split, TaskKind, infer_task
+from .data import DatasetBundle, Split, TaskKind, _to_model_layout, infer_task
 from .errors import ContractError, DimensionError
 from .metrics import predictions_for_task
-from .model import CMixerConfig, CMixerModel
-from .train import TrainConfig, _to_model_layout, finetune, pretrain, softmax
+from .model import CMixerConfig, CMixerModel, data_fields, field_types
+from .train import TrainConfig, finetune, pretrain, softmax
 
 __all__ = ["CMixerClassifier", "check_images", "check_labels"]
 
+# the TrainConfig fields that the estimator spells the scikit-learn way
+_SKLEARN_NAMES = {"learning_rate": "lr", "pretrain_learning_rate": "pretrain_lr",
+                  "random_state": "seed"}
+
 
 def check_images(X) -> np.ndarray:
-    """Validate and normalize an image batch to (N, H, W, ch) uint8."""
+    """Validate and normalize an image batch to (N, H, W, ch) uint8; ``fit``'s
+    ``DatasetBundle`` requires square images."""
     X = np.asarray(X)
     if X.ndim == 3:
         X = X[..., None]
@@ -33,8 +38,6 @@ def check_images(X) -> np.ndarray:
         raise DimensionError(f"expected (N,H,W) or (N,H,W,ch) images, got {X.shape}")
     if len(X) == 0:
         raise ContractError("empty image batch")
-    if X.shape[1] != X.shape[2]:
-        raise DimensionError(f"images must be square, got {X.shape[1]}x{X.shape[2]}")
     if X.dtype == np.uint8:
         return X
     X = np.asarray(X, dtype=np.float64)
@@ -120,22 +123,11 @@ class CMixerClassifier:
         return self
 
     def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            pretrain_epochs=self.pretrain_epochs,
-            pretrain_batch_size=self.pretrain_batch_size,
-            pretrain_lr=self.pretrain_learning_rate,
-            pretrain_warmup_steps=self.warmup_steps,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.learning_rate,
-            momentum=self.momentum,
-            warmup_steps=self.warmup_steps,
-            clip_norm=self.clip_norm,
-            mask_rate=self.mask_rate,
-            temperature=self.temperature,
-            ema_decay=self.ema_decay,
-            seed=self.random_state,
-        )
+        """Each parameter sets the ``TrainConfig`` field it names, ``warmup_steps``
+        the pre-training warmup too; ``pretrain_weight_decay`` keeps its default."""
+        settings = {_SKLEARN_NAMES.get(k, k): v for k, v in self.get_params().items()}
+        settings["pretrain_warmup_steps"] = self.warmup_steps
+        return TrainConfig(**{k: settings[k] for k in field_types(TrainConfig) if k in settings})
 
     def fit(self, X, y) -> "CMixerClassifier":
         seed = self.random_state
@@ -149,14 +141,8 @@ class CMixerClassifier:
         encoded = encoded[:, None].astype(np.int64)
         splits = np.full(len(images), int(Split.TRAIN_LABELED), dtype=np.uint8)
         bundle = DatasetBundle(images, encoded, splits, *infer_task(encoded))
-        config = CMixerConfig.small(
-            image_side=images.shape[1],
-            in_channels=images.shape[3],
-            num_classes=bundle.num_classes,
-            num_layers=self.num_layers,
-            hidden=self.hidden,
-            patch=self.patch,
-        )
+        config = CMixerConfig.small(**data_fields(bundle), num_layers=self.num_layers,
+                                    hidden=self.hidden, patch=self.patch)
         train_config = self._train_config()
         rng = np.random.default_rng(seed)
         model = CMixerModel(config, rng=rng)

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetBundle, Split, TaskKind, label_columns
+from .data import DatasetBundle, Split, TaskKind, _to_model_layout, label_columns
 from .errors import ContractError, DimensionError, UndefinedMetricError
 from .model import CMixerModel
-from .train import _to_model_layout
 
 __all__ = [
     "EvalReport",
@@ -138,16 +137,17 @@ def evaluate(
     model: CMixerModel,
     bundle: DatasetBundle,
     split: Split = Split.TEST,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     batch_size: int = 256,
 ) -> EvalReport:
     """Score one split and report ACC/AUC with a per-class breakdown.
 
-    The model scores under its own ``toggles``. Noise is drawn fresh from
-    ``rng``, once per batch (with the no-noise toggle the pass is
-    deterministic); passing a seeded generator freezes the evaluation.
-    A class count other than the bundle's is a ``DimensionError``, and a
-    ``batch_size`` below 1 a ``ContractError``.
+    The model scores under its own ``toggles``. Each batch of stored images
+    goes through ``data._to_model_layout``, and its noise is drawn from
+    ``rng``, which the caller seeds (with the no-noise toggle the pass draws
+    nothing). A class count other than the bundle's is a ``DimensionError``,
+    and a ``batch_size`` below 1 a ``ContractError``.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be at least 1, got {batch_size}")
@@ -155,7 +155,6 @@ def evaluate(
         raise DimensionError(
             f"model has {model.config.num_classes} classes, data has {bundle.num_classes}"
         )
-    rng = rng if rng is not None else np.random.default_rng()
     idx = bundle.indices(split)
     if len(idx) == 0:
         raise ContractError(f"split {split} is empty")

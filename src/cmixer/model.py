@@ -46,6 +46,7 @@ __all__ = [
     "CMixerConfig",
     "Toggles",
     "CMixerModel",
+    "data_fields",
     "incentive_mu_sigma",
     "sample_incentive",
     "mixer_block_forward",
@@ -160,6 +161,14 @@ class CMixerConfig:
             in_channels=in_channels,
             image_side=image_side,
         )
+
+
+def data_fields(bundle) -> dict[str, int]:
+    """The ``CMixerConfig`` fields that a ``DatasetBundle`` fixes: its channels,
+    image side and class count, in that order."""
+    images = bundle.images
+    return {"in_channels": images.shape[3], "image_side": images.shape[1],
+            "num_classes": bundle.num_classes}
 
 
 def to_lines(obj) -> str:
@@ -431,7 +440,8 @@ class CMixerModel:
     trainable leaves for that step. ``scores`` is the graph-free pass.
     ``toggles`` is the one holder of the ablation switches: every pass
     runs under it, the training loops read it, and checkpoints carry it.
-    Set it before training; the loops never change it.
+    Set it before training; the loops never change it. The buffers are
+    ``params`` or, without them, ``init_params`` drawn from ``rng``.
     """
 
     def __init__(
@@ -442,7 +452,9 @@ class CMixerModel:
     ):
         self.config = config
         if params is None:
-            params = init_params(config, rng if rng is not None else np.random.default_rng())
+            if rng is None:
+                raise ContractError("CMixerModel needs params or rng to initialize its buffers")
+            params = init_params(config, rng)
         expected = param_shapes(config)
         if set(params) != set(expected):
             missing = set(expected) - set(params)
@@ -468,7 +480,7 @@ class CMixerModel:
     ) -> Tensor:
         """Score a float batch of shape (batch, ch, H, W) under ``self.toggles``.
 
-        The batch is the only input form (``train._to_model_layout`` makes
+        The batch is the only input form (``data._to_model_layout`` makes
         it from uint8 images); any other shape is a ``DimensionError``.
         ``eps`` is the noise sample, required with ``il`` on: ``forward``
         draws nothing (``scores`` draws it from its ``rng``). ``params``

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
-from .data import DatasetBundle, Split, TaskKind, augment_target, label_columns, random_mask
+from . import engine, metrics
+from .data import (DatasetBundle, Split, TaskKind, _to_model_layout, augment_target,
+                   label_columns, random_mask)
 from .engine import Tape, Tensor
 from .errors import ContractError, NumericError
 from .model import CMixerModel, check_integers, field_types
@@ -385,14 +386,6 @@ class FinetuneResult:
     rows: list[LogRow]
 
 
-def _to_model_layout(images_u8: np.ndarray) -> np.ndarray:
-    """(B,H,W,ch) uint8 -> (B,ch,H,W) float in [0,1], the model's one input form.
-
-    Every caller that scores or trains on stored images converts here.
-    """
-    return np.transpose(images_u8.astype(np.float64) / 255.0, (0, 3, 1, 2))
-
-
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -482,8 +475,6 @@ def finetune(
     ACC/AUC are logged once per epoch when a validation split exists.
     Every pass runs under ``model.toggles``.
     """
-    from .metrics import evaluate  # local import; metrics imports this module
-
     labeled = bundle.indices(Split.TRAIN_LABELED)
     if len(labeled) == 0:
         raise ContractError("fine-tuning needs labeled training samples")
@@ -513,7 +504,8 @@ def finetune(
             )
             step += 1
         if have_val:
-            report = evaluate(model, bundle, Split.VAL, rng=np.random.default_rng(config.seed + epoch))
+            report = metrics.evaluate(model, bundle, Split.VAL,
+                                      rng=np.random.default_rng(config.seed + epoch))
             rows.append((step, epoch, "val", "acc", report.acc))
             rows.append((step, epoch, "val", "auc", report.auc))
     return FinetuneResult(model, rows)

@@ -420,6 +420,25 @@ class TestLabelChecks:
         assert not (tmp_path / "o").exists()
 
 
+class TestImageShapeChecks:
+    @pytest.mark.parametrize("sides, message", [
+        ([(16, 12)] * 3, "images must be square, got 16x12"),
+        ([(16, 16), (16, 16), (8, 8)], "image shapes (H, W, ch) differ across splits"),
+    ])
+    def test_bad_image_shapes_exit_3_before_out_exists(self, tmp_path, capsys, sides, message):
+        arrays = {}
+        for kind, n, side in zip(("train", "val", "test"), (6, 2, 2), sides):
+            arrays[f"{kind}_images"] = np.zeros((n, *side), dtype=np.uint8)
+            arrays[f"{kind}_labels"] = (np.arange(n, dtype=np.int64) % 2)[:, None]
+        write_arrays(tmp_path / "shapes.npz", arrays)
+        code = main(["finetune", "--data", str(tmp_path / "shapes.npz"),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSettingsSchema:
     def test_every_train_config_scalar_is_a_typed_key(self, tmp_path):
         fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)

@@ -13,8 +13,8 @@ from cmixer.data import (
     synth_dataset,
     write_npz,
 )
-from cmixer.errors import ContractError, FormatError
-from cmixer.npzio import write_arrays
+from cmixer.errors import ContractError, DimensionError, FormatError
+from cmixer.npzio import read_arrays, write_arrays
 
 
 def tiny_archive(tmp_path, n_train=20, n_val=5, n_test=8, side=8, ch=None,
@@ -113,6 +113,19 @@ class TestLoadNpz:
         with pytest.raises(FormatError, match="empty.npz: no samples"):
             load_npz(path)
 
+    @pytest.mark.parametrize("entry, shape, named", [
+        ("test_images", (8, 8, 8), "test (8, 8, 1)"),
+        ("val_images", (5, 16, 16, 3), "val (16, 16, 3)"),
+    ])
+    def test_image_shapes_differing_across_splits_name_path_and_shapes(self, tmp_path, entry,
+                                                                         shape, named):
+        arrays = read_arrays(tiny_archive(tmp_path, side=16))
+        arrays[entry] = np.zeros(shape, dtype=np.uint8)
+        write_arrays(tmp_path / "sizes.npz", arrays)
+        with pytest.raises(FormatError, match=r"sizes\.npz: image shapes") as info:
+            load_npz(tmp_path / "sizes.npz")
+        assert "train (16, 16, 1)" in str(info.value) and named in str(info.value)
+
     def test_flat_labels_normalized(self, tmp_path):
         path = tiny_archive(tmp_path, label_shape="flat")
         bundle = load_npz(path)
@@ -128,6 +141,13 @@ class TestLoadNpz:
         write_arrays(path, arrays)
         bundle = load_npz(path)
         assert bundle.task is TaskKind.MULTILABEL and bundle.num_classes == 5
+
+
+class TestDatasetBundle:
+    def test_non_square_images_are_a_dimension_error_naming_the_size(self):
+        with pytest.raises(DimensionError, match="images must be square, got 16x12"):
+            DatasetBundle(np.zeros((4, 16, 12, 1), dtype=np.uint8), np.zeros((4, 1), dtype=np.int64),
+                          np.zeros(4, dtype=np.uint8), TaskKind.BINARY, 2)
 
 
 class TestMakeSemi:

@@ -4,6 +4,8 @@ import pytest
 from cmixer.data import Split, synth_dataset
 from cmixer.errors import ContractError, DimensionError
 from cmixer.estimator import CMixerClassifier, check_images, check_labels
+from cmixer.model import field_types
+from cmixer.train import TrainConfig
 
 
 def blob_data(num_classes=2, n=40, side=16, seed=0):
@@ -59,6 +61,12 @@ class TestValidation:
         X, y = np.zeros((8, 8, 8), dtype=np.uint8), np.arange(8) % 2
         with pytest.raises(ContractError, match=f"^{key} must be an integer"):
             CMixerClassifier(**{"hidden": 8, "epochs": 1, key: value}).fit(X, y)
+
+
+    def test_non_square_images_rejected_at_fit(self):
+        X, y = np.zeros((8, 8, 6), dtype=np.uint8), np.arange(8) % 2
+        with pytest.raises(DimensionError, match="images must be square, got 8x6"):
+            CMixerClassifier(hidden=8, epochs=1).fit(X, y)
 
 
 class TestEstimatorApi:
@@ -168,6 +176,29 @@ ACTS_CHANGED = dict(num_layers=2, hidden=6, patch=2, epochs=3, batch_size=6, lea
                     momentum=0.5, warmup_steps=2, clip_norm=0.1, pretrain_epochs=2,
                     pretrain_batch_size=6, pretrain_learning_rate=2e-3, mask_rate=0.5,
                     temperature=0.25, ema_decay=0.5, random_state=1)
+
+
+class TestTrainConfig:
+    """Each training parameter sets exactly the ``TrainConfig`` field it names."""
+
+    RENAMED = {"learning_rate": "lr", "pretrain_learning_rate": "pretrain_lr",
+               "random_state": "seed"}
+
+    @pytest.mark.parametrize("name", CMixerClassifier().get_params())
+    def test_parameter_sets_its_field_and_no_other(self, name):
+        fields = field_types(TrainConfig)
+        base = CMixerClassifier()._train_config()
+        got = CMixerClassifier(**{name: ACTS_CHANGED[name]})._train_config()
+        changed = {k for k in fields if getattr(got, k) != getattr(base, k)}
+        want = {self.RENAMED.get(name, name)} & set(fields)
+        if name == "warmup_steps":  # the warmup of both phases
+            want.add("pretrain_warmup_steps")
+        assert changed == want
+        assert all(getattr(got, k) == ACTS_CHANGED[name] for k in want)
+
+    def test_pretrain_weight_decay_keeps_its_default(self):
+        config = CMixerClassifier()._train_config()
+        assert config.pretrain_weight_decay == TrainConfig.pretrain_weight_decay
 
 
 class TestEveryParameterActs:

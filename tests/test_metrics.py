@@ -224,7 +224,7 @@ class TestEvaluate:
         tags = bundle.splits.copy()
         tags[tags == int(Split.VAL)] = int(Split.TEST)
         with pytest.raises(ContractError):
-            evaluate(model, replace(bundle, splits=tags), Split.VAL)
+            evaluate(model, replace(bundle, splits=tags), Split.VAL, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, setup, batch_size):

@@ -10,13 +10,14 @@ from hypothesis.extra import numpy as hnp
 
 from cmixer import engine
 from cmixer.engine import Tape, Tensor
-from cmixer.data import TaskKind
+from cmixer.data import DatasetBundle, TaskKind
 from cmixer.errors import ContractError, DimensionError, FormatError, NumericError
 from cmixer.model import (
     SCORE_BUDGET,
     CMixerConfig,
     CMixerModel,
     Toggles,
+    data_fields,
     field_types,
     incentive_mu_sigma,
     init_params,
@@ -956,6 +957,17 @@ class TestConfig:
     def test_numpy_integers_are_accepted(self):
         config = CMixerConfig.small(hidden=np.int64(8), patch=np.int32(4))
         assert config.hidden == 8 and config.seq == 16
+
+    def test_data_fields_are_channels_side_and_classes_in_that_order(self):
+        bundle = DatasetBundle(np.zeros((2, 8, 8, 3), dtype=np.uint8), np.array([[0], [4]]),
+                               np.zeros(2, dtype=np.uint8), TaskKind.MULTICLASS, 5)
+        fields = data_fields(bundle)
+        assert list(fields.items()) == [("in_channels", 3), ("image_side", 8), ("num_classes", 5)]
+        assert CMixerConfig.small(**fields).flat_dim == 3 * 8 * 8
+
+    def test_model_without_params_or_rng_is_rejected_naming_both(self):
+        with pytest.raises(ContractError, match="needs params or rng"):
+            CMixerModel(tiny_config())
 
 
 class TestCheckpoint:

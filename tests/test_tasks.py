@@ -4,8 +4,8 @@ its per-class report, each checked against a computation written out here."""
 import numpy as np
 import pytest
 
-from cmixer.data import (DatasetBundle, Split, TaskKind, infer_task, label_columns, load_npz,
-                         synth_dataset)
+from cmixer.data import (DatasetBundle, Split, TaskKind, _to_model_layout, infer_task,
+                         label_columns, load_npz, synth_dataset)
 from cmixer.engine import Tensor
 from cmixer.errors import ContractError, FormatError, NumericError
 from cmixer.metrics import auc_pairwise, auc_task, evaluate, predictions_for_task
@@ -13,7 +13,6 @@ from cmixer.model import CMixerConfig, CMixerModel
 from cmixer.npzio import write_arrays
 from cmixer.train import (
     TrainConfig,
-    _to_model_layout,
     bce_with_logits,
     cross_entropy,
     finetune,
