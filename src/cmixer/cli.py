@@ -33,6 +33,7 @@ from .errors import CMixerError, ConfigError, ContractError, FormatError
 from .gradcheck import run_suite
 from .metrics import evaluate, report_rows
 from .model import (
+    DATA_FIELDS,
     CMixerConfig,
     CMixerModel,
     Toggles,
@@ -53,9 +54,10 @@ TOGGLE_NAMES = {
     "p-imag-only": "p_r",
 }
 
-# CMixerConfig fields the data fixes; the others are keys
-_DATA_FIELDS = ("seq", "in_channels", "image_side", "num_classes")
-_ARCH_TYPES = {k: t for k, t in field_types(CMixerConfig).items() if k not in _DATA_FIELDS}
+# the architecture keys: CMixerConfig.small's arguments that the data does not fix
+_SMALL = inspect.signature(CMixerConfig.small).parameters
+_ARCH_TYPES = {k: t for k, t in field_types(CMixerConfig).items()
+               if k in _SMALL and k not in DATA_FIELDS}
 # keys no dataclass holds, with their defaults
 _CLI_DEFAULTS = {"split": "test", "semi_frac": 0.1, "corrupt_rate": 0.0, "samples": 16}
 _STR_KEYS = ("data", "out", "checkpoint", "init_checkpoint", "task", "toggles", "command", "config")
@@ -65,8 +67,7 @@ _KEY_TYPES = {**field_types(TrainConfig), **_ARCH_TYPES, **dict.fromkeys(_STR_KE
 
 def _default_settings() -> dict:
     # the model defaults are CMixerConfig.small's, which derives unset mixing widths
-    small = inspect.signature(CMixerConfig.small).parameters
-    settings = {k: small[k].default for k in _ARCH_TYPES if small[k].default is not None}
+    settings = {k: _SMALL[k].default for k in _ARCH_TYPES if _SMALL[k].default is not None}
     settings.update({k: getattr(TrainConfig, k) for k in field_types(TrainConfig)})
     settings.update(_CLI_DEFAULTS)
     return settings

@@ -1,32 +1,28 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Everything is float64. A ``Tensor`` is one node of a computation graph:
-it holds the forward value, references to its parents, and a closure
-that pushes an incoming gradient into them. A complex value of logical
-shape ``(..., n)``, activation or parameter, is one real tensor ``z`` of
-shape ``(..., 2, n)``: index 0 on the pair axis is the real part, index 1
-the imaginary part, so a weight ``A + iB`` (m, n) is one ``(m, 2, n)``
-buffer. Differentiation is plain real-valued reverse mode over that
-buffer; no Wirtinger calculus is involved because every operation in the
-network is already written in separated real/imaginary form.
+Everything is float64. A ``Tensor`` is one node of a computation graph: it holds the
+forward value, references to its parents, and a closure that pushes an incoming gradient
+into them. A complex value of logical shape ``(..., n)``, activation or parameter, is
+one real tensor ``z`` of shape ``(..., 2, n)``: index 0 on the pair axis is the real
+part, index 1 the imaginary part, so a weight ``A + iB`` (m, n) is one ``(m, 2, n)``
+buffer. Differentiation is plain real-valued reverse mode over that buffer; no Wirtinger
+calculus is involved because every operation in the network is already written in
+separated real/imaginary form.
 
 A ``Tape`` is the registry of trainable leaves for one training step.
-``Tape.backward(loss)`` walks the graph once, in reverse topological
-order, and returns one gradient array per registered leaf. The walk
-consumes the graph: each node drops its closure, its parents and its
-interior gradient as the walk reaches it, and the walk drops the node
-itself before running its closure, so memory falls as the walk proceeds
-instead of holding the whole graph until it returns. A graph can be
-walked once, and a tape used once; a second walk raises
-``ContractError``.
+``Tape.backward(loss)`` walks the graph once, in reverse topological order, and returns
+one gradient array per registered leaf. The walk consumes the graph: each node drops its
+closure, its parents and its interior gradient as the walk reaches it, and the walk
+drops the node itself before running its closure, so memory falls as the walk proceeds
+instead of holding the whole graph until it returns. A graph can be walked once, and a
+tape used once; a second walk raises ``ContractError``.
 
-Inside ``with no_grad():`` every op computes and validates its output
-exactly as outside it, but the returned ``Tensor`` keeps no parents and
-no backprop closure, so each intermediate is freed as soon as the caller
-drops it. The switch lives in ``Tensor.__init__`` alone: there is no
-second version of any op, and the values are bitwise the same. A leaf
-cannot be registered on a ``Tape`` there, since it would silently get a
-zero gradient. Outside ``no_grad`` every op builds the graph, with or
+Inside ``with no_grad():`` every op computes and validates its output exactly as outside
+it, but the returned ``Tensor`` keeps no parents and no backprop closure, so each
+intermediate is freed as soon as the caller drops it. The switch lives in
+``Tensor.__init__`` alone: there is no second version of any op, and the values are
+bitwise the same. A leaf cannot be registered on a ``Tape`` there, since it would
+silently get a zero gradient. Outside ``no_grad`` every op builds the graph, with or
 without a tape.
 
 Conventions baked into this module:
@@ -44,13 +40,13 @@ Conventions baked into this module:
   one in front of it (the patch sequence), is a ``DimensionError`` naming the op
 * a complex op is one node over the packed ``z``, with a hand-written backward
   pass; ``tmean`` over a packed tensor is the mean over a logical axis before the
-  pair axis. ``complex_affine`` is one block-form GEMM, which beat Gauss's
-  3-multiply form on the model's shapes (its extra elementwise passes cost more).
+  pair axis. Its forward is GEMMs on reshapes of ``z``: on the last axis one over all
+  rows against the block form, which beat Gauss's 3-multiply form on the model's
+  shapes; on the patch axis one per image, so an image's output ignores its batch.
   ``complex_mlp(h, W1, W2, (gamma, beta), axis)`` is a whole mixing half,
-  ``h + W2 · CReLU(W1 · layernorm(h))``, on two layer-norm kernels
-  (``_layernorm_forward`` and ``_layernorm_backward``) and the same GEMMs: it
-  stores no normalized row and no hidden layer, only two scalars per row, and
-  its backward rebuilds both with one extra GEMM
+  ``h + W2 · CReLU(W1 · layernorm(h))``, on two layer-norm kernels: it stores no
+  normalized row and no hidden layer, only two scalars per row, and its backward
+  rebuilds both with one extra GEMM
 * a first gradient that an op allocated and drops is taken over in place
   (``_accumulate(g, own=True)``), not copied
 * the derivative of the CReLU at exactly 0 is taken to be 0
@@ -216,22 +212,26 @@ def _layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale:
     x._accumulate(gx, own=True)
 
 
-def _real_form(w: np.ndarray) -> np.ndarray:
-    """``[[A, -B], [B, A]]`` of the packed (m, 2, n) ``A + iB``; rebuilt, not kept in the graph."""
+def _form(w: np.ndarray, last: bool) -> np.ndarray:
+    """The real (2m, 2n) form of the packed (m, 2, n) ``A + iB``, rebuilt, not kept: the
+    block form ``[[A, -B], [B, A]]`` on the last axis, else interleaved (row 2i + p, col 2j + q)."""
     m, _, n = w.shape
-    out = np.empty((2 * m, 2 * n))
-    out[:m, :n] = out[m:, n:] = w[:, 0, :]
-    np.negative(w[:, 1, :], out=out[:m, n:])
-    out[m:, :n] = w[:, 1, :]
-    return out
+    out = np.empty((2, m, 2, n) if last else (m, 2, n, 2))
+    v = out if last else out.transpose(1, 0, 3, 2)  # v[p, i, q, j] in either form
+    v[0, :, 0] = v[1, :, 1] = w[:, 0]
+    np.negative(w[:, 1], out=v[0, :, 1])
+    v[1, :, 0] = w[:, 1]
+    return out.reshape(2 * m, 2 * n)
 
 
-def _weight_grad(gw: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The fresh (m, 2, n) gradient of ``A + iB`` from ``gw``, the (2n, 2m)
-    gradient of the transpose of its block form."""
+def _weight_grad(g: np.ndarray, x: np.ndarray, m: int, n: int, last: bool) -> np.ndarray:
+    """A fresh (m, 2, n) gradient of ``A + iB``, one GEMM of its ``_form``'s operands ``x``
+    and product gradient ``g``, rows or columns alike; then folded."""
+    gf = (x.T @ g).T if last else g @ x.T
+    v = gf.reshape(2, m, 2, n) if last else gf.reshape(m, 2, n, 2).transpose(1, 0, 3, 2)
     out = np.empty((m, 2, n))
-    np.add(gw[:n, :m].T, gw[n:, m:].T, out=out[:, 0])
-    np.subtract(gw[:n, m:].T, gw[n:, :m].T, out=out[:, 1])
+    np.add(v[0, :, 0], v[1, :, 1], out=out[:, 0])
+    np.subtract(v[1, :, 0], v[0, :, 1], out=out[:, 1])
     return out
 
 
@@ -255,19 +255,29 @@ def _mixing(w: Tensor, z: Tensor, axis: int, op: str):
     return m, n, axis % rank == rank - 1
 
 
-def _rows(arr: np.ndarray, last: bool, width: int) -> np.ndarray:
-    """``arr``'s GEMM rows ``[a | b]``: on the last axis ``arr`` itself, on the one in
-    front of the pair axis its mixed and last axes swapped; one copy, none if
-    ``arr`` already has that layout."""
-    return np.ascontiguousarray(arr if last else arr.swapaxes(-1, -3)).reshape(-1, width)
-
-
-def _unrows(rows: np.ndarray, like: np.ndarray, last: bool) -> np.ndarray:
-    """GEMM rows as a view in ``like``'s packed shape, save the width of the mixed axis."""
-    width = rows.shape[1] // 2
+def _rows(arr: np.ndarray, last: bool, width: int, columns: bool = False) -> np.ndarray:
+    """``arr``'s GEMM operands: its rows ``[a | b]`` on the last axis; else each image's (k, 2, C)
+    as the (2k, C) matrix it is, or with ``columns`` those side by side, (2k, images * C)."""
     if last:
-        return rows.reshape(like.shape[:-1] + (width,))
-    return rows.reshape(like.shape[:-3] + (like.shape[-1], 2, width)).swapaxes(-1, -3)
+        return np.ascontiguousarray(arr).reshape(-1, width)
+    x = arr.reshape(-1, width, arr.shape[-1])
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(width, -1) if columns else x
+
+
+def _apply(form: np.ndarray, x: np.ndarray, last: bool, columns: bool = False) -> np.ndarray:
+    """``form`` applied to operands ``x`` from ``_rows``: ``x @ form.T`` on the last axis, else
+    ``form @ x``, one GEMM per image or over all columns (a stack's products into ``columns``)."""
+    if last or not columns:
+        return x @ form.T if last else np.matmul(form, x)
+    out = np.empty((len(form), len(x), x.shape[-1]))
+    np.matmul(form, x, out=out.transpose(1, 0, 2))
+    return out.reshape(len(form), -1)
+
+
+def _packed(x: np.ndarray, shape: tuple, last: bool) -> np.ndarray:
+    """Operand rows or columns ``x`` as a view in packed ``shape``."""
+    x = x if last else x.reshape(len(x), -1, shape[-1]).swapaxes(0, 1)
+    return x.reshape(shape)
 
 
 def complex_affine(W, h, bias=None, axis: int = -2) -> Tensor:
@@ -277,35 +287,32 @@ def complex_affine(W, h, bias=None, axis: int = -2) -> Tensor:
     ``h.shape[:-2] + h.shape[-1:]``, and the optional bias is (2, m); a pair
     axis that is not 2 is a ``DimensionError``. ``axis`` is the last logical
     axis or the one in front of it. Each length-n slice ``a + ib`` becomes
-    ``(Aa - Bb) + i(Ba + Ab)`` plus the bias; ``axis=-2`` is ``W @ h``. The op
-    is one real GEMM of rows ``[a | b]`` against the block form
-    ``[[A, -B], [B, A]]``. On the last axis those rows are ``h`` reshaped to
-    ``(-1, 2n)``, and the output is the product reshaped back, with no copy
-    either way. On axis -2 the rows are one copy of ``h`` with that axis and
-    the last swapped (none if ``h`` already is such a view), and the output is
-    a swapped view of the product in the packed shape. One node; its backward
-    recomputes the rows and the block form instead of keeping them.
+    ``(Aa - Bb) + i(Ba + Ab)`` plus the bias; ``axis=-2`` is ``W @ h``. One node: one
+    GEMM on the last axis, one per image on axis -2, with no copy in or out; its backward
+    recomputes the real form and on axis -2 works on (2n, images * C) columns.
     """
     w, z = constant(W), constant(h)
     m, n, last = _mixing(w, z, axis, "complex_affine")
     parents = (w, z)
-    out = _rows(z.data, last, 2 * n) @ _real_form(w.data).T
+    out = _apply(_form(w.data, last), _rows(z.data, last, 2 * n), last)
     if bias is not None:
         bias = constant(bias)
         if bias.shape != (2, m):
             raise DimensionError(f"complex_affine: bias has shape {bias.shape}, expected (2, {m})")
-        out += bias.data.reshape(2 * m)
+        out += bias.data.reshape(2 * m) if last else bias.data.T.reshape(2 * m, 1)
         parents += (bias,)
     _ensure_finite(out, "complex_affine")
 
     def backprop(g):
-        g = _rows(g, last, 2 * m)
-        w._accumulate(_weight_grad(_rows(z.data, last, 2 * n).T @ g, m, n), own=True)
-        z._accumulate(_unrows(g @ _real_form(w.data), z.data, last), own=True)
+        g = _rows(g, last, 2 * m, columns=True)
+        w._accumulate(_weight_grad(g, _rows(z.data, last, 2 * n, True), m, n, last), own=True)
+        z._accumulate(_packed(_apply(_form(w.data, last).T, g, last), z.shape, last), own=True)
         if bias is not None:
-            bias._accumulate(g.sum(axis=0).reshape(2, m), own=True)
+            gb = g.sum(axis=0).reshape(2, m) if last else g.sum(axis=1).reshape(m, 2).T
+            bias._accumulate(gb, own=True)
 
-    return Tensor(_unrows(out, z.data, last), parents, backprop, "complex_affine", _checked=True)
+    shape = z.shape[:-1] + (m,) if last else z.shape[:-3] + (m,) + z.shape[-2:]
+    return Tensor(out.reshape(shape), parents, backprop, "complex_affine", _checked=True)
 
 
 def complex_mlp(h, W1, W2, norm, axis: int) -> Tensor:
@@ -313,13 +320,13 @@ def complex_mlp(h, W1, W2, norm, axis: int) -> Tensor:
 
     ``h`` is packed, ``W1`` (m, 2, n) with ``n`` the length of logical ``axis``
     (the last axis or the one in front of it), ``W2`` (n, 2, m), and ``norm`` the
-    ``(gamma, beta)`` of a layer norm over the last axis. Values and gradients are bitwise those of ``complex_affine(W1,
-    layernorm(h, gamma, beta), axis=axis)``, a ReLU, ``complex_affine(W2, .,
-    axis=axis)`` and ``np.add(h, .)``, the skip's gradient added first, when ``h``
-    has no other (the tests build that composition from plain ops).
-    One node, which keeps only ``h`` and the per-row mean and inverse deviation;
-    the backward rebuilds the normalized rows (in ``h``'s layout, then copied into
-    the GEMM rows) and the hidden with one GEMM, whose block form it reuses.
+    ``(gamma, beta)`` of a layer norm over the last axis. Values and gradients are
+    bitwise those of ``complex_affine(W1, layernorm(h, gamma, beta), axis=axis)``, a
+    ReLU, ``complex_affine(W2, ., axis=axis)`` and ``np.add(h, .)``, the skip's gradient
+    added first, when ``h`` has no other (the tests build that composition from plain
+    ops). One node, which keeps only ``h`` and the per-row mean and inverse deviation;
+    the backward rebuilds the normalized rows and the hidden (on axis -2 straight into
+    its columns) with one GEMM, whose real form it reuses.
     The product in front of the CReLU, which would map an overflowed -Inf to 0,
     the output and (as ``backward:complex_mlp``) the hidden's gradient are each
     checked for NaN/Inf once.
@@ -330,14 +337,14 @@ def complex_mlp(h, W1, W2, norm, axis: int) -> Tensor:
         raise DimensionError(f"complex_mlp: second weight has shape {w2.shape}, not {(n, 2, m)}")
     gamma, beta, others, scale, shift = _norm_operands(z, *norm, "complex_mlp")
     rows, mu, inv = _layernorm_forward(z.data, scale, shift)
-    rows = _rows(rows, last, 2 * n)  # off the last axis a copy; the normed buffer goes
-    hidden = rows @ _real_form(w1.data).T
+    rows = _rows(rows, last, 2 * n)  # a view, unless h is strided
+    hidden = _apply(_form(w1.data, last), rows, last)
     del rows
     _ensure_finite(hidden, "complex_mlp")
     np.maximum(hidden, 0.0, out=hidden)
-    product = hidden @ _real_form(w2.data).T
+    product = _apply(_form(w2.data, last), hidden, last)
     del hidden
-    out = np.add(z.data, _unrows(product, z.data, last))
+    out = np.add(z.data, product.reshape(z.shape))
     del product
     _ensure_finite(out, "complex_mlp")
 
@@ -346,22 +353,22 @@ def complex_mlp(h, W1, W2, norm, axis: int) -> Tensor:
         rows *= scale
         rows += shift
         rows = _rows(rows, last, 2 * n)
-        r1 = _real_form(w1.data)
-        hidden = rows @ r1.T
+        r1 = _form(w1.data, last)
+        hidden = _apply(r1, rows, last, columns=True)
         np.maximum(hidden, 0.0, out=hidden)
-        g2 = _rows(g, last, 2 * n)
-        w2._accumulate(_weight_grad(hidden.T @ g2, n, m), own=True)
+        g2 = _rows(g, last, 2 * n, columns=True)
+        w2._accumulate(_weight_grad(g2, hidden, n, m, last), own=True)
         mask = hidden > 0.0
         del hidden
-        g1 = g2 @ _real_form(w2.data)
+        g1 = _apply(_form(w2.data, last).T, g2, last)
         del g2
         np.add(g1, 0.0, out=g1)  # -0.0 made +0.0, as a first gradient arrival does
         _ensure_finite(g1, "backward:complex_mlp")
         np.multiply(g1, mask, out=g1)  # the CReLU's derivative at exactly 0 is 0
         del mask
-        w1._accumulate(_weight_grad(rows.T @ g1, m, n), own=True)
+        w1._accumulate(_weight_grad(g1, _rows(rows, last, 2 * n, True), m, n, last), own=True)
         del rows
-        gh = _unrows(g1 @ r1, z.data, last)
+        gh = _packed(_apply(r1.T, g1, last), z.shape, last)
         del g1, r1
         xhat = (z.data - mu) * inv
         # the normalized rows' gradient in xhat's layout, with -0.0 made +0.0
@@ -420,16 +427,9 @@ class Tape:
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Reverse accumulation from ``loss`` down to every registered leaf.
 
-        Returns one gradient array per leaf, shape-matching it; leaves
-        the loss does not depend on get zeros.
-
-        The walk consumes the graph: when the walk reaches a node, the
-        node drops its closure, its parents and (unless it is a registered
-        leaf or the loss) its gradient, and the walk drops the node before
-        running the closure, so each activation and interior gradient is
-        freed as soon as nothing needs it. Node values that a caller holds
-        stay readable. A graph can therefore be walked once, and a tape
-        used once: a second walk raises ``ContractError``.
+        Returns one gradient array per leaf, shape-matching it; leaves the loss
+        does not depend on get zeros. The walk consumes the graph as the module
+        docstring says; node values that a caller holds stay readable.
         """
         if loss.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")

@@ -46,6 +46,7 @@ __all__ = [
     "CMixerConfig",
     "Toggles",
     "CMixerModel",
+    "DATA_FIELDS",
     "data_fields",
     "incentive_mu_sigma",
     "sample_incentive",
@@ -163,12 +164,14 @@ class CMixerConfig:
         )
 
 
+# the CMixerConfig fields that a DatasetBundle fixes; no setting may set them
+DATA_FIELDS = ("in_channels", "image_side", "num_classes")
+
+
 def data_fields(bundle) -> dict[str, int]:
-    """The ``CMixerConfig`` fields that a ``DatasetBundle`` fixes: its channels,
-    image side and class count, in that order."""
+    """``DATA_FIELDS`` of ``bundle``, in that order: its channels, image side and class count."""
     images = bundle.images
-    return {"in_channels": images.shape[3], "image_side": images.shape[1],
-            "num_classes": bundle.num_classes}
+    return dict(zip(DATA_FIELDS, (images.shape[3], images.shape[1], bundle.num_classes)))
 
 
 def to_lines(obj) -> str:

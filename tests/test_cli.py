@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmixer.cli import (
+    _KEY_TYPES,
     build_parser,
     main,
     parse_config_file,
@@ -13,6 +14,7 @@ from cmixer.cli import (
     train_config_from,
 )
 from cmixer.data import DatasetBundle, load_npz, synth_dataset, write_npz
+from cmixer.model import data_fields
 from cmixer.npzio import read_arrays, write_arrays
 from cmixer.train import TrainConfig
 
@@ -292,6 +294,19 @@ class TestConfigHandling:
         code = main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "banana" in capsys.readouterr().err
+
+    def test_no_field_the_data_fixes_is_a_settable_key(self, tmp_path, synth_npz, capsys):
+        """Each name ``data_fields`` gives is refused as a key, so it can never reach
+        ``CMixerConfig.small`` twice."""
+        names = list(data_fields(load_npz(synth_npz)))
+        assert names and not set(names) & set(_KEY_TYPES)
+        for name in names:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"data={synth_npz}\n{name}=1\n")
+            code = main(["finetune", "--config", str(cfg), "--out", str(tmp_path / name)])
+            err = capsys.readouterr().err
+            assert code == 2 and f"unknown key '{name}'" in err, err
+            assert not (tmp_path / name).exists()
 
     def test_unknown_toggle_exit_2(self, fast_config, tmp_path, capsys):
         code = main(

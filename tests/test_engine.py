@@ -480,6 +480,92 @@ class TestComplexMlp:
             tape.backward(tsum(mul(out, np.full(out.shape, 1e10))))
 
 
+def token_op(op, leaves, rng):
+    """The no-grad output of the token-axis op ``op`` on ``leaves`` (and a bias from
+    ``rng``), as a function of ``h``."""
+    W = leaves["W1"]
+    bias = rng.standard_normal((2, len(W)))
+    ops = {"mlp": lambda h: complex_mlp(h, W, leaves["W2"], (leaves["g"], leaves["b"]), axis=-2),
+           "affine": lambda h: complex_affine(W, h, axis=-2),
+           "affine_bias": lambda h: complex_affine(W, h, bias=bias, axis=-2)}
+
+    def run(h):
+        with engine.no_grad():
+            return ops[op](h).data
+
+    return run
+
+
+class TestTokenAxisPerImage:
+    """On the axis in front of the pair axis, the patch sequence, each image is
+    mixed by a GEMM of its own on a reshape of ``h``: an image's output does not
+    depend on its batch, and no swapped copy of ``h`` is made."""
+
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6), seq=st.integers(1, 5),
+           width=st.integers(1, 5), m=st.integers(1, 4),
+           op=st.sampled_from(["mlp", "affine", "affine_bias"]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_image_is_bitwise_alone_split_and_permuted(self, seed, batch, seq, width, m,
+                                                           op, data):
+        rng = np.random.default_rng(seed)
+        leaves = mlp_leaves(rng, batch, seq, width, m, -2)
+        run, h = token_op(op, leaves, rng), leaves["h"]
+        whole = run(h)
+        cuts = sorted(data.draw(st.sets(st.integers(1, batch - 1), max_size=3)) if batch > 1
+                      else [])
+        perm = np.array(data.draw(st.permutations(range(batch))))
+        for i in range(batch):
+            assert run(h[i:i + 1])[0].tobytes() == whole[i].tobytes(), i
+        split = np.concatenate([run(part) for part in np.split(h, cuts)])
+        assert split.tobytes() == whole.tobytes(), cuts
+        assert run(h[perm]).tobytes() == whole[perm].tobytes(), perm
+
+    @pytest.mark.parametrize("op", ["mlp", "affine", "affine_bias"])
+    def test_score_breast_shapes_are_bitwise_alone_split_and_permuted(self, op):
+        """The shapes of a scoring microbatch of the BreastMNIST-size model: 128
+        images of 49 patches, width 32, token hidden 98."""
+        rng = np.random.default_rng(40)
+        leaves = mlp_leaves(rng, 128, 49, 32, 98, -2)
+        run, h = token_op(op, leaves, rng), leaves["h"]
+        whole = run(h)
+        for i in (0, 77, 127):
+            assert run(h[i:i + 1])[0].tobytes() == whole[i].tobytes(), i
+        assert np.concatenate([run(h[:50]), run(h[50:])]).tobytes() == whole.tobytes()
+        perm = rng.permutation(128)
+        assert run(h[perm]).tobytes() == whole[perm].tobytes()
+
+    @staticmethod
+    def traced_peak(f):
+        tracemalloc.start()
+        try:
+            out = f()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def test_mlp_peak_is_the_normed_rows_and_the_hidden(self):
+        """No-grad at ``score-breast`` shapes, ``h`` allocated before tracing: the peak
+        is the layer-norm buffer (the output's size), the hidden and its finite-check
+        mask, plus the two real forms and a small constant; the output and the product
+        come after the buffer and the hidden are freed."""
+        rng = np.random.default_rng(41)
+        leaves = mlp_leaves(rng, 128, 49, 32, 98, -2)
+        peak, out = self.traced_peak(lambda: token_op("mlp", leaves, rng)(leaves["h"]))
+        hidden = 128 * 2 * 98 * 32 * 8
+        forms = 2 * (2 * 98) * (2 * 49) * 8
+        assert peak < out.nbytes + hidden + hidden // 8 + forms + 65536, peak
+
+    @pytest.mark.parametrize("op", ["affine", "affine_bias"])
+    def test_affine_makes_no_copy_of_its_input(self, op):
+        """The peak is the output, its finite-check mask and the real form: ``h`` is
+        read in place, and the output is the product itself."""
+        rng = np.random.default_rng(42)
+        leaves = mlp_leaves(rng, 128, 49, 32, 98, -2)
+        peak, out = self.traced_peak(lambda: token_op(op, leaves, rng)(leaves["h"]))
+        form = (2 * 98) * (2 * 49) * 8
+        assert peak < out.nbytes + out.size + form + 65536, (peak, leaves["h"].nbytes)
+
+
 class TestLayerNorm:
     def test_constant_slice_collapses_to_zero(self):
         out = layernorm(Tensor([5.0, 5.0, 5.0]), np.ones(3), np.zeros(3))
